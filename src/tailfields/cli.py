@@ -4,7 +4,7 @@ Subcommands: mma-theta, mma-empirical, br-theta, br-fig1, br-tailcdf,
 tailfield, cluster-laplace, counterexample, verify.  Every command is a
 pure function of its flags and --seed; outputs are byte-identical across
 re-runs at any --threads value.  TAILFIELDS_THREADS sets the default
-worker count.
+worker count; BLAS runs on one thread per worker.
 """
 
 from __future__ import annotations
@@ -41,9 +41,11 @@ from .models import (
     MaxMovingAverage,
     Mixture,
     model_digest,
+    model_dim,
     model_from_config,
+    tail_index,
 )
-from .rng import RngStream
+from .rng import RngStream, single_threaded_blas
 from .simulate import sample_field
 from .tailfield import (
     br_tail_fdd_mc,
@@ -54,6 +56,7 @@ from .tailfield import (
 )
 from .testfuncs import POINT_CATALOG, ZERO
 from .verify import (
+    PARETO_ROOT_Q,
     run_change_of_time_check,
     run_counterexample_check,
     run_pareto_root_check,
@@ -140,8 +143,13 @@ def resolve_model(args) -> object:
             return model_from_config(json.load(fh))
     name = getattr(args, "model", None) or "mma-default"
     if name not in NAMED_MODELS:
+        _unknown_model(name)
         raise SystemExit(2)
     return NAMED_MODELS[name]()
+
+
+def _unknown_model(name) -> None:
+    print(f"unknown model {name!r}; one of {sorted(NAMED_MODELS)}", file=sys.stderr)
 
 
 def _base(args, spec) -> dict:
@@ -293,8 +301,6 @@ def cmd_br_tailcdf(args) -> int:
 
 def cmd_tailfield(args) -> int:
     spec = resolve_model(args)
-    from .models import model_dim
-
     dim = model_dim(spec) or 2
     lags = centered_box(args.lag_radius, dim)
     samples = estimate_tail_field(
@@ -313,6 +319,8 @@ LAPLACE_COLUMNS = ["function", "empirical", "empirical_se", "limit", "limit_se"]
 
 def cmd_cluster_laplace(args) -> int:
     spec = resolve_model(args)
+    alpha = tail_index(spec)
+    dim = model_dim(spec) or 2
     rng = RngStream(args.seed)
     n = _parse_ints(args.n)
     r = _parse_ints(args.r)
@@ -324,15 +332,15 @@ def cmd_cluster_laplace(args) -> int:
     spectral = [
         spectral_from_tail(s)
         for s in estimate_tail_field(
-            spec, centered_box(args.lag_radius, 2), args.replicates, rng.lane(2),
+            spec, centered_box(args.lag_radius, dim), args.replicates, rng.lane(2),
             q=args.q,
         )
     ]
-    order = InvariantOrder(dim=2)
+    order = InvariantOrder(dim=dim)
     records = []
     for f in (ZERO,) + POINT_CATALOG:
         emp = empirical_cluster_laplace(clusters, f)
-        lim = limit_cluster_laplace_mc(spectral, f, 1.0, order)
+        lim = limit_cluster_laplace_mc(spectral, f, alpha, order)
         records.append(
             {"function": f.fid, "empirical": emp.value, "empirical_se": emp.se,
              "limit": lim.value, "limit_se": lim.se, **_base(args, spec)}
@@ -373,20 +381,24 @@ def cmd_verify(args) -> int:
     corrupt = args.model == "corrupted"
     model_name = "mma-default" if corrupt else (args.model or "mma-default")
     if campaign != "counterexample" and model_name not in NAMED_MODELS:
-        print(f"unknown model {args.model!r}", file=sys.stderr)
+        _unknown_model(args.model)
         return 2
     spec = NAMED_MODELS[model_name]() if campaign != "counterexample" else None
 
-    fast = {"n_replicates": args.replicates} if args.replicates else {}
+    # without --q each campaign keeps its own default level
+    opts = {"q": args.q} if args.q is not None else {}
+    if args.replicates:
+        opts["n_replicates"] = args.replicates
     if campaign == "pareto-root":
         if args.replicates:
             # keep the retention requirement feasible for reduced runs
-            fast["min_retained"] = min(5000, int(args.replicates * (1 - args.q) / 2))
-        run = run_pareto_root_check(spec, rng, q=args.q, **fast)
+            q = opts.get("q", PARETO_ROOT_Q)
+            opts["min_retained"] = min(5000, int(args.replicates * (1 - q) / 2))
+        run = run_pareto_root_check(spec, rng, **opts)
     elif campaign == "change-of-time":
-        run = run_change_of_time_check(spec, rng, q=args.q, **fast)
+        run = run_change_of_time_check(spec, rng, **opts)
     elif campaign == "rs-invariance":
-        run = run_rs_invariance_check(spec, rng, q=args.q, corrupt=corrupt, **fast)
+        run = run_rs_invariance_check(spec, rng, corrupt=corrupt, **opts)
     elif campaign == "counterexample":
         run = run_counterexample_check(args.alpha, rng)
     else:
@@ -506,7 +518,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--model", default="mma-default",
                     help=f"one of {sorted(NAMED_MODELS)} or 'corrupted'")
     sp.add_argument("--alpha", type=float, default=1.0)
-    sp.add_argument("--q", type=float, default=0.999)
+    sp.add_argument("--q", type=float, default=None,
+                    help="exceedance level (default: the campaign's own)")
     sp.add_argument("--replicates", type=int, default=None)
     common(sp)
     sp.set_defaults(func=cmd_verify)
@@ -517,7 +530,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with single_threaded_blas():
+            return args.func(args)
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

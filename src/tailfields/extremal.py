@@ -358,12 +358,12 @@ def mixture_theta(components: Sequence[tuple[float, object]]) -> dict:
 
 # -- Brown-Resnick block index by Monte Carlo ----------------------------------
 
-def _half_space_points(order: InvariantOrder, bound: int, dim: int):
-    box = centered_box(bound, dim)
-    pts = box.point_array()
-    strict = order.before_origin_mask(pts)
-    keep = strict | np.all(pts == 0, axis=1)
-    return [tuple(int(x) for x in p) for p in pts[keep]]
+def _half_space_points(order: InvariantOrder, bound: int, dim: int) -> np.ndarray:
+    """The origin and the points of [-bound, bound]^dim before it, as an
+    ``(n, dim)`` int array in row-major order."""
+    pts = centered_box(bound, dim).point_array()
+    keep = order.before_origin_mask(pts) | np.all(pts == 0, axis=1)
+    return pts[keep]
 
 
 def br_theta_block_profile(
@@ -387,15 +387,12 @@ def br_theta_block_profile(
         raise ValueError("truncation radii must be >= 1")
     dim = order.dim
     pts = _half_space_points(order, M_list[-1], dim)
-    origin = (0,) * dim
-    oix = pts.index(origin)
+    not_origin = np.any(pts != 0, axis=1)
+    oix = int(np.flatnonzero(~not_origin)[0])
     sampler = GaussianFieldSampler(variogram, pts)
     s2 = sampler.sigma2
-    radii = np.array([max(abs(x) for x in p) for p in pts])
-    strict_masks = {
-        m: np.array([rad <= m and i != oix for i, rad in enumerate(radii)])
-        for m in M_list
-    }
+    radii = np.abs(pts).max(axis=1)
+    strict_masks = {m: (radii <= m) & not_origin for m in M_list}
 
     def work(start, count, stream):
         w = sampler.draw(count, stream.generator())

@@ -3,7 +3,9 @@ fBm fields, variogram-driven Gaussian samplers, and Brown-Resnick fields.
 
 fBm is sampled exactly (Cholesky factor of the stationary increment
 covariance), not through spectral approximations, because the extremal
-quantities downstream are sensitive to the exact Gaussian law.
+quantities downstream are sensitive to the exact Gaussian law.  Brown-
+Resnick fields are sampled exactly too, by extremal functions, with no
+truncation of the Poisson series.
 """
 
 from __future__ import annotations
@@ -15,10 +17,6 @@ import numpy as np
 from .lattice import FieldSample, Window, as_point
 from .models import AdditiveFBM, VariogramSpec
 from .rng import RngStream
-
-
-class AccuracyError(RuntimeError):
-    """Truncated series failed to meet the requested accuracy."""
 
 
 @functools.lru_cache(maxsize=128)
@@ -38,17 +36,9 @@ def fgn_cholesky(hurst: float, n: int) -> np.ndarray:
     return L
 
 
-def fbm_paths_batch(hurst: float, n: int, count: int, gen) -> np.ndarray:
-    """Exact fBm at integer times 0..n; returns a (count, n+1) array."""
-    L = fgn_cholesky(hurst, n)
-    inc = gen.standard_normal((count, n)) @ L.T
-    out = np.zeros((count, n + 1))
-    np.cumsum(inc, axis=1, out=out[:, 1:])
-    return out
-
-
 def sample_fbm_path(hurst: float, n: int, rng: RngStream) -> np.ndarray:
-    return fbm_paths_batch(hurst, n, 1, rng.generator())[0]
+    """Exact fBm at integer times 0..n."""
+    return fbm_grid_batch(hurst, 0, n, 1, rng.generator())[0]
 
 
 def fbm_grid_batch(hurst: float, lo: int, hi: int, count: int, gen) -> np.ndarray:
@@ -99,56 +89,73 @@ def sample_additive_fbm(
     )
 
 
+def _variogram_at(variogram: VariogramSpec, lags: np.ndarray) -> np.ndarray:
+    """gamma at each row of an ``(n, dim)`` int array of lags.
+
+    For additive fBm the sum is built from per-axis tables of
+    ``|c|^(2 H)`` with the same float operations as ``AdditiveFBM.gamma``;
+    otherwise gamma is called once per distinct lag.
+    """
+    if isinstance(variogram, AdditiveFBM):
+        out = np.zeros(len(lags))
+        for axis, h in enumerate(variogram.hurst):
+            col = lags[:, axis]
+            lo, hi = int(col.min()), int(col.max())
+            table = np.array([abs(c) ** (2 * h) for c in range(lo, hi + 1)])
+            out += table[col - lo]
+        return out
+    uniq, inverse = np.unique(lags, axis=0, return_inverse=True)
+    vals = np.array([float(variogram.gamma(tuple(int(x) for x in d))) for d in uniq])
+    return vals[inverse.ravel()]
+
+
+def _variogram_matrix(variogram: VariogramSpec, pts: np.ndarray) -> np.ndarray:
+    """gamma(p_i - p_j) for every pair of rows of an ``(n, dim)`` int array."""
+    n, dim = pts.shape
+    diffs = (pts[:, None, :] - pts[None, :, :]).reshape(-1, dim)
+    return _variogram_at(variogram, diffs).reshape(n, n)
+
+
 class GaussianFieldSampler:
     """Batch sampler for W on a fixed finite point set of Z^k.
 
-    The joint law is pinned down by the variogram and pointwise variance:
+    ``points`` is an ``(n, dim)`` int array or a sequence of points.  The
+    joint law is pinned down by the variogram and pointwise variance:
     Cov(W(s), W(t)) = (sigma2(s) + sigma2(t) - gamma(s - t)) / 2.  For
     additive fBm the draw factorizes along axes; otherwise a dense
     Cholesky factor of the covariance is prepared once.
     """
 
     def __init__(self, variogram: VariogramSpec, points):
-        self.points = [as_point(p) for p in points]
+        pts = np.asarray(points, dtype=np.int64)
+        if pts.ndim != 2 or len(pts) == 0:
+            raise ValueError("need a nonempty (n, dim) set of points")
+        self.points = pts
         self.variogram = variogram
-        npts = len(self.points)
-        if npts == 0:
-            raise ValueError("need at least one point")
-        self.sigma2 = np.array([self._sigma2(p) for p in self.points])
         if isinstance(variogram, AdditiveFBM):
+            self.sigma2 = _variogram_at(variogram, pts)  # sigma2 == gamma
             self._axis_ranges = []
             self._axis_cols = []
             for axis in range(variogram.dim):
-                coords = [p[axis] for p in self.points]
-                lo, hi = min(coords + [0]), max(coords + [0])
+                col = pts[:, axis]
+                lo, hi = min(int(col.min()), 0), max(int(col.max()), 0)
                 self._axis_ranges.append((lo, hi))
-                self._axis_cols.append(np.array([c - lo for c in coords]))
+                self._axis_cols.append(col - lo)
             self._chol = None
         else:
-            g, s2 = variogram.gamma, variogram.sigma2
-            cov = np.empty((npts, npts))
-            for i, p in enumerate(self.points):
-                for j, q in enumerate(self.points):
-                    diff = tuple(a - b for a, b in zip(p, q))
-                    cov[i, j] = 0.5 * (s2(p) + s2(q) - g(diff))
-            cov[np.diag_indices(npts)] += 1e-12  # numerical jitter
+            s2 = variogram.sigma2
+            self.sigma2 = np.array([float(s2(tuple(int(x) for x in p))) for p in pts])
+            g = _variogram_matrix(variogram, pts)
+            cov = 0.5 * (self.sigma2[:, None] + self.sigma2[None, :] - g)
+            cov[np.diag_indices(len(pts))] += 1e-12  # numerical jitter
             self._chol = np.linalg.cholesky(cov)
-
-    def _sigma2(self, p) -> float:
-        if isinstance(self.variogram, AdditiveFBM):
-            return self.variogram.sigma2(p)
-        return float(self.variogram.sigma2(p))
 
     def cov_with_origin(self) -> np.ndarray:
         """Cov(W(p), W(0)) per point."""
         if isinstance(self.variogram, AdditiveFBM):
-            g, s2_0 = self.variogram.gamma, 0.0
-        else:
-            g = self.variogram.gamma
-            s2_0 = float(self.variogram.sigma2((0,) * len(self.points[0])))
-        return np.array(
-            [0.5 * (s2 + s2_0 - g(p)) for s2, p in zip(self.sigma2, self.points)]
-        )
+            return np.zeros(len(self.points))  # W(0) = 0
+        s2_0 = float(self.variogram.sigma2((0,) * self.points.shape[1]))
+        return 0.5 * (self.sigma2 + s2_0 - _variogram_at(self.variogram, self.points))
 
     def draw(self, count: int, gen) -> np.ndarray:
         """(count, n_points) Gaussian draw."""
@@ -165,75 +172,43 @@ class GaussianFieldSampler:
 
 
 def brown_resnick_batch(
-    variogram: VariogramSpec,
-    window: Window,
-    count: int,
-    gen,
-    accuracy: float = 1e-3,
-    max_points: int = 10**5,
+    variogram: VariogramSpec, window: Window, count: int, gen
 ) -> np.ndarray:
-    """Batch of Brown-Resnick fields on a window.
+    """Exact batch of Brown-Resnick fields on a window, by extremal functions.
 
-    Poisson points are realized as U_i = 1/Gamma_i with Gamma_i cumulative
-    standard exponentials.  The infinite max is truncated adaptively: a
-    replicate stops once U_(i+1) * Q drops below the pointwise minimum of
-    its running max, where Q is the empirical (1 - accuracy) quantile of
-    max_t exp(W(t) - sigma2(t)/2) from a pilot round, so the probability
-    that a dropped term would have mattered is bounded by roughly
-    ``accuracy`` per replicate.
+    The algorithm of Dombry, Engelke & Oesting (Biometrika 2016) visits the
+    sites x_1..x_N in turn.  At x_n it walks the Poisson points
+    zeta = 1/Gamma in decreasing order while zeta > Z(x_n), drawing each
+    spectral function from its law given a peak at x_n,
+    Y(.) = exp(W(.) - W(x_n) - gamma(. - x_n)/2), and keeps zeta * Y only
+    if it stays below Z at every earlier site (otherwise that function was
+    already counted there).  The result is exact, with no truncation, and
+    costs about one spectral draw per site per replicate.  Replicates that
+    are still walking at x_n share one vectorised draw per round.
     """
-    pts = list(window.points())
+    pts = window.point_array()
     npts = len(pts)
     sampler = GaussianFieldSampler(variogram, pts)
-    s2 = sampler.sigma2
-
-    n_pilot = 256
-    pilot = np.exp(sampler.draw(n_pilot, gen) - 0.5 * s2).max(axis=1)
-    if accuracy > 1.0 / n_pilot:
-        q_thresh = float(np.quantile(pilot, 1.0 - accuracy))
-    else:
-        q_thresh = float(pilot.max()) * 2.0
-    q_thresh = max(q_thresh, 1e-300)
-
-    block = 16  # Poisson points handled per sweep; only delays stopping
-    running = np.zeros((count, npts))
-    gamma_sum = np.zeros(count)
-    active = np.ones(count, dtype=bool)
-    run_min = np.zeros(count)
-
-    terms = 0
-    while active.any():
-        terms += block
-        if terms > max_points:
-            raise AccuracyError(
-                f"{int(active.sum())} replicates still active after "
-                f"{max_points} Poisson points (accuracy={accuracy})"
-            )
-        idx = np.nonzero(active)[0]
-        na = len(idx)
-        gs = gamma_sum[idx, None] + np.cumsum(
-            gen.standard_exponential((na, block)), axis=1
-        )
-        gamma_sum[idx] = gs[:, -1]
-        u = 1.0 / gs
-        w = sampler.draw(na * block, gen).reshape(na, block, npts)
-        cand = (u[:, :, None] * np.exp(w - 0.5 * s2)).max(axis=1)
-        upd = np.maximum(running[idx], cand)
-        running[idx] = upd
-        rm = upd.min(axis=1)
-        run_min[idx] = rm
-        # stop once even an extreme Gaussian peak cannot alter the max anywhere
-        active[idx[u[:, -1] * q_thresh < rm]] = False
-    return running.reshape(count, *window.shape)
+    half = 0.5 * _variogram_matrix(variogram, pts)  # gamma is even
+    z = np.zeros((count, npts))
+    for n in range(npts):
+        e = gen.standard_exponential(count)  # zeta = 1/e
+        idx = np.flatnonzero(e * z[:, n] < 1.0)
+        while idx.size:
+            w = sampler.draw(idx.size, gen)
+            y = np.exp(w - w[:, n : n + 1] - half[n]) / e[idx, None]
+            zi = z[idx]
+            new = np.all(y[:, :n] < zi[:, :n], axis=1)
+            z[idx[new]] = np.maximum(zi[new], y[new])
+            e[idx] += gen.standard_exponential(idx.size)
+            idx = idx[e[idx] * z[idx, n] < 1.0]
+    return z.reshape(count, *window.shape)
 
 
 def sample_brown_resnick(
-    variogram: VariogramSpec,
-    window: Window,
-    rng: RngStream,
-    accuracy: float = 1e-3,
+    variogram: VariogramSpec, window: Window, rng: RngStream
 ) -> FieldSample:
-    vals = brown_resnick_batch(variogram, window, 1, rng.generator(), accuracy)[0]
+    vals = brown_resnick_batch(variogram, window, 1, rng.generator())[0]
     return FieldSample(
         window=window,
         values=vals,

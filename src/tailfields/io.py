@@ -13,13 +13,21 @@ def _fmt(v):
     return str(v)
 
 
+def _csv_field(v) -> str:
+    """Format one CSV field, quoting it when it holds a comma or a quote."""
+    s = _fmt(v)
+    if "," in s or '"' in s:
+        return '"' + s.replace('"', '""') + '"'
+    return s
+
+
 def render_records(records: list[dict], columns: list[str], fmt: str) -> str:
     """Render records with a fixed column schema; byte-stable across runs."""
     if fmt == "csv":
         buf = io.StringIO()
         buf.write(",".join(columns) + "\n")
         for r in records:
-            buf.write(",".join(_fmt(r.get(c, "")) for c in columns) + "\n")
+            buf.write(",".join(_csv_field(r.get(c, "")) for c in columns) + "\n")
         return buf.getvalue()
     if fmt == "json":
         rows = [{c: r.get(c, "") for c in columns} for r in records]

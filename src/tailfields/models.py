@@ -140,16 +140,11 @@ class BrownResnick:
 
     U_i are the points of a Poisson process with intensity du/u^2 and the
     W_i are iid Gaussian fields described by ``variogram``.  Margins are
-    standard Frechet(1); simulation truncates the Poisson series with a
-    tail-failure probability controlled by ``accuracy``.
+    standard Frechet(1).  Simulation is exact, by extremal functions (see
+    ``gaussian.brown_resnick_batch``).
     """
 
     variogram: VariogramSpec
-    accuracy: float = 1e-3
-
-    def __post_init__(self):
-        if not 0 < self.accuracy < 1:
-            raise ValueError("accuracy must lie in (0,1)")
 
 
 @dataclass(frozen=True)
@@ -284,7 +279,6 @@ def model_to_config(spec: ModelSpec) -> dict:
         return {
             "variant": "BrownResnick",
             "variogram": {"variant": "AdditiveFBM", "hurst": list(spec.variogram.hurst)},
-            "accuracy": spec.accuracy,
         }
     if isinstance(spec, CounterexampleField):
         return {"variant": "CounterexampleField", "alpha": spec.alpha}
@@ -315,9 +309,10 @@ def model_from_config(cfg: dict) -> ModelSpec:
         vg = cfg["variogram"]
         if vg.get("variant") != "AdditiveFBM":
             raise ValueError("only AdditiveFBM variograms are serializable")
+        # older configs may carry the key of a truncation tolerance that
+        # exact sampling no longer has; it is ignored
         return BrownResnick(
-            variogram=AdditiveFBM(hurst=tuple(float(h) for h in vg["hurst"])),
-            accuracy=float(cfg.get("accuracy", 1e-3)),
+            variogram=AdditiveFBM(hurst=tuple(float(h) for h in vg["hurst"]))
         )
     if variant == "CounterexampleField":
         return CounterexampleField(alpha=float(cfg.get("alpha", 1.0)))

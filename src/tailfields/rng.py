@@ -15,6 +15,9 @@ Convention for carving up the 64-bit ``stream_id`` space:
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -74,3 +77,47 @@ def map_chunks(fn, n_total: int, chunk: int, rng: RngStream, threads: int = 1) -
         return [fn(s, c, st) for (s, c, st) in tasks]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(lambda t: fn(*t), tasks))
+
+
+@functools.cache
+def _openblas_threads_api():
+    """(get, set) of the OpenBLAS that NumPy links, or None if not found."""
+    try:
+        try:
+            from numpy._core import _multiarray_umath as umath
+        except ImportError:  # NumPy < 2
+            from numpy.core import _multiarray_umath as umath
+        lib = ctypes.CDLL(umath.__file__)
+    except (ImportError, OSError):
+        return None
+    for prefix in ("scipy_openblas_", "openblas_"):
+        for suffix in ("64_", ""):
+            get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                return get, put
+    return None
+
+
+@contextlib.contextmanager
+def single_threaded_blas():
+    """Run NumPy's BLAS on the calling thread only inside the block.
+
+    The package's matrix products are small (at most a few hundred
+    columns), so a BLAS worker thread buys nothing: each product waits for
+    a hand-off to another CPU, whose cost depends on how busy that CPU is,
+    and it competes with ``map_chunks`` workers.  Results are unchanged,
+    since OpenBLAS splits a product by rows and columns, never along the
+    summed axis.  Does nothing when NumPy's BLAS is not OpenBLAS.
+    """
+    api = _openblas_threads_api()
+    if api is None:
+        yield
+        return
+    get, put = api
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)

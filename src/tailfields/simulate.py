@@ -157,7 +157,7 @@ def field_batch(spec: ModelSpec, window: Window, count: int, gen) -> np.ndarray:
     if isinstance(spec, BrownResnick):
         from .gaussian import brown_resnick_batch
 
-        return brown_resnick_batch(spec.variogram, window, count, gen, spec.accuracy)
+        return brown_resnick_batch(spec.variogram, window, count, gen)
     if isinstance(spec, Mixture):
         weights = np.array([w for w, _ in spec.components])
         picks = gen.choice(len(weights), size=count, p=weights)

@@ -60,12 +60,17 @@ class VerificationRun:
         self.checks.append(CheckResult(check_id, statistic, threshold, good))
 
 
+# Default level of the pareto-root campaign; its default retention of 5000
+# exceedances out of 500000 fields relies on it.
+PARETO_ROOT_Q = 0.99
+
+
 def run_pareto_root_check(
     spec: ModelSpec,
     rng: RngStream,
     alpha: float | None = None,
     lag_radius: int = 1,
-    q: float = 0.99,
+    q: float = PARETO_ROOT_Q,
     n_replicates: int = 500_000,
     min_retained: int = 5000,
     name: str = "pareto-root",

@@ -1,4 +1,7 @@
+import csv
+import io
 import json
+import math
 
 import pytest
 
@@ -162,6 +165,24 @@ class TestTailfieldCommand:
         assert code == 0
 
 
+class TestClusterLaplaceCommand:
+    def test_alpha_taken_from_model(self, capsys, tmp_path):
+        # one-atom IID clusters: the step-2 functional (height 1/2 beyond
+        # norm 2) has limit 1 - 2^-alpha (1 - e^-1/2)
+        cfg = tmp_path / "iid2.json"
+        cfg.write_text(json.dumps({"variant": "IIDFrechet", "alpha": 2.0}))
+        code, out, _ = run_cli(
+            ["cluster-laplace", "--model-json", str(cfg), "--n", "40,40",
+             "--r", "20,20", "--fields", "40", "--replicates", "100000",
+             "--lag-radius", "2", "--q", "0.99", "--seed", "1"],
+            capsys,
+        )
+        assert code == 0
+        row = next(r for r in csv.DictReader(io.StringIO(out)) if r["function"] == "step-2")
+        exact = 1 - 2**-2.0 * (1 - math.exp(-0.5))
+        assert abs(float(row["limit"]) - exact) <= 4 * float(row["limit_se"])
+
+
 class TestVerifyCommand:
     def test_pareto_root_pass_exit_0(self, capsys):
         code, out, err = run_cli(
@@ -182,10 +203,35 @@ class TestVerifyCommand:
         assert "FAIL" in err
 
     def test_unknown_model_exit_2(self, capsys):
-        code, _, _ = run_cli(
+        code, _, err = run_cli(
             ["verify", "pareto-root", "--model", "nope"], capsys
         )
         assert code == 2
+        assert "unknown model 'nope'; one of [" in err
+
+    def test_unknown_model_named_by_resolve_model(self, capsys):
+        code, _, err = run_cli(["tailfield", "--model", "nope"], capsys)
+        assert code == 2
+        assert "unknown model 'nope'; one of [" in err
+        assert "'mma-default'" in err
+
+    def test_pareto_root_default_flags_exit_0(self, capsys):
+        # without --q the campaign keeps its own level, where the default
+        # retention requirement is reachable
+        code, _, err = run_cli(["verify", "pareto-root"], capsys)
+        assert code == 0
+        assert "PASS" in err
+
+    def test_check_ids_with_commas_are_quoted(self, capsys):
+        code, out, _ = run_cli(
+            ["verify", "change-of-time", "--replicates", "50000", "--seed", "2"],
+            capsys,
+        )
+        assert code in (0, 1)
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert rows and all(None not in r for r in rows)  # no spill-over columns
+        assert "shift(1, 0)-one" in {r["check"] for r in rows}
+        assert {r["verdict"] for r in rows} <= {"pass", "fail"}
 
     def test_counterexample_campaign(self, capsys):
         code, out, err = run_cli(

@@ -282,7 +282,7 @@ class TestBrBlockEstimatorCrossMethod:
         import numpy as np
 
         vg = AdditiveFBM((0.6, 0.6))
-        spec = BrownResnick(variogram=vg, accuracy=3e-3)
+        spec = BrownResnick(variogram=vg)
         n, r, tau = (32, 32), (4, 4), 1.0
         u = level_u(spec, n, tau)
         est = theta_block_empirical(spec, n, r, tau, 12_000, RngStream(330))

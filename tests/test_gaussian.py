@@ -6,13 +6,11 @@ from scipy import stats
 from scipy.special import ndtr
 
 from tailfields.gaussian import (
-    AccuracyError,
     GaussianFieldSampler,
     additive_fbm_batch,
     br_tail_field_batch,
     brown_resnick_batch,
     fbm_grid_batch,
-    fbm_paths_batch,
     sample_additive_fbm,
     sample_brown_resnick,
     sample_fbm_path,
@@ -39,7 +37,7 @@ class TestFbm:
         assert a[0] == 0.0
 
     def test_brownian_case_increments_iid(self):
-        paths = fbm_paths_batch(0.5, 64, 20_000, RngStream(6).generator())
+        paths = fbm_grid_batch(0.5, 0, 64, 20_000, RngStream(6).generator())
         inc = np.diff(paths, axis=1)
         assert inc.mean() == pytest.approx(0.0, abs=3e-3)
         assert inc.var() == pytest.approx(1.0, abs=5e-3)
@@ -47,19 +45,19 @@ class TestFbm:
         assert abs(lag1) <= 3e-3  # ~ 3 sigma at >1e6 increment pairs
 
     def test_variance_growth(self):
-        paths = fbm_paths_batch(0.75, 16, 60_000, RngStream(7).generator())
+        paths = fbm_grid_batch(0.75, 0, 16, 60_000, RngStream(7).generator())
         assert paths[:, 16].var() == pytest.approx(16**1.5, rel=0.01)
 
     def test_variogram_between_times(self):
         # E(fBm(9) - fBm(5))^2 = 4^(2*0.3) evaluated analytically
-        paths = fbm_paths_batch(0.3, 9, 60_000, RngStream(8).generator())
+        paths = fbm_grid_batch(0.3, 0, 9, 60_000, RngStream(8).generator())
         d = paths[:, 9] - paths[:, 5]
         assert d.var() == pytest.approx(4**0.6, rel=0.02)
 
     def test_exact_covariance_matrix(self):
         # sample covariance on {0..8} within 5 MC standard errors entrywise
         h, n, reps = 0.7, 8, 120_000
-        paths = fbm_paths_batch(h, n, reps, RngStream(9).generator())
+        paths = fbm_grid_batch(h, 0, n, reps, RngStream(9).generator())
         emp = np.cov(paths[:, 1:], rowvar=False)
         for i in range(1, n + 1):
             for j in range(1, n + 1):
@@ -158,12 +156,27 @@ class TestBrownResnick:
         se_e = expo * m.std() / math.sqrt(len(m)) / level
         assert abs(direct - expo) <= 3 * math.hypot(se_d, se_e)
 
-    def test_accuracy_cap_raises(self):
-        with pytest.raises(AccuracyError):
-            brown_resnick_batch(
-                AdditiveFBM((0.5, 0.5)), centered_box(1, 2), 64,
-                RngStream(22).generator(), accuracy=1e-3, max_points=16,
-            )
+    @pytest.mark.parametrize("lag", [(1, 0), (2, 1)])
+    @pytest.mark.parametrize("y1,y2", [(1.0, 1.0), (0.5, 2.0)])
+    def test_bivariate_closed_form(self, lag, y1, y2):
+        # P(Z(0) <= y1, Z(t) <= y2) = exp(-V) with a = sqrt(gamma(t)) and
+        # V = Phi(a/2 + log(y2/y1)/a)/y1 + Phi(a/2 + log(y1/y2)/a)/y2
+        vg = AdditiveFBM((0.5, 0.5))
+        fields = brown_resnick_batch(vg, pos_block((3, 2)), 60_000, RngStream(27).generator())
+        hit = (fields[:, 0, 0] <= y1) & (fields[:, lag[0], lag[1]] <= y2)
+        p = hit.mean()
+        a = math.sqrt(vg.gamma(lag))
+        v = ndtr(a / 2 + math.log(y2 / y1) / a) / y1 + ndtr(a / 2 + math.log(y1 / y2) / a) / y2
+        se = math.sqrt(p * (1 - p) / len(hit))
+        assert abs(p - math.exp(-v)) <= 4 * se
+
+    def test_large_window_finishes(self):
+        # the truncated Poisson series used to give up on this window
+        x = brown_resnick_batch(
+            AdditiveFBM((0.5, 0.5)), pos_block((20, 20)), 64, RngStream(3).generator()
+        )
+        assert x.shape == (64, 20, 20)
+        assert np.all(np.isfinite(x)) and np.all(x > 0)
 
     def test_sampler_api_deterministic(self):
         a = sample_brown_resnick(AdditiveFBM((0.6, 0.6)), pos_block((3, 3)), RngStream(23, 7))

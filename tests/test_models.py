@@ -33,8 +33,6 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         AdditiveFBM(hurst=(0.5, 1.0))
     with pytest.raises(ValueError):
-        BrownResnick(variogram=AdditiveFBM(hurst=(0.5,)), accuracy=0.0)
-    with pytest.raises(ValueError):
         Mixture(components=((0.5, MMA), (0.4, MMA)))
     with pytest.raises(ValueError):
         GeneralMaxMovingAverage(stencil=(((0, 0), 0.5),))
@@ -67,7 +65,7 @@ ROUND_TRIP_CASES = [
     IIDFrechet(alpha=2.5),
     MMA,
     GeneralMaxMovingAverage(stencil=(((1, 0), 0.25), ((0, -2), 0.75))),
-    BrownResnick(variogram=AdditiveFBM(hurst=(0.3, 0.8)), accuracy=1e-4),
+    BrownResnick(variogram=AdditiveFBM(hurst=(0.3, 0.8))),
     CounterexampleField(alpha=1.5),
     Mixture(components=((0.5, MMA), (0.5, MaxMovingAverage(a=(0.6, 0.2, 0.6, 0.1))))),
 ]
@@ -83,6 +81,11 @@ def test_config_round_trip(spec):
 def test_mma_round_trip_hypothesis(raw):
     spec = MaxMovingAverage(a=tuple(x / 100 for x in raw))
     assert model_from_config(model_to_config(spec)) == spec
+
+
+def test_brown_resnick_config_ignores_old_tolerance_key():
+    cfg = model_to_config(BrownResnick(variogram=AdditiveFBM(hurst=(0.3, 0.8))))
+    assert model_from_config({**cfg, "accuracy": 1e-3}) == model_from_config(cfg)
 
 
 def test_digest_stable_and_distinct():

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from tailfields.rng import LANE_STRIDE, RngStream, chunk_sizes, map_chunks
+from tailfields import rng as rng_mod
+from tailfields.rng import (
+    LANE_STRIDE,
+    RngStream,
+    chunk_sizes,
+    map_chunks,
+    single_threaded_blas,
+)
 
 
 def test_same_stream_same_output():
@@ -45,3 +52,17 @@ def test_map_chunks_thread_invariance():
     assert a == b
     # chunks cover the range in order
     assert [s for s, _ in a] == list(range(0, 1000, 64))
+
+
+def test_single_threaded_blas_restores_thread_count():
+    api = rng_mod._openblas_threads_api()
+    if api is None:
+        pytest.skip("NumPy's BLAS is not OpenBLAS")
+    get, _ = api
+    before = get()
+    a = np.arange(64 * 100, dtype=float).reshape(64, 100) / 7.0
+    with single_threaded_blas():
+        assert get() == 1
+        inside = a @ a.T
+    assert get() == before
+    np.testing.assert_array_equal(inside, a @ a.T)
