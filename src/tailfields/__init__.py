@@ -7,9 +7,7 @@ from .rng import RngStream
 from .lattice import (
     Window,
     InvariantOrder,
-    lex_compare,
     corner_point,
-    window_max,
     orthant_region,
 )
 from .models import (
@@ -30,9 +28,7 @@ __all__ = [
     "RngStream",
     "Window",
     "InvariantOrder",
-    "lex_compare",
     "corner_point",
-    "window_max",
     "orthant_region",
     "IIDFrechet",
     "MaxMovingAverage",

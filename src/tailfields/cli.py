@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass
+
+import numpy as np
 
 from . import __version__
 from .cluster import (
@@ -46,7 +49,7 @@ from .models import (
     tail_index,
 )
 from .rng import RngStream, single_threaded_blas
-from .simulate import sample_field
+from .simulate import field_batch
 from .tailfield import (
     br_tail_fdd_mc,
     br_tail_marginal_cdf,
@@ -120,6 +123,17 @@ def _parse_floats(text: str) -> tuple[float, ...]:
 
 def _parse_ints(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(","))
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of the count flags: a zero count has nothing to estimate."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
 
 
 NAMED_MODELS = {
@@ -308,7 +322,7 @@ def cmd_tailfield(args) -> int:
         min_retained=args.min_retained,
     )
     if args.spectral:
-        samples = [spectral_from_tail(s) for s in samples]
+        samples = spectral_from_tail(samples)
     header, rows = samples_to_rows(samples)
     write_table(header, rows, args.out)
     return 0
@@ -325,21 +339,25 @@ def cmd_cluster_laplace(args) -> int:
     n = _parse_ints(args.n)
     r = _parse_ints(args.r)
     u = level_u(spec, n, args.tau)
-    clusters = []
+    # The blocks of all fields are filled in place and freed before the tail
+    # field is simulated, so the two never occupy memory at the same time.
+    per_field = math.prod(n) // math.prod(r)
+    atoms = np.empty((args.fields * per_field, math.prod(r)))
     for i in range(args.fields):
-        fs = sample_field(spec, pos_block(n), rng.lane(1).substream(i))
-        clusters.extend(cluster_process_extract(fs, r, u))
-    spectral = [
-        spectral_from_tail(s)
-        for s in estimate_tail_field(
+        field = field_batch(spec, pos_block(n), 1, rng.lane(1).substream(i).generator())
+        atoms[i * per_field : (i + 1) * per_field] = cluster_process_extract(field[0], r, u)
+    functions = (ZERO,) + POINT_CATALOG
+    empirical = [empirical_cluster_laplace(atoms, f) for f in functions]
+    del atoms
+    spectral = spectral_from_tail(
+        estimate_tail_field(
             spec, centered_box(args.lag_radius, dim), args.replicates, rng.lane(2),
             q=args.q,
         )
-    ]
+    )
     order = InvariantOrder(dim=dim)
     records = []
-    for f in (ZERO,) + POINT_CATALOG:
-        emp = empirical_cluster_laplace(clusters, f)
+    for f, emp in zip(functions, empirical):
         lim = limit_cluster_laplace_mc(spectral, f, alpha, order)
         records.append(
             {"function": f.fid, "empirical": emp.value, "empirical_se": emp.se,
@@ -387,10 +405,10 @@ def cmd_verify(args) -> int:
 
     # without --q each campaign keeps its own default level
     opts = {"q": args.q} if args.q is not None else {}
-    if args.replicates:
+    if args.replicates is not None:
         opts["n_replicates"] = args.replicates
     if campaign == "pareto-root":
-        if args.replicates:
+        if args.replicates is not None:
             # keep the retention requirement feasible for reduced runs
             q = opts.get("q", PARETO_ROOT_Q)
             opts["min_retained"] = min(5000, int(args.replicates * (1 - q) / 2))
@@ -444,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", default="400,400")
     sp.add_argument("--r", default="20,20")
     sp.add_argument("--tau", type=float, default=1.0)
-    sp.add_argument("--replicates", type=int, default=2500)
+    sp.add_argument("--replicates", type=_positive_int, default=2500)
     common(sp)
     sp.set_defaults(func=cmd_mma_theta)
 
@@ -453,21 +471,21 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", default="400,400")
     sp.add_argument("--r", default="20,20")
     sp.add_argument("--tau", type=float, default=1.0)
-    sp.add_argument("--replicates", type=int, default=2500)
+    sp.add_argument("--replicates", type=_positive_int, default=2500)
     common(sp)
     sp.set_defaults(func=cmd_mma_empirical)
 
     sp = sub.add_parser("br-theta", help="block index of a Brown-Resnick field")
     sp.add_argument("--hurst", default="0.5,0.5")
-    sp.add_argument("--trunc-m", type=int, default=50)
-    sp.add_argument("--n-mc", type=int, default=10000)
+    sp.add_argument("--trunc-m", type=_positive_int, default=50)
+    sp.add_argument("--n-mc", type=_positive_int, default=10000)
     common(sp)
     sp.set_defaults(func=cmd_br_theta)
 
     sp = sub.add_parser("br-fig1", help="block index over a Hurst grid")
     sp.add_argument("--hurst-grid", default="0.25,0.5,0.75")
-    sp.add_argument("--trunc-m", type=int, default=50)
-    sp.add_argument("--n-mc", type=int, default=4000)
+    sp.add_argument("--trunc-m", type=_positive_int, default=50)
+    sp.add_argument("--n-mc", type=_positive_int, default=4000)
     common(sp)
     sp.set_defaults(func=cmd_br_fig1)
 
@@ -475,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--hurst", default="0.5,0.5")
     sp.add_argument("--point", default="2,2")
     sp.add_argument("--y", default="1.0,2.0")
-    sp.add_argument("--n-mc", type=int, default=100000)
+    sp.add_argument("--n-mc", type=_positive_int, default=100000)
     common(sp)
     sp.set_defaults(func=cmd_br_tailcdf)
 
@@ -484,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--model-json", default=None)
     sp.add_argument("--lag-radius", type=int, default=4)
     sp.add_argument("--q", type=float, default=0.999)
-    sp.add_argument("--replicates", type=int, default=200000)
+    sp.add_argument("--replicates", type=_positive_int, default=200000)
     sp.add_argument("--min-retained", type=int, default=50)
     sp.add_argument("--spectral", action="store_true")
     common(sp)
@@ -496,17 +514,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", default="200,200")
     sp.add_argument("--r", default="20,20")
     sp.add_argument("--tau", type=float, default=1.0)
-    sp.add_argument("--fields", type=int, default=500)
+    sp.add_argument("--fields", type=_positive_int, default=500)
     sp.add_argument("--lag-radius", type=int, default=5)
     sp.add_argument("--q", type=float, default=0.995)
-    sp.add_argument("--replicates", type=int, default=400000)
+    sp.add_argument("--replicates", type=_positive_int, default=400000)
     common(sp)
     sp.set_defaults(func=cmd_cluster_laplace)
 
     sp = sub.add_parser("counterexample", help="scaled box probabilities by rank")
     sp.add_argument("--alpha", type=float, default=1.0)
     sp.add_argument("--ranks", default="9,10,13,14,19,20")
-    sp.add_argument("--n-per-rank", type=int, default=200000)
+    sp.add_argument("--n-per-rank", type=_positive_int, default=200000)
     common(sp)
     sp.set_defaults(func=cmd_counterexample)
 
@@ -520,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha", type=float, default=1.0)
     sp.add_argument("--q", type=float, default=None,
                     help="exceedance level (default: the campaign's own)")
-    sp.add_argument("--replicates", type=int, default=None)
+    sp.add_argument("--replicates", type=_positive_int, default=None)
     common(sp)
     sp.set_defaults(func=cmd_verify)
 

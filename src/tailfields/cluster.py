@@ -11,92 +11,54 @@ from typing import Sequence
 import numpy as np
 
 from .gaussian import br_tail_field_batch
-from .lattice import FieldSample, InvariantOrder, Window, as_point, sym_block
+from .lattice import InvariantOrder, as_point, sym_block
 from .models import BrownResnick, ModelSpec
-from .rng import RngStream, chunk_sizes
+from .rng import RngStream, map_chunks
 from .simulate import conditional_field_batch, supports_conditioning
-from .tailfield import MCEstimate, SpectralFieldSample
+from .tailfield import MCEstimate, TailBatch
 from .testfuncs import PointFunction
 
 
-@dataclass(frozen=True)
-class ClusterProcess:
-    """Point process of one block's values rescaled by the threshold.
+def cluster_process_extract(values: np.ndarray, r: Sequence[int], u: float) -> np.ndarray:
+    """Tile a field into disjoint [0:r-1]-shaped blocks of rescaled values.
 
-    ``atoms`` holds u^-1 X(t) for every t of the block (small atoms are
-    retained; downstream test functions vanish near the origin anyway).
-    ``nonempty`` marks blocks whose maximum exceeds the threshold.
+    Returns an ``(n_blocks, prod(r))`` array whose row b holds the atoms
+    u^-1 X(t) of block b, blocks in row-major order of their block index
+    and atoms in row-major order within the block.  Small atoms are kept;
+    downstream test functions vanish near the origin anyway.
     """
-
-    atoms: np.ndarray
-    block: Window
-    u: float
-    nonempty: bool
-
-    def __post_init__(self):
-        atoms = np.asarray(self.atoms, dtype=float)
-        atoms.flags.writeable = False
-        object.__setattr__(self, "atoms", atoms)
-        if self.nonempty != bool(np.abs(atoms).max() > 1.0):
-            raise ValueError("nonempty flag inconsistent with atoms")
-
-
-def cluster_process_extract(
-    sample: FieldSample, r: Sequence[int], u: float
-) -> list[ClusterProcess]:
-    """Tile a field into disjoint [0:r-1]-shaped blocks of rescaled values."""
     r = as_point(r)
-    shape = sample.window.shape
-    if len(r) != sample.window.dim:
+    shape = values.shape
+    if len(r) != values.ndim:
         raise ValueError("block size dimension mismatch")
     if any(s % ri for s, ri in zip(shape, r)):
         raise ValueError(f"window shape {shape} is not a multiple of r={r}")
     if u <= 0:
         raise ValueError("threshold must be positive")
     nb = [s // ri for s, ri in zip(shape, r)]
-    arr = sample.values / u
-    interleaved = arr.reshape(
-        [x for pair in zip(nb, r) for x in pair]
-    )
+    interleaved = (values / u).reshape([x for pair in zip(nb, r) for x in pair])
     k = len(r)
     perm = list(range(0, 2 * k, 2)) + list(range(1, 2 * k, 2))
-    blocks = interleaved.transpose(perm).reshape(math.prod(nb), math.prod(r))
-    out = []
-    for bi in range(blocks.shape[0]):
-        bidx = np.unravel_index(bi, nb)
-        lo = tuple(a + i * ri for a, i, ri in zip(sample.window.lo, bidx, r))
-        hi = tuple(l + ri - 1 for l, ri in zip(lo, r))
-        atoms = blocks[bi]
-        out.append(
-            ClusterProcess(
-                atoms=atoms,
-                block=Window(lo, hi),
-                u=u,
-                nonempty=bool(np.abs(atoms).max() > 1.0),
-            )
-        )
-    return out
+    return interleaved.transpose(perm).reshape(math.prod(nb), math.prod(r))
 
 
-def empirical_cluster_laplace(
-    clusters: list[ClusterProcess], f: PointFunction
-) -> MCEstimate:
-    """Mean of exp(-sum_atoms f) over nonempty clusters."""
-    vals = [
-        math.exp(-float(f(np.abs(c.atoms)).sum()))
-        for c in clusters
-        if c.nonempty
-    ]
-    if not vals:
+def empirical_cluster_laplace(atoms: np.ndarray, f: PointFunction) -> MCEstimate:
+    """Mean of exp(-sum_atoms f) over the nonempty blocks, the rows of
+    ``atoms`` whose largest norm exceeds the threshold (1 after rescaling)."""
+    # largest |atom| per block, without a full-size temporary
+    nonempty = np.maximum(atoms.max(axis=1), -atoms.min(axis=1)) > 1.0
+    sums = f(np.abs(atoms[nonempty])).sum(axis=1)
+    if not len(sums):
         raise ValueError("no nonempty clusters at this threshold")
-    vals = np.asarray(vals)
+    # libm exp per block: NumPy's SIMD exp can differ from it in the last bit
+    vals = np.array([math.exp(-x) for x in sums.tolist()])
     n = len(vals)
     se = float(vals.std(ddof=1) / math.sqrt(n)) if n > 1 else float("inf")
     return MCEstimate(value=float(vals.mean()), se=se, n=n)
 
 
 def limit_cluster_laplace_mc(
-    spectral_samples: list[SpectralFieldSample],
+    spectral: TailBatch,
     f: PointFunction,
     alpha: float,
     order: InvariantOrder,
@@ -105,18 +67,20 @@ def limit_cluster_laplace_mc(
 ) -> MCEstimate:
     """Laplace functional of the limiting cluster from spectral-field draws.
 
-    Per sample the radial integral against d(-y^-alpha) is split into the
+    Per draw the radial integral against d(-y^-alpha) is split into the
     two indicator pieces and each is reduced by the substitution
     w = (y m)^-alpha to a smooth integral over (0, 1], handled by a
     midpoint rule; the indicator jumps are thereby integrated exactly,
     so the zero function evaluates to exactly theta_half / theta_half = 1.
-    When ``theta_half`` is omitted it is estimated from the same samples
+    When ``theta_half`` is omitted it is estimated from the same draws
     (the mean of max_(t>=0)|field|^alpha - max_(t>0)|field|^alpha).
+    The quadrature runs one draw at a time, which keeps its memory at
+    ``quad_points`` by the number of lags.
     """
-    if not spectral_samples:
+    n = len(spectral)
+    if not n:
         raise ValueError("no spectral samples")
-    lags = spectral_samples[0].lags
-    pts = lags.point_array()
+    pts = spectral.lags.point_array()
     before = order.before_origin_mask(pts)
     origin_mask = np.all(pts == 0, axis=1)
     succ = ~before & ~origin_mask
@@ -125,30 +89,29 @@ def limit_cluster_laplace_mc(
     w_nodes = (np.arange(quad_points) + 0.5) / quad_points
     y_scale = w_nodes ** (-1.0 / alpha)  # y = y_scale / m
 
-    vals = np.empty(len(spectral_samples))
-    theta_vals = np.empty(len(spectral_samples))
-    for k, s in enumerate(spectral_samples):
-        norms = np.abs(s.values).ravel()
-        m1 = float(norms[succeq].max())
-        m2 = float(norms[succ].max()) if succ.any() else 0.0
+    norms = np.abs(spectral.values.reshape(n, -1))
+    m1s = norms[:, succeq].max(axis=1).tolist()
+    m2s = norms[:, succ].max(axis=1).tolist() if succ.any() else [0.0] * n
+
+    def piece(row, mask, m):
+        if m <= 0.0:
+            return 0.0
+        sub = row[mask]
+        sub = sub[sub > 0]
+        y = y_scale / m
+        s_of_y = f(y[:, None] * sub[None, :]).sum(axis=1)
+        return (m**alpha) * float(np.exp(-s_of_y).mean())
+
+    vals = np.empty(n)
+    theta_vals = np.empty(n)
+    for k, (row, m1, m2) in enumerate(zip(norms, m1s, m2s)):
         theta_vals[k] = m1**alpha - m2**alpha
-
-        def piece(mask, m):
-            if m <= 0.0:
-                return 0.0
-            sub = norms[mask]
-            sub = sub[sub > 0]
-            y = y_scale / m
-            s_of_y = f(y[:, None] * sub[None, :]).sum(axis=1)
-            return (m**alpha) * float(np.exp(-s_of_y).mean())
-
-        vals[k] = piece(succeq, m1) - piece(succ, m2)
+        vals[k] = piece(row, succeq, m1) - piece(row, succ, m2)
 
     if theta_half is None:
         theta_half = float(theta_vals.mean())
     if theta_half <= 0:
         raise ValueError("half-space index must be positive")
-    n = len(vals)
     se = float(vals.std(ddof=1) / math.sqrt(n)) / theta_half if n > 1 else float("inf")
     return MCEstimate(value=float(vals.mean()) / theta_half, se=se, n=n)
 
@@ -199,39 +162,36 @@ def check_anticluster(
         n = as_point(n) if n is not None else tuple(x * x for x in r)
         u = level_u(spec, n, tau)
         origin = (0,) * window.dim
-        hits = {m: 0 for m in M_list}
-        done = 0
-        for c, count in enumerate(chunk_sizes(n_replicates, chunk)):
-            gen = rng.substream(c).generator()
+
+        def exceeds(count, gen):
             x = conditional_field_batch(spec, window, origin, u, count, gen)
-            flat = np.abs(x.reshape(count, -1))
-            for m in M_list:
-                hits[m] += int((flat[:, masks[m]] > u).any(axis=1).sum())
-            done += count
+            return np.abs(x.reshape(count, -1)) > u
+
         method = f"conditional(u={u:.6g})"
     elif isinstance(spec, BrownResnick):
-        hits = {m: 0 for m in M_list}
-        done = 0
         plist = [tuple(int(v) for v in p) for p in pts]
-        for c, count in enumerate(chunk_sizes(n_replicates, chunk)):
-            gen = rng.substream(c).generator()
-            y = np.abs(br_tail_field_batch(spec.variogram, plist, count, gen))
-            for m in M_list:
-                hits[m] += int((y[:, masks[m]] > 1.0).any(axis=1).sum())
-            done += count
+
+        def exceeds(count, gen):
+            return np.abs(br_tail_field_batch(spec.variogram, plist, count, gen)) > 1.0
+
         method = "tail-limit"
     else:
         raise TypeError(f"no anti-clustering route for {type(spec).__name__}")
 
+    def work(start, count, stream):
+        hit = exceeds(count, stream.generator())
+        return [int(hit[:, masks[m]].any(axis=1).sum()) for m in M_list]
+
+    parts = map_chunks(work, n_replicates, chunk, rng)
     rows = []
-    for m in M_list:
-        p = hits[m] / done
+    for j, m in enumerate(M_list):
+        p = sum(part[j] for part in parts) / n_replicates
         rows.append(
             AnticlusterRow(
                 M=m,
                 value=p,
-                se=math.sqrt(max(p * (1 - p), 1e-300) / done),
-                n=done,
+                se=math.sqrt(max(p * (1 - p), 1e-300) / n_replicates),
+                n=n_replicates,
                 method=method,
             )
         )

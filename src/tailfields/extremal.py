@@ -40,7 +40,7 @@ from .simulate import (
     field_batch,
     supports_conditioning,
 )
-from .tailfield import MCEstimate, SpectralFieldSample, TailFieldSample
+from .tailfield import MCEstimate, TailBatch
 
 
 def level_u(spec: ModelSpec, n: Sequence[int], tau: float) -> float:
@@ -235,32 +235,26 @@ class TailRegionEstimate:
 
 
 def theta_from_tail_samples(
-    samples: list[TailFieldSample] | list[SpectralFieldSample],
-    region: OrthantRegion | HalfSpaceRegion,
+    samples: TailBatch, region: OrthantRegion | HalfSpaceRegion
 ) -> TailRegionEstimate:
     """P(sup of |Y| over the region <= 1) from tail-field draws.
 
     Also reports the empirical mass of exceedances on the truncation
     shell |t|_inf = bound, a diagnostic for the region being too small.
     """
-    if not samples:
+    n = len(samples)
+    if not n:
         raise ValueError("no samples")
-    lags = samples[0].lags
-    pts = region.points(lags.dim)
+    pts = region.points(samples.lags.dim)
     for p in pts:
-        if not lags.contains(p):
+        if not samples.lags.contains(p):
             raise ValueError(f"region point {p} outside the lag window")
-    idx = np.array([np.ravel_multi_index(lags.index(p), lags.shape) for p in pts])
     shell = np.array(
         [max(abs(x) for x in p) == region.bound for p in pts], dtype=bool
     )
-    ok = 0
-    on_shell = 0
-    for s in samples:
-        norms = np.abs(s.values).ravel()[idx]
-        ok += bool(norms.max() <= 1.0)
-        on_shell += bool(len(norms[shell]) and norms[shell].max() > 1.0)
-    n = len(samples)
+    norms = samples.norms_at(pts)
+    ok = int((norms.max(axis=1) <= 1.0).sum())
+    on_shell = int((norms[:, shell] > 1.0).any(axis=1).sum())
     p = ok / n
     return TailRegionEstimate(
         value=p,

@@ -14,9 +14,8 @@ import functools
 
 import numpy as np
 
-from .lattice import FieldSample, Window, as_point
+from .lattice import Window, as_point
 from .models import AdditiveFBM, VariogramSpec
-from .rng import RngStream
 
 
 @functools.lru_cache(maxsize=128)
@@ -34,11 +33,6 @@ def fgn_cholesky(hurst: float, n: int) -> np.ndarray:
     L = np.linalg.cholesky(cov)
     L.flags.writeable = False
     return L
-
-
-def sample_fbm_path(hurst: float, n: int, rng: RngStream) -> np.ndarray:
-    """Exact fBm at integer times 0..n."""
-    return fbm_grid_batch(hurst, 0, n, 1, rng.generator())[0]
 
 
 def fbm_grid_batch(hurst: float, lo: int, hi: int, count: int, gen) -> np.ndarray:
@@ -72,21 +66,6 @@ def additive_fbm_batch(
         shape[1 + axis] = window.shape[axis]
         out += path.reshape(shape)
     return out
-
-
-def sample_additive_fbm(
-    hurst: tuple[float, ...], window: Window, rng: RngStream
-) -> FieldSample:
-    vals = additive_fbm_batch(tuple(hurst), window, 1, rng.generator())[0]
-    spec = AdditiveFBM(hurst=tuple(hurst))
-    return FieldSample(
-        window=window,
-        values=vals,
-        norm="abs",
-        model_tag=f"AdditiveFBM:{spec.hurst}",
-        seed=rng.seed,
-        stream_id=rng.stream_id,
-    )
 
 
 def _variogram_at(variogram: VariogramSpec, lags: np.ndarray) -> np.ndarray:
@@ -203,20 +182,6 @@ def brown_resnick_batch(
             e[idx] += gen.standard_exponential(idx.size)
             idx = idx[e[idx] * z[idx, n] < 1.0]
     return z.reshape(count, *window.shape)
-
-
-def sample_brown_resnick(
-    variogram: VariogramSpec, window: Window, rng: RngStream
-) -> FieldSample:
-    vals = brown_resnick_batch(variogram, window, 1, rng.generator())[0]
-    return FieldSample(
-        window=window,
-        values=vals,
-        norm="abs",
-        model_tag="BrownResnick",
-        seed=rng.seed,
-        stream_id=rng.stream_id,
-    )
 
 
 def br_tail_field_batch(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -150,11 +150,6 @@ class InvariantOrder:
         return res
 
 
-def lex_compare(s: Sequence[int], t: Sequence[int], order: InvariantOrder) -> int:
-    """Compare two lattice points; returns -1, 0, or 1."""
-    return order.compare(s, t)
-
-
 def corner_point(i: Sequence[int], r: Sequence[int]) -> Point:
     """Vertex of ``[0:r-1]`` selected by a corner label in {0,1}^k."""
     i, r = as_point(i), as_point(r)
@@ -183,69 +178,3 @@ def orthant_region(i: Sequence[int], bound: int, dim: int | None = None) -> set[
         range(0, bound + 1) if b == 0 else range(-bound, 1) for b in i
     ]
     return {t for t in itertools.product(*axes) if any(x != 0 for x in t)}
-
-
-_NORMS = ("abs", "sup", "euclid")
-
-
-@dataclass(frozen=True)
-class FieldSample:
-    """One realization of a scalar or vector field over a window.
-
-    ``values`` has shape ``window.shape`` for scalar fields (d = 1) and
-    ``window.shape + (d,)`` otherwise; entries must be finite.  The array
-    is frozen after construction so samples can be shared across workers.
-    """
-
-    window: Window
-    values: np.ndarray
-    norm: str = "abs"
-    model_tag: str = ""
-    seed: int = 0
-    stream_id: int = 0
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape[: self.window.dim] != self.window.shape:
-            raise ValueError("values shape does not match window")
-        if vals.ndim not in (self.window.dim, self.window.dim + 1):
-            raise ValueError("values must be scalar or vector per point")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("field values must be finite")
-        if self.norm not in _NORMS:
-            raise ValueError(f"norm must be one of {_NORMS}")
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def d(self) -> int:
-        if self.values.ndim == self.window.dim:
-            return 1
-        return self.values.shape[-1]
-
-    def norms(self) -> np.ndarray:
-        """Pointwise norm of the field, shaped like the window."""
-        if self.d == 1:
-            return np.abs(self.values)
-        if self.norm == "euclid":
-            return np.sqrt(np.sum(self.values**2, axis=-1))
-        return np.max(np.abs(self.values), axis=-1)
-
-    def value_at(self, t: Sequence[int]):
-        return self.values[self.window.index(t)]
-
-    def norm_at(self, t: Sequence[int]) -> float:
-        v = self.value_at(t)
-        if self.d == 1:
-            return abs(float(v))
-        if self.norm == "euclid":
-            return float(np.sqrt(np.sum(v**2)))
-        return float(np.max(np.abs(v)))
-
-
-def window_max(sample: FieldSample, region: Iterable[Sequence[int]]) -> float:
-    """Max of the field norm over a point set; empty region gives 0."""
-    best = 0.0
-    for t in region:
-        best = max(best, sample.norm_at(t))
-    return best

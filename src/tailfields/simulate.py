@@ -1,10 +1,10 @@
 """Seedable samplers for the concrete heavy-tailed field models.
 
-Each public sampler is a pure function of (spec, window, RngStream): the
-same arguments always reproduce the same field.  Batch cores return a
-``(count, *window.shape)`` array drawn from a single generator; the
-chunked estimators assign one stream per fixed-size chunk, which keeps
-results independent of worker count.
+Each sampler returns a ``(count, *window.shape)`` array drawn from the
+NumPy generator it is given, so the same spec, window, count and
+generator state always reproduce the same fields.  Callers derive the
+generator from an ``RngStream``; the chunked estimators assign one stream
+per fixed-size chunk, which keeps results independent of worker count.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .lattice import FieldSample, Window, as_point
+from .lattice import Window, as_point
 from .models import (
     BrownResnick,
     CounterexampleField,
@@ -24,9 +24,7 @@ from .models import (
     ModelSpec,
     marginal_exceed_prob,
     model_dim,
-    model_tag,
 )
-from .rng import RngStream
 
 
 class TooFewEventsError(RuntimeError):
@@ -51,24 +49,24 @@ def _stencil_items(spec) -> list[tuple[tuple[int, ...], float]]:
     return list(spec.stencil)
 
 
-def mma_batch(spec, window: Window, count: int, gen) -> np.ndarray:
-    """Batch of max-moving-average fields; noise drawn on the dilated window."""
-    items = _stencil_items(spec)
-    radius = max(max(abs(x) for x in o) for o, _ in items)
-    big = window.dilate(radius)
-    z = _frechet(gen, 1.0, (count, *big.shape))
-    core = tuple(
-        slice(radius, radius + s) for s in window.shape
-    )
+def _stencil_max(spec, z: np.ndarray, radius: int, shape) -> np.ndarray:
+    """max(Z(t), max_o w_o Z(t + o)) on the core of noise ``z``, a batch of
+    fields on a window of ``shape`` dilated by ``radius``."""
+    core = tuple(slice(radius, radius + s) for s in shape)
     x = z[(slice(None), *core)].copy()
-    for o, w in items:
+    for o, w in _stencil_items(spec):
         if w == 0.0:
             continue
-        sl = tuple(
-            slice(radius + off, radius + off + s) for off, s in zip(o, window.shape)
-        )
+        sl = tuple(slice(radius + off, radius + off + s) for off, s in zip(o, shape))
         np.maximum(x, w * z[(slice(None), *sl)], out=x)
     return x
+
+
+def mma_batch(spec, window: Window, count: int, gen) -> np.ndarray:
+    """Batch of max-moving-average fields; noise drawn on the dilated window."""
+    radius = max(max(abs(x) for x in o) for o, _ in _stencil_items(spec))
+    z = _frechet(gen, 1.0, (count, *window.dilate(radius).shape))
+    return _stencil_max(spec, z, radius, window.shape)
 
 
 # -- the exchangeable Pareto pair and its parity field -----------------------
@@ -120,11 +118,6 @@ def counterexample_pairs(alpha: float, count: int, gen) -> np.ndarray:
     return out
 
 
-def sample_counterexample_pair(alpha: float, rng: RngStream) -> tuple[float, float]:
-    pair = counterexample_pairs(alpha, 1, rng.generator())[0]
-    return float(pair[0]), float(pair[1])
-
-
 def counterexample_batch(alpha: float, window: Window, count: int, gen) -> np.ndarray:
     if window.dim != 2:
         raise ValueError("the parity field lives on Z^2")
@@ -169,40 +162,6 @@ def field_batch(spec: ModelSpec, window: Window, count: int, gen) -> np.ndarray:
                 out[idx] = field_batch(comp, window, len(idx), gen)
         return out
     raise TypeError(f"unknown model {spec!r}")
-
-
-def _wrap(spec, window, values, rng) -> FieldSample:
-    return FieldSample(
-        window=window,
-        values=values,
-        norm="abs",
-        model_tag=model_tag(spec),
-        seed=rng.seed,
-        stream_id=rng.stream_id,
-    )
-
-
-def sample_field(spec: ModelSpec, window: Window, rng: RngStream) -> FieldSample:
-    """One realization of any model on a window."""
-    vals = field_batch(spec, window, 1, rng.generator())[0]
-    return _wrap(spec, window, vals, rng)
-
-
-def sample_frechet_field(alpha: float, window: Window, rng: RngStream) -> FieldSample:
-    spec = IIDFrechet(alpha=alpha)
-    return sample_field(spec, window, rng)
-
-
-def sample_mma_field(spec, window: Window, rng: RngStream) -> FieldSample:
-    if not isinstance(spec, (MaxMovingAverage, GeneralMaxMovingAverage)):
-        raise TypeError("expected a max-moving-average spec")
-    return sample_field(spec, window, rng)
-
-
-def sample_counterexample_field(
-    alpha: float, window: Window, rng: RngStream
-) -> FieldSample:
-    return sample_field(CounterexampleField(alpha=alpha), window, rng)
 
 
 # -- exact conditional sampling given an exceedance at one site ---------------
@@ -262,17 +221,7 @@ def _conditional_mma_batch(spec, window, point, u, count, gen) -> np.ndarray:
         col_lo = _frechet_below(gen, c, count)
         z[(slice(None), *idx)] = np.where(occur[:, j], col_hi, col_lo)
 
-    x = z[
-        (slice(None), *[slice(radius, radius + s) for s in window.shape])
-    ].copy()
-    for o, w in _stencil_items(spec):
-        if w == 0.0:
-            continue
-        sl = tuple(
-            slice(radius + off, radius + off + s) for off, s in zip(o, window.shape)
-        )
-        np.maximum(x, w * z[(slice(None), *sl)], out=x)
-    return x
+    return _stencil_max(spec, z, radius, window.shape)
 
 
 def conditional_field_batch(

@@ -1,9 +1,11 @@
 """Empirical tail and spectral fields, their transforms, and identity checks.
 
 The tail field is estimated by conditioning simulated fields on a high
-exceedance at the origin: with x the empirical q-quantile of |X(0)|, a
-retained replicate stores the rescaled lags x^-1 X(t).  Estimators are
-chunked with one substream per fixed-size chunk, so results do not
+exceedance at the origin: with x the empirical q-quantile of |X(0)|, the
+retained replicates form one :class:`TailBatch`, an array of the rescaled
+lags x^-1 X(t) with one row per replicate and its root norm alongside.
+Dividing each row by its root norm gives the spectral batch.  Estimators
+are chunked with one substream per fixed-size chunk, so results do not
 depend on worker count and retained replicates can be regenerated
 bit-identically.
 """
@@ -19,7 +21,7 @@ from scipy.special import ndtr
 from .gaussian import GaussianFieldSampler
 from .lattice import Window, as_point
 from .models import ModelSpec, VariogramSpec, tail_index
-from .rng import RngStream, chunk_sizes
+from .rng import RngStream, chunk_sizes, map_chunks
 from .simulate import field_batch
 from .testfuncs import FieldFunction
 
@@ -29,48 +31,43 @@ class TooFewExceedancesError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class TailFieldSample:
-    """One conditioned draw of the rescaled field on a lag window.
+class TailBatch:
+    """n draws of the tail field Y, or of the spectral field, on a lag window.
 
-    ``values[lag]`` approximates Y(lag); ``root_norm = |values at 0|`` is
-    at least 1 because the draw is conditioned on an exceedance and
-    rescaled by the threshold.
+    ``values[i]`` approximates Y on ``lags`` (shape ``(n, *lags.shape)``,
+    read-only).  ``root_norm[i] = |values[i] at 0|`` is at least 1 because
+    each draw is conditioned on an exceedance and rescaled by the
+    threshold.  A spectral batch, Y / |Y(0)|, has ``root_norm`` None and
+    lag-0 norm exactly 1.
     """
 
     lags: Window
     values: np.ndarray
-    root_norm: float
+    root_norm: np.ndarray | None
     alpha: float
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
+        if vals.shape[1:] != self.lags.shape:
+            raise ValueError("values must have shape (n, *lags.shape)")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
-        if self.root_norm < 1.0:
-            raise ValueError("root norm below 1: not an exceedance draw")
+        if self.root_norm is not None:
+            roots = np.asarray(self.root_norm, dtype=float)
+            if roots.shape != (len(vals),):
+                raise ValueError("need one root norm per draw")
+            if np.any(roots < 1.0):
+                raise ValueError("root norm below 1: not an exceedance draw")
+            roots.flags.writeable = False
+            object.__setattr__(self, "root_norm", roots)
 
-    def norm_at(self, t) -> float:
-        return abs(float(self.values[self.lags.index(t)]))
+    def __len__(self) -> int:
+        return len(self.values)
 
-
-@dataclass(frozen=True)
-class SpectralFieldSample:
-    """Tail-field draw normalized by its root norm; lag-0 norm is exactly 1."""
-
-    lags: Window
-    values: np.ndarray
-    alpha: float
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-
-    def norm_at(self, t) -> float:
-        return abs(float(self.values[self.lags.index(t)]))
-
-    def norms(self) -> np.ndarray:
-        return np.abs(self.values)
+    def norms_at(self, points) -> np.ndarray:
+        """``(n, len(points))`` array of |values| at the given lags."""
+        flat = [np.ravel_multi_index(self.lags.index(p), self.lags.shape) for p in points]
+        return np.abs(self.values.reshape(len(self), -1)[:, flat])
 
 
 def estimate_tail_field(
@@ -82,14 +79,14 @@ def estimate_tail_field(
     q: float = 0.999,
     min_retained: int = 50,
     chunk: int = 4096,
-) -> list[TailFieldSample]:
+) -> TailBatch:
     """Empirical tail-field draws of a model on a lag window.
 
     Simulates ``n_replicates`` fields, sets the threshold x to the
-    empirical q-quantile of |X(0)|, and returns one sample per replicate
-    with |X(0)| > x.  A per-chunk buffer keeps the plausible exceedance
-    rows from a single pass; a chunk is regenerated only in the rare case
-    its buffer turns out too shallow.
+    empirical q-quantile of |X(0)|, and returns the rows with |X(0)| > x,
+    rescaled by x, in replicate order.  A per-chunk buffer keeps the
+    plausible exceedance rows from a single pass; a chunk is regenerated
+    only in the rare case its buffer turns out too shallow.
     """
     origin = (0,) * lags.dim
     if not lags.contains(origin):
@@ -104,7 +101,7 @@ def estimate_tail_field(
     sizes = chunk_sizes(n_replicates, chunk)
 
     all_roots = []
-    buffers = []  # (chunk_id, start, kept_row_ids, kept_values, keep_floor)
+    buffers = []  # (chunk_id, kept_row_ids, kept_values, keep_floor)
     for c, count in enumerate(sizes):
         gen = rng.substream(c).generator()
         x = field_batch(spec, lags, count, gen)
@@ -127,7 +124,7 @@ def estimate_tail_field(
     if x_thresh <= 0:
         raise TooFewExceedancesError("threshold is not positive")
 
-    samples: list[TailFieldSample] = []
+    rows, row_roots = [], []
     for (c, kept, kept_vals, floor), count, chunk_roots in zip(
         buffers, sizes, all_roots
     ):
@@ -137,43 +134,30 @@ def estimate_tail_field(
         if floor >= x_thresh:
             # buffer may miss rows; regenerate this chunk deterministically
             gen = rng.substream(c).generator()
-            vals = field_batch(spec, lags, count, gen)[retained]
+            rows.append(field_batch(spec, lags, count, gen)[retained])
         else:
-            pos = np.searchsorted(kept, retained)
-            vals = kept_vals[pos]
-        for row, ridx in zip(vals, retained):
-            samples.append(
-                TailFieldSample(
-                    lags=lags,
-                    values=row / x_thresh,
-                    root_norm=float(chunk_roots[ridx] / x_thresh),
-                    alpha=alpha,
-                )
-            )
-    if len(samples) < min_retained:
+            rows.append(kept_vals[np.searchsorted(kept, retained)])
+        row_roots.append(chunk_roots[retained])
+    n, need = sum(len(r) for r in rows), max(min_retained, 1)
+    if n < need:
         raise TooFewExceedancesError(
-            f"only {len(samples)} exceedances retained; increase n_replicates "
-            f"(need at least {min_retained})"
+            f"only {n} exceedances retained; increase n_replicates "
+            f"(need at least {need})"
         )
-    return samples
-
-
-def spectral_from_tail(s: TailFieldSample) -> SpectralFieldSample:
-    """Normalize a tail-field draw by its root norm; lag-0 norm becomes 1."""
-    if s.root_norm <= 0:
-        raise ValueError("root norm must be positive")
-    return SpectralFieldSample(
-        lags=s.lags, values=s.values / s.root_norm, alpha=s.alpha
+    return TailBatch(
+        lags=lags,
+        values=np.concatenate(rows) / x_thresh,
+        root_norm=np.concatenate(row_roots) / x_thresh,
+        alpha=alpha,
     )
 
 
-def estimate_spectral_field(*args, **kwargs) -> list[SpectralFieldSample]:
-    return [spectral_from_tail(s) for s in estimate_tail_field(*args, **kwargs)]
-
-
-def alpha_norm(s: SpectralFieldSample) -> float:
-    """Sum over lags of the field norm raised to alpha."""
-    return float(np.sum(np.abs(s.values) ** s.alpha))
+def spectral_from_tail(batch: TailBatch) -> TailBatch:
+    """Normalize tail-field draws by their root norms; lag-0 norm becomes 1."""
+    if batch.root_norm is None:
+        raise ValueError("batch is already spectral")
+    scale = batch.root_norm.reshape(-1, *(1,) * batch.lags.dim)
+    return TailBatch(batch.lags, batch.values / scale, None, batch.alpha)
 
 
 # -- Brown-Resnick tail-field distributions ----------------------------------
@@ -229,54 +213,55 @@ def br_tail_fdd_mc(
     sampler = GaussianFieldSampler(variogram, [origin] + pts)
     s2 = sampler.sigma2
 
-    tot = 0.0
-    tot2 = 0.0
-    done = 0
-    for c, count in enumerate(chunk_sizes(n_mc, chunk)):
-        gen = rng.substream(c).generator()
-        w = sampler.draw(count, gen)
+    def work(start, count, stream):
+        w = sampler.draw(count, stream.generator())
         v = np.exp(w - 0.5 * s2)
         m_pts = (v[:, 1:] / yv[None, :]).max(axis=1)
         diff = np.maximum(m_pts, v[:, 0]) - m_pts
-        tot += diff.sum()
-        tot2 += (diff**2).sum()
-        done += count
-    mean = tot / done
-    var = max(0.0, tot2 / done - mean**2)
-    se = math.sqrt(var / done)
-    return MCEstimate(value=float(mean), se=float(se), n=done, flagged=mean < -3 * se)
+        return diff.sum(), (diff**2).sum()
+
+    tot = 0.0
+    tot2 = 0.0
+    for part, part2 in map_chunks(work, n_mc, chunk, rng):  # chunk order
+        tot += part
+        tot2 += part2
+    mean = tot / n_mc
+    var = max(0.0, tot2 / n_mc - mean**2)
+    se = math.sqrt(var / n_mc)
+    return MCEstimate(value=float(mean), se=float(se), n=n_mc, flagged=mean < -3 * se)
 
 
 # -- the re-rooting transform and identity checks -----------------------------
 
-def rs_transform(s: SpectralFieldSample, rng: RngStream) -> SpectralFieldSample:
-    """Re-root a spectral sample at a lag drawn from its alpha-power weights.
+def rs_transform(batch: TailBatch, rng: RngStream) -> TailBatch:
+    """Re-root each spectral draw at a lag drawn from its alpha-power weights.
 
-    The shift I satisfies P(I = i | field) ~ |field(i)|^alpha; the output
-    is field(. + I) / |field(I)| on the same lag window, with lags shifted
+    The shift I of row i, drawn from ``rng.substream(i)``, satisfies
+    P(I = j | field) ~ |field(j)|^alpha; the output row is
+    field(. + I) / |field(I)| on the same lag window, with lags shifted
     outside the window filled by zero (valid when the window already
     carries essentially all of the field's mass).
     """
-    w = np.abs(s.values) ** s.alpha
-    tot = w.sum()
-    if not tot > 0:
-        raise ValueError("all-zero spectral sample")
-    gen = rng.generator()
-    flat = gen.choice(w.size, p=(w / tot).ravel())
-    idx = np.unravel_index(flat, s.values.shape)
-    scale = abs(float(s.values[idx]))
-    shift = tuple(int(a) + lo for a, lo in zip(idx, s.lags.lo))  # lattice point I
-
-    out = np.zeros_like(s.values)
-    src = []
-    dst = []
-    for i, size in zip(shift, s.values.shape):
-        lo_dst = max(0, -i)
-        hi_dst = min(size, size - i)
-        dst.append(slice(lo_dst, hi_dst))
-        src.append(slice(lo_dst + i, hi_dst + i))
-    out[tuple(dst)] = s.values[tuple(src)] / scale
-    return SpectralFieldSample(lags=s.lags, values=out, alpha=s.alpha)
+    weights = np.abs(batch.values) ** batch.alpha
+    out = np.zeros_like(batch.values)
+    shape = batch.lags.shape
+    for k, (vals, w) in enumerate(zip(batch.values, weights)):
+        tot = w.sum()
+        if not tot > 0:
+            raise ValueError("all-zero spectral sample")
+        gen = rng.substream(k).generator()
+        idx = np.unravel_index(gen.choice(w.size, p=(w / tot).ravel()), shape)
+        scale = abs(float(vals[idx]))
+        shift = tuple(int(a) + lo for a, lo in zip(idx, batch.lags.lo))  # lattice point I
+        src = []
+        dst = []
+        for i, size in zip(shift, shape):
+            lo_dst = max(0, -i)
+            hi_dst = min(size, size - i)
+            dst.append(slice(lo_dst, hi_dst))
+            src.append(slice(lo_dst + i, hi_dst + i))
+        out[(k, *dst)] = vals[tuple(src)] / scale
+    return TailBatch(batch.lags, out, None, batch.alpha)
 
 
 @dataclass(frozen=True)
@@ -292,7 +277,7 @@ class IdentityCheck:
 
 
 def verify_change_of_time(
-    samples: list[SpectralFieldSample],
+    samples: TailBatch,
     s,
     g: FieldFunction,
     alpha: float,
@@ -307,34 +292,28 @@ def verify_change_of_time(
     The standard error is that of the paired per-sample difference.
     """
     s = as_point(s)
-    if not samples:
+    n = len(samples)
+    if not n:
         raise ValueError("no samples")
-    lags = samples[0].lags
+    lags = samples.lags
     minus_s = tuple(-x for x in s)
-    for lag in g.lags:
-        shifted = tuple(l - d for l, d in zip(lag, s))
-        if not lags.contains(shifted):
+    shifted = [tuple(l - d for l, d in zip(lag, s)) for lag in g.lags]
+    for lag, p in zip(g.lags, shifted):
+        if not lags.contains(p):
             raise ValueError(
                 f"lag window too small to evaluate g shifted by {s} at {lag}"
             )
     if not lags.contains(minus_s) or not lags.contains(s):
         raise ValueError("lag window must contain both s and -s")
 
-    diffs = np.empty(len(samples))
-    lhs_vals = np.empty(len(samples))
-    rhs_vals = np.empty(len(samples))
-    for k, sample in enumerate(samples):
-        lhs = 0.0
-        if sample.norm_at(minus_s) > zero_tol:
-            lhs = g(lambda l: sample.norm_at(tuple(a - b for a, b in zip(l, s))))
-        ns = sample.norm_at(s)
-        rhs = 0.0
-        if ns > 0:
-            rhs = g(lambda l: sample.norm_at(l) / ns) * ns**alpha
-        lhs_vals[k] = lhs
-        rhs_vals[k] = rhs
-        diffs[k] = lhs - rhs
-    n = len(samples)
+    lhs_vals = np.where(
+        samples.norms_at([minus_s])[:, 0] > zero_tol, g(samples.norms_at(shifted)), 0.0
+    )
+    ns = samples.norms_at([s])
+    hit = ns[:, 0] > 0
+    rhs_vals = np.zeros(n)
+    rhs_vals[hit] = g(samples.norms_at(g.lags)[hit] / ns[hit]) * ns[hit, 0] ** alpha
+    diffs = lhs_vals - rhs_vals
     se = float(diffs.std(ddof=1) / math.sqrt(n)) if n > 1 else float("inf")
     return IdentityCheck(
         lhs=float(lhs_vals.mean()), rhs=float(rhs_vals.mean()), se=se, n=n
@@ -343,20 +322,17 @@ def verify_change_of_time(
 
 # -- columnar text round trip --------------------------------------------------
 
-def samples_to_rows(samples) -> tuple[list[str], list[list[float]]]:
-    """Header and rows for a batch of tail or spectral samples.
+def samples_to_rows(batch: TailBatch) -> tuple[list[str], list[list[float]]]:
+    """Header and rows for a batch of tail or spectral draws.
 
     Columns are lag-major in the window's row-major point order; tail
-    samples get a leading root_norm column.
+    batches get a leading root_norm column.
     """
-    if not samples:
+    if not len(batch):
         raise ValueError("no samples")
-    lags = samples[0].lags
-    names = ["lag_" + "_".join(str(x) for x in p) for p in lags.points()]
-    with_root = isinstance(samples[0], TailFieldSample)
-    header = (["root_norm"] if with_root else []) + names
-    rows = []
-    for s in samples:
-        row = [s.root_norm] if with_root else []
-        rows.append(row + [float(v) for v in s.values.ravel()])
-    return header, rows
+    header = ["lag_" + "_".join(str(x) for x in p) for p in batch.lags.points()]
+    cols = batch.values.reshape(len(batch), -1)
+    if batch.root_norm is not None:
+        header = ["root_norm"] + header
+        cols = np.column_stack([batch.root_norm, cols])
+    return header, cols.tolist()

@@ -14,7 +14,7 @@ The catalogs are fixed so cross-method comparisons are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -65,8 +65,9 @@ def point_function(fid: str) -> PointFunction:
 
 
 # -- field functions ----------------------------------------------------------
-
-Lookup = Callable[[tuple[int, ...]], float]
+#
+# A field function maps an ``(n, len(g.lags))`` array of field norms at its
+# lags, one row per draw, to the ``(n,)`` array of its values.
 
 
 @dataclass(frozen=True)
@@ -76,8 +77,8 @@ class ConstantOne:
     gid: str = "one"
     lags: tuple[tuple[int, ...], ...] = ()
 
-    def __call__(self, lookup: Lookup) -> float:
-        return 1.0
+    def __call__(self, norms: np.ndarray) -> np.ndarray:
+        return np.ones(len(norms))
 
 
 @dataclass(frozen=True)
@@ -88,8 +89,8 @@ class FieldIndicator:
     level: float
     lags: tuple[tuple[int, ...], ...]
 
-    def __call__(self, lookup: Lookup) -> float:
-        return 1.0 if any(lookup(l) > self.level for l in self.lags) else 0.0
+    def __call__(self, norms: np.ndarray) -> np.ndarray:
+        return (norms > self.level).any(axis=1).astype(float)
 
 
 @dataclass(frozen=True)
@@ -101,12 +102,9 @@ class FieldRamp:
     b: float
     lags: tuple[tuple[int, ...], ...]
 
-    def __call__(self, lookup: Lookup) -> float:
-        best = 0.0
-        for l in self.lags:
-            x = (lookup(l) - self.a) / (self.b - self.a)
-            best = max(best, min(1.0, max(0.0, x)))
-        return best
+    def __call__(self, norms: np.ndarray) -> np.ndarray:
+        x = np.clip((norms - self.a) / (self.b - self.a), 0.0, 1.0)
+        return x.max(axis=1, initial=0.0)
 
 
 FieldFunction = ConstantOne | FieldIndicator | FieldRamp

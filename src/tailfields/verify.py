@@ -17,7 +17,7 @@ from .lattice import centered_box
 from .models import ModelSpec, model_tag, tail_index
 from .rng import RngStream
 from .tailfield import (
-    SpectralFieldSample,
+    TailBatch,
     estimate_tail_field,
     rs_transform,
     spectral_from_tail,
@@ -85,7 +85,7 @@ def run_pareto_root_check(
     samples = estimate_tail_field(
         spec, lags, n_replicates, rng, alpha=alpha, q=q, min_retained=min_retained
     )
-    roots = np.array([s.root_norm for s in samples])
+    roots = samples.root_norm
     ks = stats.kstest(roots, lambda y: 1.0 - np.maximum(y, 1.0) ** -alpha).statistic
     run = VerificationRun(name=name, model=model_tag(spec), seed=rng.seed)
     run.add("retained", float(len(roots)), float(min_retained), len(roots) >= min_retained)
@@ -123,10 +123,7 @@ def run_change_of_time_check(
     alpha = tail_index(spec)
     dim = model_dim(spec) or 2
     lags = centered_box(lag_radius, dim)
-    samples = [
-        spectral_from_tail(s)
-        for s in estimate_tail_field(spec, lags, n_replicates, rng, q=q)
-    ]
+    samples = spectral_from_tail(estimate_tail_field(spec, lags, n_replicates, rng, q=q))
     run = VerificationRun(name=name, model=model_tag(spec), seed=rng.seed)
     for s in shifts:
         for g in _identity_functions(dim):
@@ -143,13 +140,13 @@ def run_change_of_time_check(
     return run
 
 
-def _censor(s: SpectralFieldSample, tol: float) -> SpectralFieldSample:
-    vals = np.where(np.abs(s.values) > tol, s.values, 0.0)
-    return SpectralFieldSample(lags=s.lags, values=vals, alpha=s.alpha)
+def _censor(batch: TailBatch, tol: float) -> TailBatch:
+    vals = np.where(np.abs(batch.values) > tol, batch.values, 0.0)
+    return TailBatch(batch.lags, vals, None, batch.alpha)
 
 
 def rs_invariance_ks(
-    samples: list[SpectralFieldSample],
+    samples: TailBatch,
     rng: RngStream,
     test_radius: int = 3,
     level: float = 0.01,
@@ -164,22 +161,17 @@ def rs_invariance_ks(
     since the limit law has no mass in (0, zero_tol) for the models
     under test.  Returns (min adjusted p-value, level).
     """
-    if not samples:
+    if not len(samples):
         raise ValueError("no samples")
-    lags = samples[0].lags
-    censored = [_censor(s, zero_tol) for s in samples]
-    transformed = [
-        _censor(rs_transform(s, rng.substream(i)), zero_tol)
-        for i, s in enumerate(censored)
-    ]
+    lags = samples.lags
+    censored = _censor(samples, zero_tol)
+    transformed = _censor(rs_transform(censored, rng), zero_tol)
     test_lags = [
         p for p in centered_box(test_radius, lags.dim).points() if lags.contains(p)
     ]
     n_tests = len(test_lags)
     min_adj = 1.0
-    for p in test_lags:
-        a = np.array([s.norm_at(p) for s in censored])
-        b = np.array([t.norm_at(p) for t in transformed])
+    for a, b in zip(censored.norms_at(test_lags).T, transformed.norms_at(test_lags).T):
         if not (a.any() or b.any()):
             continue
         pval = stats.ks_2samp(a, b, method="asymp").pvalue
@@ -205,17 +197,13 @@ def run_rs_invariance_check(
     from .models import model_dim
 
     dim = model_dim(spec) or 2
-    samples = [
-        spectral_from_tail(s)
-        for s in estimate_tail_field(spec, centered_box(lag_radius, dim),
-                                     n_replicates, rng.lane(0), q=q)
-    ]
+    samples = spectral_from_tail(
+        estimate_tail_field(spec, centered_box(lag_radius, dim), n_replicates,
+                            rng.lane(0), q=q)
+    )
     label = name + ("-corrupted" if corrupt else "")
     if corrupt:
-        samples = [
-            SpectralFieldSample(lags=s.lags, values=1.3 * s.values, alpha=s.alpha)
-            for s in samples
-        ]
+        samples = TailBatch(samples.lags, 1.3 * samples.values, None, samples.alpha)
     min_adj, level = rs_invariance_ks(samples, rng.lane(1), level=THRESHOLDS["ks_level"])
     run = VerificationRun(name=label, model=model_tag(spec), seed=rng.seed)
     run.add("ks-no-rejection", min_adj, level, min_adj >= level)

@@ -24,7 +24,7 @@ def mma_tails(mma_spec):
 
 @pytest.fixture(scope="session")
 def mma_spectral(mma_tails):
-    return [spectral_from_tail(s) for s in mma_tails]
+    return spectral_from_tail(mma_tails)
 
 
 @pytest.fixture(scope="session")
@@ -36,4 +36,4 @@ def iid_tails():
 
 @pytest.fixture(scope="session")
 def iid_spectral(iid_tails):
-    return [spectral_from_tail(s) for s in iid_tails]
+    return spectral_from_tail(iid_tails)

@@ -5,6 +5,7 @@ randomness is pinned to explicit seeds."""
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from scipy import stats
 
@@ -33,7 +34,7 @@ from tailfields.models import (
     MaxMovingAverage,
 )
 from tailfields.rng import RngStream
-from tailfields.simulate import sample_field
+from tailfields.simulate import field_batch
 from tailfields.tailfield import (
     br_tail_fdd_mc,
     br_tail_marginal_cdf,
@@ -258,19 +259,20 @@ class TestCriterion10ClusterLaplace:
         n, r, tau = (200, 200), (40, 40), 1.0
         u = level_u(MMA, n, tau)
         rng = RngStream(9105)
-        clusters = []
-        for i in range(800):
-            f = sample_field(MMA, pos_block(n), rng.lane(1).substream(i))
-            clusters.extend(cluster_process_extract(f, r, u))
-        spectral = [
-            spectral_from_tail(s)
-            for s in estimate_tail_field(MMA, centered_box(5, 2), 600_000,
-                                         rng.lane(2), q=0.995)
-        ]
+        atoms = np.concatenate([
+            cluster_process_extract(
+                field_batch(MMA, pos_block(n), 1, rng.lane(1).substream(i).generator())[0],
+                r, u,
+            )
+            for i in range(800)
+        ])
+        spectral = spectral_from_tail(
+            estimate_tail_field(MMA, centered_box(5, 2), 600_000, rng.lane(2), q=0.995)
+        )
         zero = limit_cluster_laplace_mc(spectral, ZERO, 1.0, LEX)
         zs = {}
         for f in POINT_CATALOG:
-            emp = empirical_cluster_laplace(clusters, f)
+            emp = empirical_cluster_laplace(atoms, f)
             lim = limit_cluster_laplace_mc(spectral, f, 1.0, LEX)
             zs[f.fid] = abs(emp.value - lim.value) / math.hypot(emp.se, lim.se)
         record(

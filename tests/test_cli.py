@@ -240,6 +240,29 @@ class TestVerifyCommand:
         assert code == 0
 
 
+class TestCountFlags:
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["br-tailcdf", "--n-mc", "0"], "--n-mc"),
+            (["br-theta", "--n-mc", "-5"], "--n-mc"),
+            (["br-fig1", "--trunc-m", "0"], "--trunc-m"),
+            (["mma-empirical", "--replicates", "0", "--n", "40,40", "--r", "20,20"],
+             "--replicates"),
+            (["tailfield", "--replicates", "0"], "--replicates"),
+            (["cluster-laplace", "--fields", "0"], "--fields"),
+            (["counterexample", "--n-per-rank", "-1"], "--n-per-rank"),
+            (["verify", "pareto-root", "--replicates", "0"], "--replicates"),
+            (["verify", "change-of-time", "--replicates", "ten"], "--replicates"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else "-".join(v[:2]),
+    )
+    def test_nonpositive_count_exits_2_naming_the_flag(self, argv, flag, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert f"argument {flag}: must be a positive integer" in err
+
+
 class TestExperimentConfig:
     def test_round_trip_identity(self):
         parser = build_parser()

@@ -21,8 +21,8 @@ from tailfields.models import (
     MaxMovingAverage,
 )
 from tailfields.rng import RngStream
-from tailfields.simulate import sample_field
-from tailfields.tailfield import SpectralFieldSample
+from tailfields.simulate import field_batch
+from tailfields.tailfield import TailBatch
 from tailfields.testfuncs import ZERO, PointFunction, point_function
 
 MMA = MaxMovingAverage(a=(0.1, 0.7, 0.6, 0.1))
@@ -30,29 +30,33 @@ LEX = InvariantOrder(dim=2)
 STEP1 = point_function("step-1")
 
 
+def one_field(spec, n, stream):
+    """One field on [0:n-1], drawn from the stream's generator."""
+    return field_batch(spec, pos_block(n), 1, stream.generator())[0]
+
+
 @pytest.fixture(scope="module")
 def iid_field():
-    return sample_field(IIDFrechet(1.0), pos_block((80, 80)), RngStream(501))
+    return one_field(IIDFrechet(1.0), (80, 80), RngStream(501))
 
 
 class TestClusterExtract:
     def test_threshold_above_max_empty(self, iid_field):
-        u = float(np.abs(iid_field.values).max()) + 1.0
-        clusters = cluster_process_extract(iid_field, (8, 8), u)
-        assert not any(c.nonempty for c in clusters)
+        u = float(np.abs(iid_field).max()) + 1.0
+        atoms = cluster_process_extract(iid_field, (8, 8), u)
+        assert not (np.abs(atoms) > 1.0).any()
 
     def test_block_count(self, iid_field):
-        clusters = cluster_process_extract(iid_field, (8, 10), 10.0)
-        assert len(clusters) == (80 // 8) * (80 // 10)
+        atoms = cluster_process_extract(iid_field, (8, 10), 10.0)
+        assert atoms.shape == ((80 // 8) * (80 // 10), 80)
+        # block (0, 1) covers rows 0..7 and columns 10..19
+        assert np.array_equal(atoms[1], iid_field[0:8, 10:20].ravel() / 10.0)
 
     def test_atom_counts_match_rescan(self, iid_field):
         u = 20.0
-        clusters = cluster_process_extract(iid_field, (16, 16), u)
-        total_atoms = sum((np.abs(c.atoms) > 1.0).sum() for c in clusters)
-        assert total_atoms == (np.abs(iid_field.values) > u).sum()
-        for c in clusters:
-            assert c.nonempty == bool((np.abs(c.atoms) > 1.0).any())
-            assert len(c.atoms) == 256
+        atoms = cluster_process_extract(iid_field, (16, 16), u)
+        assert (np.abs(atoms) > 1.0).sum() == (np.abs(iid_field) > u).sum()
+        assert atoms.shape == (25, 256)
 
     def test_partial_blocks_rejected(self, iid_field):
         with pytest.raises(ValueError):
@@ -61,17 +65,19 @@ class TestClusterExtract:
 
 class TestEmpiricalLaplace:
     def test_zero_function_exactly_one(self, iid_field):
-        clusters = cluster_process_extract(iid_field, (8, 8), 15.0)
-        assert empirical_cluster_laplace(clusters, ZERO).value == 1.0
+        atoms = cluster_process_extract(iid_field, (8, 8), 15.0)
+        assert empirical_cluster_laplace(atoms, ZERO).value == 1.0
 
     def test_iid_binomial_oracle(self):
         # blocks of independent noise: E[e^{-K} | K >= 1] with K binomial
         u, r, n = 25.0, (10, 10), (100, 100)
-        vals = []
-        for i in range(80):
-            f = sample_field(IIDFrechet(1.0), pos_block(n), RngStream(502).substream(i))
-            vals.extend(cluster_process_extract(f, r, u))
-        est = empirical_cluster_laplace(vals, STEP1)
+        atoms = np.concatenate([
+            cluster_process_extract(
+                one_field(IIDFrechet(1.0), n, RngStream(502).substream(i)), r, u
+            )
+            for i in range(80)
+        ])
+        est = empirical_cluster_laplace(atoms, STEP1)
         p = 1 - math.exp(-1 / u)
         npts = 100
         oracle = (((1 - p) + p * math.e**-1) ** npts - (1 - p) ** npts) / (
@@ -82,40 +88,50 @@ class TestEmpiricalLaplace:
     def test_hard_core_limit_counts_single_exceedances(self):
         # exp(c) E[e^{-c K} | K>=1] -> P(K = 1 | K >= 1) for a steep step
         u, r = 25.0, (10, 10)
-        clusters = []
-        for i in range(80):
-            f = sample_field(IIDFrechet(1.0), pos_block((100, 100)),
-                             RngStream(503).substream(i))
-            clusters.extend(cluster_process_extract(f, r, u))
+        atoms = np.concatenate([
+            cluster_process_extract(
+                one_field(IIDFrechet(1.0), (100, 100), RngStream(503).substream(i)), r, u
+            )
+            for i in range(80)
+        ])
         steep = PointFunction("steep", a=1.0, b=1.0, height=40.0)
-        est = empirical_cluster_laplace(clusters, steep)
-        counts = np.array([(np.abs(c.atoms) > 1.0).sum() for c in clusters])
+        est = empirical_cluster_laplace(atoms, steep)
+        counts = (np.abs(atoms) > 1.0).sum(axis=1)
         frac_single = (counts == 1).sum() / (counts >= 1).sum()
         assert est.value * math.exp(40.0) == pytest.approx(frac_single, rel=1e-9)
 
+    def test_matches_block_loop(self, iid_field):
+        # reference: one block at a time over the nonempty blocks
+        atoms = cluster_process_extract(iid_field, (8, 8), 15.0)
+        f = point_function("ramp-1-2")
+        vals = [
+            math.exp(-float(f(np.abs(block)).sum()))
+            for block in atoms
+            if np.abs(block).max() > 1.0
+        ]
+        est = empirical_cluster_laplace(atoms, f)
+        assert est.n == len(vals) and est.value == np.mean(vals)
+
     def test_monotone_in_function(self, iid_field):
-        clusters = cluster_process_extract(iid_field, (8, 8), 15.0)
+        atoms = cluster_process_extract(iid_field, (8, 8), 15.0)
         bigger = PointFunction("double", a=1.0, b=1.0, height=2.0)
         assert (
-            empirical_cluster_laplace(clusters, bigger).value
-            <= empirical_cluster_laplace(clusters, STEP1).value
+            empirical_cluster_laplace(atoms, bigger).value
+            <= empirical_cluster_laplace(atoms, STEP1).value
             <= 1.0
         )
 
     def test_no_nonempty_clusters(self, iid_field):
-        u = float(np.abs(iid_field.values).max()) + 1.0
-        clusters = cluster_process_extract(iid_field, (8, 8), u)
+        u = float(np.abs(iid_field).max()) + 1.0
+        atoms = cluster_process_extract(iid_field, (8, 8), u)
         with pytest.raises(ValueError):
-            empirical_cluster_laplace(clusters, STEP1)
+            empirical_cluster_laplace(atoms, STEP1)
 
 
 def single_atom_samples(n=64):
     vals = np.zeros((n, 5, 5))
     vals[:, 2, 2] = 1.0
-    return [
-        SpectralFieldSample(lags=centered_box(2, 2), values=v, alpha=1.0)
-        for v in vals
-    ]
+    return TailBatch(centered_box(2, 2), vals, None, 1.0)
 
 
 class TestLimitLaplace:
@@ -146,10 +162,9 @@ class TestLimitLaplace:
         assert a.value >= b.value
 
     def test_quadrature_resolution(self, mma_spectral):
-        a = limit_cluster_laplace_mc(mma_spectral[:400], STEP1, 1.0, LEX,
-                                     quad_points=256)
-        b = limit_cluster_laplace_mc(mma_spectral[:400], STEP1, 1.0, LEX,
-                                     quad_points=4096)
+        first = TailBatch(mma_spectral.lags, mma_spectral.values[:400], None, 1.0)
+        a = limit_cluster_laplace_mc(first, STEP1, 1.0, LEX, quad_points=256)
+        b = limit_cluster_laplace_mc(first, STEP1, 1.0, LEX, quad_points=4096)
         assert abs(a.value - b.value) <= 2e-4
 
     def test_external_theta_half(self, mma_spectral):
@@ -162,13 +177,13 @@ class TestCrossMethod:
         # moderate-size version of the cross-method comparison
         n, r, tau = (120, 120), (24, 24), 1.0
         u = level_u(MMA, n, tau)
-        clusters = []
-        for i in range(400):
-            f = sample_field(MMA, pos_block(n), RngStream(504).substream(i))
-            clusters.extend(cluster_process_extract(f, r, u))
+        atoms = np.concatenate([
+            cluster_process_extract(one_field(MMA, n, RngStream(504).substream(i)), r, u)
+            for i in range(400)
+        ])
         for fid in ("step-1", "step-2"):
             f = point_function(fid)
-            emp = empirical_cluster_laplace(clusters, f)
+            emp = empirical_cluster_laplace(atoms, f)
             lim = limit_cluster_laplace_mc(mma_spectral, f, 1.0, LEX)
             z = abs(emp.value - lim.value) / math.hypot(emp.se, lim.se)
             assert z <= 3.5, (fid, emp.value, lim.value)

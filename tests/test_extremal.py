@@ -31,7 +31,7 @@ from tailfields.extremal import (
     theta_from_tail_samples,
     theta_run_empirical,
 )
-from tailfields.tailfield import TailFieldSample
+from tailfields.tailfield import TailBatch
 
 MMA_A = (0.1, 0.7, 0.6, 0.1)
 MMA_A2 = (0.6, 0.2, 0.6, 0.1)
@@ -245,11 +245,7 @@ class TestBrBlockIndex:
         pts = list(lagw.points())
         rows = br_tail_field_batch(vg, pts, 40_000, RngStream(313).generator())
         oi = pts.index((0, 0))
-        samples = [
-            TailFieldSample(lags=lagw, values=row.reshape(lagw.shape),
-                            root_norm=row[oi], alpha=1.0)
-            for row in rows
-        ]
+        samples = TailBatch(lagw, rows.reshape(-1, *lagw.shape), rows[:, oi], 1.0)
         half = theta_from_tail_samples(samples, HalfSpaceRegion(LEX, M))
         assert abs(bb.value - half.value) <= 3 * math.hypot(bb.se, half.se)
 

@@ -11,9 +11,6 @@ from tailfields.gaussian import (
     br_tail_field_batch,
     brown_resnick_batch,
     fbm_grid_batch,
-    sample_additive_fbm,
-    sample_brown_resnick,
-    sample_fbm_path,
 )
 from tailfields.lattice import Window, centered_box, pos_block
 from tailfields.models import AdditiveFBM, CustomVariogram
@@ -28,11 +25,11 @@ def fbm_cov(s, t, h):
 class TestFbm:
     def test_hurst_validation(self):
         with pytest.raises(ValueError):
-            sample_fbm_path(1.0, 4, RngStream(0))
+            fbm_grid_batch(1.0, 0, 4, 1, RngStream(0).generator())
 
     def test_determinism(self):
-        a = sample_fbm_path(0.7, 16, RngStream(5, 1))
-        b = sample_fbm_path(0.7, 16, RngStream(5, 1))
+        a = fbm_grid_batch(0.7, 0, 16, 1, RngStream(5, 1).generator())[0]
+        b = fbm_grid_batch(0.7, 0, 16, 1, RngStream(5, 1).generator())[0]
         assert np.array_equal(a, b)
         assert a[0] == 0.0
 
@@ -100,8 +97,9 @@ class TestAdditiveFbm:
         assert emp == pytest.approx(expect, abs=0.06)
 
     def test_field_sample_api(self):
-        fs = sample_additive_fbm((0.5, 0.5), pos_block((4, 4)), RngStream(14))
-        assert fs.value_at((0, 0)) == 0.0
+        x = additive_fbm_batch((0.5, 0.5), pos_block((4, 4)), 3, RngStream(14).generator())
+        assert x.shape == (3, 4, 4)
+        assert np.all(x[:, 0, 0] == 0.0)
 
 
 class TestGaussianFieldSampler:
@@ -179,9 +177,13 @@ class TestBrownResnick:
         assert np.all(np.isfinite(x)) and np.all(x > 0)
 
     def test_sampler_api_deterministic(self):
-        a = sample_brown_resnick(AdditiveFBM((0.6, 0.6)), pos_block((3, 3)), RngStream(23, 7))
-        b = sample_brown_resnick(AdditiveFBM((0.6, 0.6)), pos_block((3, 3)), RngStream(23, 7))
-        assert np.array_equal(a.values, b.values)
+        a, b = (
+            brown_resnick_batch(
+                AdditiveFBM((0.6, 0.6)), pos_block((3, 3)), 2, RngStream(23, 7).generator()
+            )
+            for _ in range(2)
+        )
+        assert np.array_equal(a, b)
 
 
 class TestBrTailFieldSampler:

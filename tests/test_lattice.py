@@ -1,19 +1,15 @@
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tailfields.lattice import (
-    FieldSample,
     InvariantOrder,
     Window,
     centered_box,
     corner_point,
-    lex_compare,
     orthant_region,
     pos_block,
     sym_block,
-    window_max,
 )
 
 DEFAULT2 = InvariantOrder(dim=2)
@@ -34,15 +30,15 @@ def orders(dim):
 
 class TestLexCompare:
     def test_reflexive(self):
-        assert lex_compare((0, 0), (0, 0), DEFAULT2) == 0
+        assert DEFAULT2.compare((0, 0), (0, 0)) == 0
 
     def test_first_axis_dominates(self):
         # dictionary order: s1 < t1 decides regardless of later axes
-        assert lex_compare((0, 1), (1, -5), DEFAULT2) == -1
+        assert DEFAULT2.compare((0, 1), (1, -5)) == -1
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            lex_compare((0, 0, 0), (0, 0), DEFAULT2)
+            DEFAULT2.compare((0, 0, 0), (0, 0))
 
     @given(st.data(), st.integers(1, 3))
     @settings(max_examples=200, deadline=None)
@@ -142,61 +138,3 @@ class TestWindow:
     def test_dilate(self):
         w = pos_block((3, 3)).dilate(2)
         assert w.lo == (-2, -2) and w.hi == (4, 4)
-
-
-def _sample(values):
-    arr = np.asarray(values, dtype=float)
-    return FieldSample(window=pos_block(arr.shape), values=arr)
-
-
-class TestWindowMax:
-    def test_empty_region_is_zero(self):
-        assert window_max(_sample([[1.0, 2.0], [3.0, 4.0]]), []) == 0.0
-
-    def test_single_point(self):
-        s = _sample([[1.0, -7.0], [3.0, 4.0]])
-        assert window_max(s, [(0, 1)]) == 7.0
-
-    def test_full_window_equals_scan(self):
-        rng = np.random.default_rng(3)
-        vals = rng.random((4, 5))
-        s = _sample(vals)
-        brute = max(abs(vals[s.window.index(p)]) for p in s.window.points())
-        assert window_max(s, s.window.points()) == brute
-
-    def test_outside_point_rejected(self):
-        with pytest.raises(ValueError):
-            window_max(_sample([[1.0]]), [(5, 5)])
-
-    @given(st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_monotone_in_region(self, data):
-        rng = np.random.default_rng(data.draw(st.integers(0, 10**6)))
-        s = _sample(rng.random((3, 3)))
-        pts = list(s.window.points())
-        b = data.draw(st.lists(st.sampled_from(pts), max_size=9, unique=True))
-        a = data.draw(st.lists(st.sampled_from(b), max_size=len(b), unique=True) if b else st.just([]))
-        assert window_max(s, a) <= window_max(s, b)
-
-
-class TestFieldSample:
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            FieldSample(window=pos_block((2, 2)), values=np.zeros((3, 2)))
-
-    def test_finite_validation(self):
-        with pytest.raises(ValueError):
-            FieldSample(window=pos_block((1, 1)), values=np.array([[np.inf]]))
-
-    def test_vector_norms(self):
-        vals = np.arange(8, dtype=float).reshape(2, 2, 2) - 3.0
-        sup = FieldSample(window=pos_block((2, 2)), values=vals, norm="sup")
-        euc = FieldSample(window=pos_block((2, 2)), values=vals, norm="euclid")
-        assert sup.d == 2
-        assert sup.norm_at((0, 0)) == 3.0
-        assert euc.norm_at((0, 0)) == pytest.approx(np.hypot(3.0, 2.0))
-
-    def test_values_frozen(self):
-        s = _sample([[1.0]])
-        with pytest.raises(ValueError):
-            s.values[0, 0] = 2.0

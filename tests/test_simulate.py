@@ -21,10 +21,6 @@ from tailfields.simulate import (
     factorial_rank,
     field_batch,
     frechet_batch,
-    sample_counterexample_pair,
-    sample_field,
-    sample_frechet_field,
-    sample_mma_field,
 )
 
 MMA_A = (0.1, 0.7, 0.6, 0.1)
@@ -40,17 +36,17 @@ class TestDeterminism:
     )
     def test_same_stream_same_field(self, spec):
         w = pos_block((6, 6))
-        a = sample_field(spec, w, RngStream(9, 4))
-        b = sample_field(spec, w, RngStream(9, 4))
-        assert np.array_equal(a.values, b.values)
-        c = sample_field(spec, w, RngStream(9, 5))
-        assert not np.array_equal(a.values, c.values)
+        a = field_batch(spec, w, 1, RngStream(9, 4).generator())
+        b = field_batch(spec, w, 1, RngStream(9, 4).generator())
+        assert np.array_equal(a, b)
+        c = field_batch(spec, w, 1, RngStream(9, 5).generator())
+        assert not np.array_equal(a, c)
 
 
 class TestFrechet:
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
-            sample_frechet_field(0.0, pos_block((2, 2)), RngStream(0))
+            frechet_batch(0.0, pos_block((2, 2)), 1, RngStream(0).generator())
 
     def test_cdf_at_one(self):
         z = frechet_batch(1.0, pos_block((1, 1)), 1_000_000, RngStream(1).generator())
@@ -93,9 +89,9 @@ class TestMaxMovingAverage:
     def test_zero_weights_reduce_to_noise(self):
         spec = MaxMovingAverage(a=(0.0, 0.0, 0.0, 0.0))
         w = pos_block((5, 5))
-        x = sample_mma_field(spec, w, RngStream(4, 2))
+        x = field_batch(spec, w, 1, RngStream(4, 2).generator())[0]
         z = frechet_batch(1.0, w.dilate(1), 1, RngStream(4, 2).generator())[0]
-        assert np.array_equal(x.values, z[1:-1, 1:-1])
+        assert np.array_equal(x, z[1:-1, 1:-1])
 
     def test_marginal_closed_form(self):
         # P(X(0) <= u) = F_Z(u)^(1+s) with s the weight sum
@@ -152,7 +148,7 @@ class TestCounterexamplePair:
         assert np.array_equal(low[:, 0], low[:, 1])
 
     def test_single_pair_api(self):
-        z1, z2 = sample_counterexample_pair(1.0, RngStream(13))
+        ((z1, z2),) = counterexample_pairs(1.0, 1, RngStream(13).generator())
         assert z1 >= 1.0 and z2 >= 1.0
 
 

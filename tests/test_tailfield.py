@@ -9,10 +9,8 @@ from tailfields.lattice import Window, centered_box
 from tailfields.models import MMA_OFFSETS, AdditiveFBM, CounterexampleField, IIDFrechet
 from tailfields.rng import RngStream
 from tailfields.tailfield import (
-    SpectralFieldSample,
-    TailFieldSample,
+    TailBatch,
     TooFewExceedancesError,
-    alpha_norm,
     br_tail_fdd_mc,
     br_tail_marginal_cdf,
     estimate_tail_field,
@@ -21,9 +19,26 @@ from tailfields.tailfield import (
     spectral_from_tail,
     verify_change_of_time,
 )
-from tailfields.testfuncs import ConstantOne, FieldIndicator
+from tailfields.testfuncs import ConstantOne, FieldIndicator, FieldRamp
 
 MMA_A = (0.1, 0.7, 0.6, 0.1)
+
+
+def head(batch, k):
+    """The first k draws of a batch."""
+    roots = None if batch.root_norm is None else batch.root_norm[:k]
+    return TailBatch(batch.lags, batch.values[:k], roots, batch.alpha)
+
+
+def spectral_batch(values, alpha=1.0):
+    """A spectral batch of one draw on the centered box that fits ``values``."""
+    values = np.asarray(values, dtype=float)
+    return TailBatch(centered_box(values.shape[0] // 2, 2), values[None], None, alpha)
+
+
+def alpha_norms(batch):
+    """Per draw, the sum over lags of the field norm raised to alpha."""
+    return (np.abs(batch.values) ** batch.alpha).reshape(len(batch), -1).sum(axis=1)
 
 
 def mma_nonzero_prob(a, s):
@@ -39,12 +54,12 @@ class TestEstimateTailField:
     def test_iid_off_lags_vanish(self, iid_tails):
         # independence kills off-origin values: P(|Y(t)| > 0.1) -> 1 - e^{-1/100}
         # at q=0.999; allow 3 sigma of sampling noise on top of the limit bound
-        y = np.array([t.norm_at((2, -1)) for t in iid_tails])
+        y = iid_tails.norms_at([(2, -1)])[:, 0]
         slack = 3 * math.sqrt(0.01 * 0.99 / len(y))
         assert (y > 0.1).mean() <= 0.01 + slack
 
     def test_root_is_pareto(self, mma_tails):
-        roots = np.array([t.root_norm for t in mma_tails])
+        roots = mma_tails.root_norm
         ks = stats.kstest(roots, lambda y: 1 - np.maximum(y, 1.0) ** -1.0)
         assert ks.statistic <= 0.02
         assert roots.min() >= 1.0
@@ -56,7 +71,7 @@ class TestEstimateTailField:
         )
         slack = 3 * math.sqrt(0.01 * 0.99 / len(tails))
         for lag in [(1, 0), (2, 2), (0, 3)]:
-            y = np.array([t.norm_at(lag) for t in tails])
+            y = tails.norms_at([lag])[:, 0]
             assert (y > 0.1).mean() <= 0.01 + slack
 
     def test_too_few_exceedances(self):
@@ -78,29 +93,26 @@ class TestEstimateTailField:
         b = estimate_tail_field(IIDFrechet(1.0), centered_box(1, 2), 30_000,
                                 RngStream(72), q=0.99, chunk=1024)
         assert len(a) == len(b)
-        for x, y in zip(a, b):
-            assert np.array_equal(x.values, y.values)
+        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a.root_norm, b.root_norm)
 
 
 class TestSpectral:
     def test_lag_zero_norm_exactly_one(self, mma_spectral):
-        for s in mma_spectral[:200]:
-            assert s.norm_at((0, 0)) == 1.0
+        assert np.all(mma_spectral.norms_at([(0, 0)]) == 1.0)
+        assert mma_spectral.root_norm is None
 
     def test_scaling_invariance(self, mma_tails):
-        t = mma_tails[0]
-        scaled = TailFieldSample(
-            lags=t.lags, values=3.0 * t.values, root_norm=3.0 * t.root_norm,
-            alpha=t.alpha,
-        )
+        t = head(mma_tails, 1)
+        scaled = TailBatch(t.lags, 3.0 * t.values, 3.0 * t.root_norm, t.alpha)
         assert np.allclose(
             spectral_from_tail(t).values, spectral_from_tail(scaled).values,
             rtol=1e-12, atol=0.0,
         )
 
     def test_root_independent_of_spectral(self, mma_tails, mma_spectral):
-        roots = np.array([t.root_norm for t in mma_tails])
-        th = np.array([s.norm_at((1, 1)) for s in mma_spectral])
+        roots = mma_tails.root_norm
+        th = mma_spectral.norms_at([(1, 1)])[:, 0]
         r = np.corrcoef(roots, th)[0, 1]
         assert abs(r) <= 3.0 / math.sqrt(len(roots))
 
@@ -109,18 +121,15 @@ class TestAlphaNorm:
     def test_single_atom(self):
         vals = np.zeros((3, 3))
         vals[1, 1] = -1.0
-        s = SpectralFieldSample(lags=centered_box(1, 2), values=vals, alpha=1.7)
-        assert alpha_norm(s) == 1.0
+        assert alpha_norms(spectral_batch(vals, alpha=1.7)).tolist() == [1.0]
 
     def test_monotone_in_window(self, mma_spectral):
-        s = mma_spectral[0]
-        inner = centered_box(2, 2)
-        sl = tuple(slice(2, 7) for _ in range(2))
-        small = SpectralFieldSample(lags=inner, values=s.values[sl], alpha=s.alpha)
-        assert alpha_norm(small) <= alpha_norm(s)
+        sl = (slice(None), slice(2, 7), slice(2, 7))
+        small = TailBatch(centered_box(2, 2), mma_spectral.values[sl], None, 1.0)
+        assert np.all(alpha_norms(small) <= alpha_norms(mma_spectral))
 
     def test_iid_concentrates_near_one(self, iid_spectral):
-        med = np.median([alpha_norm(s) for s in iid_spectral])
+        med = np.median(alpha_norms(iid_spectral))
         assert 1.0 <= med <= 1.4  # finite-threshold noise floor inflates it slightly
 
 
@@ -205,7 +214,7 @@ class TestRsTransform:
     def test_single_atom_identity(self):
         vals = np.zeros((5, 5))
         vals[2, 2] = 1.0
-        s = SpectralFieldSample(lags=centered_box(2, 2), values=vals, alpha=1.0)
+        s = spectral_batch(vals)
         out = rs_transform(s, RngStream(77))
         assert np.array_equal(out.values, s.values)
 
@@ -213,28 +222,23 @@ class TestRsTransform:
         vals = np.zeros((5, 5))
         vals[2, 2] = 1.0
         vals[3, 4] = 1.0
-        s = SpectralFieldSample(lags=centered_box(2, 2), values=vals, alpha=1.0)
-        stay = [
-            np.array_equal(rs_transform(s, RngStream(78).substream(i)).values, s.values)
-            for i in range(4000)
-        ]
+        many = TailBatch(centered_box(2, 2), np.repeat(vals[None], 4000, axis=0), None, 1.0)
+        out = rs_transform(many, RngStream(78))
+        stay = (out.values == vals).all(axis=(1, 2))
         assert np.mean(stay) == pytest.approx(0.5, abs=0.025)
-        moved = next(
-            rs_transform(s, RngStream(78).substream(i))
-            for i in range(100)
-            if not np.array_equal(rs_transform(s, RngStream(78).substream(i)).values, s.values)
-        )
+        # row i draws from substream i, as a one-row batch on that stream does
+        i = int(np.argmin(stay))
+        moved = rs_transform(spectral_batch(vals), RngStream(78).substream(i))
+        assert np.array_equal(moved.values[0], out.values[i])
         # re-rooted at (1,2): origin lands at (-1,-2), lag-0 norm is 1
-        assert moved.norm_at((0, 0)) == 1.0
-        assert moved.norm_at((-1, -2)) == 1.0
+        assert moved.norms_at([(0, 0), (-1, -2)]).tolist() == [[1.0, 1.0]]
 
     def test_output_lag_zero_norm_one(self, mma_spectral):
-        for i, s in enumerate(mma_spectral[:100]):
-            out = rs_transform(s, RngStream(79).substream(i))
-            assert out.norm_at((0, 0)) == 1.0
+        out = rs_transform(head(mma_spectral, 100), RngStream(79))
+        assert np.all(out.norms_at([(0, 0)]) == 1.0)
 
     def test_all_zero_rejected(self):
-        s = SpectralFieldSample(lags=centered_box(1, 2), values=np.zeros((3, 3)), alpha=1.0)
+        s = spectral_batch(np.zeros((3, 3)))
         with pytest.raises(ValueError):
             rs_transform(s, RngStream(0))
 
@@ -252,12 +256,9 @@ class TestChangeOfTime:
         from tailfields.models import MaxMovingAverage
 
         spec = MaxMovingAverage(a=MMA_A)
-        spectral = [
-            spectral_from_tail(t)
-            for t in estimate_tail_field(
-                spec, centered_box(3, 2), 1_000_000, RngStream(81), q=0.999
-            )
-        ]
+        spectral = spectral_from_tail(
+            estimate_tail_field(spec, centered_box(3, 2), 1_000_000, RngStream(81), q=0.999)
+        )
         for s in [(1, 1), (2, 0)]:
             res = verify_change_of_time(spectral, s, ConstantOne(), 1.0)
             exact = mma_nonzero_prob(MMA_A, s)
@@ -277,6 +278,24 @@ class TestChangeOfTime:
             assert abs(res.lhs) <= 0.03
             assert abs(res.rhs) <= 0.03
 
+    def test_matches_row_loop(self, mma_spectral):
+        # reference: both sides draw by draw, the way the identity is written
+        g = FieldRamp("ramp", a=0.2, b=1.0, lags=((1, 1), (0, 1)))
+        s, alpha, tol = (1, 0), 1.0, 0.05
+        lags = mma_spectral.lags
+        lhs, rhs = [], []
+        for row in np.abs(mma_spectral.values):
+            at = lambda t: row[lags.index(t)]  # noqa: E731
+            shifted = np.array([[at((l0 - s[0], l1 - s[1])) for l0, l1 in g.lags]])
+            lhs.append(g(shifted)[0] if at((-s[0], -s[1])) > tol else 0.0)
+            ns = at(s)
+            here = np.array([[at(l) / ns for l in g.lags]])
+            rhs.append(g(here)[0] * ns**alpha if ns > 0 else 0.0)
+        res = verify_change_of_time(mma_spectral, s, g, alpha, zero_tol=tol)
+        diffs = np.array(lhs) - np.array(rhs)
+        assert res.lhs == np.mean(lhs) and res.rhs == np.mean(rhs)
+        assert res.se == diffs.std(ddof=1) / math.sqrt(len(diffs))
+
     def test_window_too_small(self, mma_spectral):
         g = FieldIndicator("ind", level=0.5, lags=((4, 4),))
         with pytest.raises(ValueError):
@@ -285,13 +304,38 @@ class TestChangeOfTime:
 
 class TestSamplesToRows:
     def test_round_trip_shape(self, mma_tails):
-        header, rows = samples_to_rows(mma_tails[:5])
+        header, rows = samples_to_rows(head(mma_tails, 5))
         assert header[0] == "root_norm"
-        assert len(header) == 1 + mma_tails[0].lags.cardinality
+        assert len(header) == 1 + mma_tails.lags.cardinality
         assert header[1] == "lag_-4_-4"
         assert len(rows) == 5
-        assert rows[0][0] == mma_tails[0].root_norm
+        assert rows[0][0] == mma_tails.root_norm[0]
+        assert type(rows[0][0]) is float and type(rows[0][1]) is float
 
     def test_spectral_has_no_root_column(self, mma_spectral):
-        header, rows = samples_to_rows(mma_spectral[:2])
+        header, rows = samples_to_rows(head(mma_spectral, 2))
         assert header[0] == "lag_-4_-4"
+
+
+class TestTailBatch:
+    def test_shape_validation(self):
+        with pytest.raises(ValueError):
+            TailBatch(centered_box(1, 2), np.zeros((4, 3, 2)), None, 1.0)
+        with pytest.raises(ValueError):
+            TailBatch(centered_box(1, 2), np.ones((4, 3, 3)), np.ones(3), 1.0)
+
+    def test_root_norm_below_one_rejected(self):
+        with pytest.raises(ValueError, match="root norm below 1"):
+            TailBatch(centered_box(1, 2), np.ones((2, 3, 3)), np.array([1.0, 0.5]), 1.0)
+
+    def test_values_frozen(self, mma_tails):
+        assert len(mma_tails) == len(mma_tails.root_norm) > 0
+        with pytest.raises(ValueError):
+            mma_tails.values[0, 0, 0] = 2.0
+        with pytest.raises(ValueError):
+            mma_tails.root_norm[0] = 2.0
+
+    def test_spectral_divides_each_row_by_its_root(self, mma_tails, mma_spectral):
+        t = head(mma_tails, 50)
+        for k in range(len(t)):
+            assert np.array_equal(mma_spectral.values[k], t.values[k] / t.root_norm[k])

@@ -108,9 +108,6 @@ class TestRsIdempotence:
         from tailfields.tailfield import rs_transform
         from tailfields.verify import _censor, rs_invariance_ks
 
-        once = [
-            rs_transform(_censor(s, 0.05), RngStream(611).substream(i))
-            for i, s in enumerate(mma_spectral)
-        ]
+        once = rs_transform(_censor(mma_spectral, 0.05), RngStream(611))
         min_adj, level = rs_invariance_ks(once, RngStream(612))
         assert min_adj >= level
