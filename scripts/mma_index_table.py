@@ -15,7 +15,8 @@ SECOND_A = "0.6,0.2,0.6,0.1"
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--empirical", action="store_true",
-                    help="add MC estimates next to the closed forms (~1 min)")
+                    help="add MC estimates next to the closed forms "
+                         "(about 3 s on one Xeon vCPU)")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", default="-")
     args = ap.parse_args()

@@ -36,6 +36,7 @@ from .models import (
 from .rng import RngStream, map_chunks
 from .simulate import (
     TooFewEventsError,
+    block_max_batch,
     conditional_field_batch,
     field_batch,
     supports_conditioning,
@@ -82,14 +83,21 @@ def theta_classical_empirical(
     chunk: int = 32,
     threads: int = 1,
 ) -> MCEstimate:
-    """Classical extremal index via -log P(no exceedance on [0:n-1]) / tau."""
+    """Classical extremal index via -log P(no exceedance on [0:n-1]) / tau.
+
+    Block maxima come from ``block_max_batch``: for max-moving averages the
+    maximum is max_s c_s Z(s) over the noise, c_s the largest weight through
+    which site s reaches the block, and IID noise needs only each field's
+    largest uniform; other models build the fields.  Either way the maxima
+    equal those of the built fields bit for bit.
+    """
     n = as_point(n)
     u = level_u(spec, n, tau)
     window = pos_block(n)
 
     def work(start, count, stream):
-        x = field_batch(spec, window, count, stream.generator())
-        return int((np.abs(x.reshape(count, -1)).max(axis=1) <= u).sum())
+        m = block_max_batch(spec, window, count, stream.generator())
+        return int((m <= u).sum())
 
     hits = sum(map_chunks(work, n_replicates, chunk, rng, threads))
     p = hits / n_replicates
@@ -116,7 +124,10 @@ def theta_block_empirical(
     """Block extremal index: exceedance rate of block maxima over blocks.
 
     Estimates P(M_X([0:r-1]) > u) by simulation; the denominator
-    (prod r) P(|X(0)| > u) uses the exact marginal.
+    (prod r) P(|X(0)| > u) uses the exact marginal.  The block maxima come
+    from ``block_max_batch`` as in ``theta_classical_empirical``
+    (max_s c_s Z(s) for max-moving averages, the fields themselves for
+    models without a noise shortcut).
     """
     n, r = as_point(n), as_point(r)
     if any(a >= b for a, b in zip(r, n)):
@@ -125,8 +136,8 @@ def theta_block_empirical(
     window = pos_block(r)
 
     def work(start, count, stream):
-        x = field_batch(spec, window, count, stream.generator())
-        return int((np.abs(x.reshape(count, -1)).max(axis=1) > u).sum())
+        m = block_max_batch(spec, window, count, stream.generator())
+        return int((m > u).sum())
 
     hits = sum(map_chunks(work, n_replicates, chunk, rng, threads))
     p = hits / n_replicates
@@ -220,10 +231,8 @@ class HalfSpaceRegion:
     bound: int
 
     def points(self, dim: int) -> list[tuple[int, ...]]:
-        box = centered_box(self.bound, dim)
-        pts = box.point_array()
-        mask = self.order.before_origin_mask(pts)
-        return [tuple(int(x) for x in p) for p in pts[mask]]
+        pts = _half_space_points(self.order, self.bound, dim)
+        return [tuple(int(x) for x in p) for p in pts if p.any()]
 
 
 @dataclass(frozen=True)

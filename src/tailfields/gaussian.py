@@ -11,11 +11,17 @@ truncation of the Poisson series.
 from __future__ import annotations
 
 import functools
+import threading
 
 import numpy as np
 
 from .lattice import Window, as_point
 from .models import AdditiveFBM, VariogramSpec
+
+
+# held around fgn_cholesky lookups: map_chunks workers asking for a new
+# factor at once would otherwise each miss the cache and compute it
+_FGN_LOCK = threading.Lock()
 
 
 @functools.lru_cache(maxsize=128)
@@ -45,7 +51,8 @@ def fbm_grid_batch(hurst: float, lo: int, hi: int, count: int, gen) -> np.ndarra
     n = hi2 - lo2
     if n == 0:
         return np.zeros((count, 1))
-    L = fgn_cholesky(hurst, n)
+    with _FGN_LOCK:
+        L = fgn_cholesky(hurst, n)
     inc = gen.standard_normal((count, n)) @ L.T
     s = np.zeros((count, n + 1))
     np.cumsum(inc, axis=1, out=s[:, 1:])

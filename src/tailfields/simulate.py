@@ -5,6 +5,8 @@ NumPy generator it is given, so the same spec, window, count and
 generator state always reproduce the same fields.  Callers derive the
 generator from an ``RngStream``; the chunked estimators assign one stream
 per fixed-size chunk, which keeps results independent of worker count.
+``block_max_batch`` returns only each field's maximum, the same values
+and generator state as building the fields.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .models import (
     ModelSpec,
     marginal_exceed_prob,
     model_dim,
+    stencil_radius,
 )
 
 
@@ -31,10 +34,13 @@ class TooFewEventsError(RuntimeError):
     """Raised when a conditional estimator collects too few exceedances."""
 
 
-def _frechet(gen: np.random.Generator, alpha: float, shape) -> np.ndarray:
-    # inverse transform: Z = (-ln U)^(-1/alpha)
-    u = gen.random(shape)
+def _frechet_of(u: np.ndarray, alpha: float) -> np.ndarray:
+    # inverse transform: Z = (-ln U)^(-1/alpha), increasing in U
     return (-np.log(u)) ** (-1.0 / alpha)
+
+
+def _frechet(gen: np.random.Generator, alpha: float, shape) -> np.ndarray:
+    return _frechet_of(gen.random(shape), alpha)
 
 
 def frechet_batch(alpha: float, window: Window, count: int, gen) -> np.ndarray:
@@ -64,9 +70,37 @@ def _stencil_max(spec, z: np.ndarray, radius: int, shape) -> np.ndarray:
 
 def mma_batch(spec, window: Window, count: int, gen) -> np.ndarray:
     """Batch of max-moving-average fields; noise drawn on the dilated window."""
-    radius = max(max(abs(x) for x in o) for o, _ in _stencil_items(spec))
+    radius = stencil_radius(spec)
     z = _frechet(gen, 1.0, (count, *window.dilate(radius).shape))
     return _stencil_max(spec, z, radius, window.shape)
+
+
+def _mma_block_max(spec, window: Window, count: int, gen) -> np.ndarray:
+    """max_s c_s Z(s) from the same uniforms that ``mma_batch`` draws.
+
+    c_s, on the window dilated by the stencil radius, is the largest weight
+    through which noise site s reaches the window: 1 on the window itself,
+    whose max then needs only the largest uniform (Z = f(U) is increasing),
+    and 0 where no positive weight reaches.  Only the ring sites with
+    c_s > 0 are transformed one by one.
+    """
+    radius = stencil_radius(spec)
+    shape = window.shape
+    c = np.zeros(window.dilate(radius).shape)
+    for o, w in _stencil_items(spec):
+        sl = tuple(slice(radius + off, radius + off + s) for off, s in zip(o, shape))
+        np.maximum(c[sl], w, out=c[sl])
+    core = tuple(slice(radius, radius + s) for s in shape)
+    c[core] = 1.0
+    u = gen.random((count, *c.shape))
+    m = _frechet_of(u[(slice(None), *core)].max(axis=tuple(range(1, u.ndim))), 1.0)
+    ring = c > 0.0
+    ring[core] = False
+    idx = np.flatnonzero(ring)
+    if idx.size:
+        z = _frechet_of(u.reshape(count, -1)[:, idx], 1.0)
+        np.maximum(m, (c.ravel()[idx] * z).max(axis=1), out=m)
+    return m
 
 
 # -- the exchangeable Pareto pair and its parity field -----------------------
@@ -136,11 +170,31 @@ def counterexample_batch(alpha: float, window: Window, count: int, gen) -> np.nd
 
 # -- generic dispatch ---------------------------------------------------------
 
-def field_batch(spec: ModelSpec, window: Window, count: int, gen) -> np.ndarray:
-    """Batch of ``count`` fields for any model, drawn from one generator."""
+def _check_dim(spec: ModelSpec, window: Window) -> None:
     dim = model_dim(spec)
     if dim is not None and dim != window.dim:
         raise ValueError(f"model needs dimension {dim}, window has {window.dim}")
+
+
+def _mixture_batch(spec: Mixture, count: int, gen, draw, shape, p=None) -> np.ndarray:
+    """Pick a component per replicate with probabilities ``p`` (default: the
+    mixture weights), then fill each component's rows with
+    ``draw(component, n_rows)``."""
+    if p is None:
+        p = np.array([w for w, _ in spec.components])
+    picks = gen.choice(len(p), size=count, p=p)
+    out = np.empty((count, *shape))
+    # component draws consume the generator in component order
+    for ci, (_, comp) in enumerate(spec.components):
+        idx = np.nonzero(picks == ci)[0]
+        if len(idx):
+            out[idx] = draw(comp, len(idx))
+    return out
+
+
+def field_batch(spec: ModelSpec, window: Window, count: int, gen) -> np.ndarray:
+    """Batch of ``count`` fields for any model, drawn from one generator."""
+    _check_dim(spec, window)
     if isinstance(spec, IIDFrechet):
         return frechet_batch(spec.alpha, window, count, gen)
     if isinstance(spec, (MaxMovingAverage, GeneralMaxMovingAverage)):
@@ -152,16 +206,39 @@ def field_batch(spec: ModelSpec, window: Window, count: int, gen) -> np.ndarray:
 
         return brown_resnick_batch(spec.variogram, window, count, gen)
     if isinstance(spec, Mixture):
-        weights = np.array([w for w, _ in spec.components])
-        picks = gen.choice(len(weights), size=count, p=weights)
-        out = np.empty((count, *window.shape))
-        # component draws consume the generator in component order
-        for ci, (_, comp) in enumerate(spec.components):
-            idx = np.nonzero(picks == ci)[0]
-            if len(idx):
-                out[idx] = field_batch(comp, window, len(idx), gen)
-        return out
+        return _mixture_batch(
+            spec, count, gen, lambda comp, k: field_batch(comp, window, k, gen),
+            window.shape,
+        )
     raise TypeError(f"unknown model {spec!r}")
+
+
+def block_max_batch(spec: ModelSpec, window: Window, count: int, gen) -> np.ndarray:
+    """max over the window of |X|, for ``count`` fields; a ``(count,)`` array.
+
+    Equal, bit for bit, to ``abs(field_batch(spec, window, count, gen))``
+    maximised per replicate, and it leaves ``gen`` in the same state.  For a
+    max-moving average the block maximum is max_s c_s Z(s), where c_s is
+    the largest weight through which noise site s reaches the window (1 on
+    the window): rounding is monotone, so max_o fl(w_o Z) = fl(max_o w_o Z),
+    and Z = (-log U)^(-1) is increasing in the uniform U, so the window
+    itself needs only its largest uniform and the stencil is never applied.
+    IID noise needs only the largest uniform of each field.  Mixtures pick
+    components as ``field_batch`` does; every other model falls back to
+    building the fields.
+    """
+    _check_dim(spec, window)
+    if isinstance(spec, IIDFrechet):
+        u = gen.random((count, *window.shape))
+        return _frechet_of(u.reshape(count, -1).max(axis=1), spec.alpha)
+    if isinstance(spec, (MaxMovingAverage, GeneralMaxMovingAverage)):
+        return _mma_block_max(spec, window, count, gen)
+    if isinstance(spec, Mixture):
+        return _mixture_batch(
+            spec, count, gen, lambda comp, k: block_max_batch(comp, window, k, gen), ()
+        )
+    x = field_batch(spec, window, count, gen)
+    return np.abs(x.reshape(count, -1)).max(axis=1)
 
 
 # -- exact conditional sampling given an exceedance at one site ---------------
@@ -248,15 +325,11 @@ def conditional_field_batch(
             [w * marginal_exceed_prob(m, u) for w, m in spec.components]
         )
         w_cond /= w_cond.sum()
-        picks = gen.choice(len(w_cond), size=count, p=w_cond)
-        out = np.empty((count, *window.shape))
-        for ci, (_, comp) in enumerate(spec.components):
-            idx = np.nonzero(picks == ci)[0]
-            if len(idx):
-                out[idx] = conditional_field_batch(
-                    comp, window, point, u, len(idx), gen
-                )
-        return out
+        return _mixture_batch(
+            spec, count, gen,
+            lambda comp, k: conditional_field_batch(comp, window, point, u, k, gen),
+            window.shape, w_cond,
+        )
     raise TooFewEventsError(
         f"exact conditional sampling not available for {type(spec).__name__}; "
         "direct simulation would collect too few exceedances"

@@ -124,6 +124,17 @@ class TestCriterion04Classical:
             abs(est.value - 0.40) <= 0.03,
             f"theta_cl = {est.value:.4f} +- {est.se:.4f}, target 0.40 +- 0.03",
         )
+        # finite-n oracle: P(M <= u) = exp(-E/u) exactly, E the sum over noise
+        # sites of the largest weight through which the site reaches the block
+        from tests.test_simulate import brute_stencil_exponent
+
+        e = brute_stencil_exponent((200, 200), MMA.weights)
+        theta_n = e / level_u(MMA, (200, 200), 1.0)
+        record(
+            "criterion-4a classical index, finite-n oracle",
+            abs(est.value - theta_n) <= 4 * est.se,
+            f"theta_cl = {est.value:.4f} +- {est.se:.4f}, exact {theta_n:.5f} +- 4 se",
+        )
 
     def test_classical_iid(self):
         est = theta_classical_empirical(IIDFrechet(1.0), (50, 50), 1.0, 20_000,
@@ -153,8 +164,8 @@ class TestCriterion05ParetoRoot:
         ks = next(c for c in run.checks if c.check_id == "root-ks")
         record(
             f"criterion-5 Pareto root ({name})",
-            run.passed,
-            f"KS = {ks.statistic:.4f} <= 0.02 at {int(retained.statistic)} retained exceedances",
+            run.passed and ks.threshold == 0.02,
+            f"KS = {ks.statistic:.4f} <= {ks.threshold} at {int(retained.statistic)} retained exceedances",
         )
 
 

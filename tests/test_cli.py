@@ -193,6 +193,17 @@ class TestVerifyCommand:
         assert code == 0
         assert "PASS" in err
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_pareto_root_reduced_size_exit_0(self, capsys, seed):
+        # 50000 replicates retain 500 roots, where a correct sample reads a
+        # KS distance near 0.04; the threshold grows to 0.02 sqrt(5000/500)
+        code, _, err = run_cli(
+            ["verify", "pareto-root", "--replicates", "50000", "--seed", str(seed)],
+            capsys,
+        )
+        assert code == 0
+        assert "PASS" in err
+
     def test_negative_control_exit_1(self, capsys):
         code, out, err = run_cli(
             ["verify", "rs-invariance", "--model", "corrupted", "--q", "0.999",

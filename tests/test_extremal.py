@@ -211,6 +211,16 @@ class TestTailSampleIndices:
         )
         assert abs(a.value - b.value) <= 3 * math.hypot(a.se, b.se)
 
+    @pytest.mark.parametrize(
+        "order",
+        [LEX, InvariantOrder(dim=2, perm=(1, 0)), InvariantOrder(dim=3, signs=(1, -1, 1))],
+    )
+    def test_halfspace_points_precede_origin(self, order):
+        origin = (0,) * order.dim
+        expected = [p for p in centered_box(2, order.dim).points()
+                    if order.compare(p, origin) < 0]
+        assert HalfSpaceRegion(order, 2).points(order.dim) == expected
+
     def test_boundary_diagnostic_reported(self, mma_tails):
         est = theta_from_tail_samples(mma_tails, OrthantRegion((0, 0), 4))
         assert 0.0 <= est.boundary_mass <= 1.0

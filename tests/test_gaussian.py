@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from tailfields.gaussian import (
     br_tail_field_batch,
     brown_resnick_batch,
     fbm_grid_batch,
+    fgn_cholesky,
 )
 from tailfields.lattice import Window, centered_box, pos_block
 from tailfields.models import AdditiveFBM, CustomVariogram
@@ -111,6 +115,27 @@ class TestGaussianFieldSampler:
         a = GaussianFieldSampler(add, pts).draw(200_000, RngStream(15).generator())
         b = GaussianFieldSampler(custom, pts).draw(200_000, RngStream(16).generator())
         assert np.allclose(np.cov(a, rowvar=False), np.cov(b, rowvar=False), atol=0.1)
+
+    def test_concurrent_draws_miss_each_factor_once(self):
+        # map_chunks workers that need a new factor at the same moment must
+        # not each compute it: the miss count is what the run reports
+        fgn_cholesky.cache_clear()
+        sampler = GaussianFieldSampler(AdditiveFBM((0.3, 0.7)), [(0, 0), (400, -300)])
+        start = threading.Barrier(8)
+
+        def work(i):
+            start.wait(timeout=10)
+            return sampler.draw(2, RngStream(17, i).generator())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                draws = list(pool.map(work, range(8), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(draws) == 8
+        assert fgn_cholesky.cache_info().misses == 2  # one per axis
 
 
 class TestBrownResnick:

@@ -16,6 +16,7 @@ from tailfields.models import (
 from tailfields.rng import RngStream
 from tailfields.simulate import (
     TooFewEventsError,
+    block_max_batch,
     conditional_field_batch,
     counterexample_pairs,
     factorial_rank,
@@ -121,6 +122,49 @@ class TestMaxMovingAverage:
         x = field_batch(MMA, pos_block((3, 3)), 40_000, RngStream(8).generator())
         p = stats.ks_2samp(x[:, 0, 0], x[:, 2, 1]).pvalue
         assert p > 0.01
+
+
+class TestBlockMaxBatch:
+    """Block maxima drawn straight from the noise equal those of the built
+    fields bit for bit, and leave the generator in the same state."""
+
+    MMA2 = MaxMovingAverage(a=(0.6, 0.2, 0.6, 0.1))
+    GMMA3 = GeneralMaxMovingAverage(
+        stencil=(((1, 0, 0), 0.5), ((0, -2, 1), 0.9), ((0, 0, 1), 1.0))
+    )
+
+    @staticmethod
+    def assert_exact(spec, shape, count, seed):
+        w = pos_block(shape)
+        g_max, g_field = RngStream(seed).generator(), RngStream(seed).generator()
+        m = block_max_batch(spec, w, count, g_max)
+        x = field_batch(spec, w, count, g_field)
+        assert m.shape == (count,)
+        assert np.array_equal(m, np.abs(x.reshape(count, -1)).max(axis=1))
+        assert g_max.random() == g_field.random()
+
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 13), (200, 200)])
+    @pytest.mark.parametrize(
+        "spec",
+        [MMA, MaxMovingAverage(a=(0.0, 0.0, 0.0, 0.0)),
+         MaxMovingAverage(a=(1.0, 0.3, 0.0, 0.5)), IIDFrechet(2.0),
+         Mixture(components=((0.5, MMA), (0.5, MMA2))), CounterexampleField(1.0)],
+        ids=["mma-default", "zero-weights", "weight-one", "iid-2", "mixture",
+             "counterexample"],
+    )
+    def test_equals_field_maxima(self, spec, shape):
+        count = 4 if shape == (200, 200) else 300
+        for seed in (0, 1):
+            self.assert_exact(spec, shape, count, seed)
+
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (7, 13, 3), (40, 40, 40)])
+    def test_equals_field_maxima_3d(self, shape):
+        count = 4 if shape == (40, 40, 40) else 300
+        self.assert_exact(self.GMMA3, shape, count, 2)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            block_max_batch(MMA, pos_block((3, 3, 3)), 1, RngStream(0).generator())
 
 
 class TestCounterexamplePair:

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from scipy.integrate import quad
 
@@ -26,6 +28,23 @@ class TestParetoRoot:
         run = run_pareto_root_check(MMA, RngStream(602), n_replicates=300_000,
                                     min_retained=3000)
         assert run.passed
+
+    def test_threshold_scales_with_retained(self):
+        run = run_pareto_root_check(IIDFrechet(1.0), RngStream(603),
+                                    n_replicates=100_000, min_retained=500)
+        retained = next(c for c in run.checks if c.check_id == "retained")
+        ks = next(c for c in run.checks if c.check_id == "root-ks")
+        assert retained.statistic == 1000
+        assert ks.threshold == pytest.approx(0.02 * math.sqrt(5000 / 1000))
+
+    def test_reduced_size_negative_control_fails(self):
+        # Pareto(1.5) against roots of an alpha = 1 model: KS about 0.15,
+        # against a threshold of 0.02 sqrt(10) at 500 retained roots
+        run = run_pareto_root_check(MMA, RngStream(608), alpha=1.5,
+                                    n_replicates=50_000, min_retained=250)
+        ks = next(c for c in run.checks if c.check_id == "root-ks")
+        assert not run.passed
+        assert ks.statistic > 2 * ks.threshold
 
     def test_reproducible(self):
         a = run_pareto_root_check(IIDFrechet(1.0), RngStream(603),
