@@ -319,7 +319,7 @@ def cmd_tailfield(args) -> int:
     lags = centered_box(args.lag_radius, dim)
     samples = estimate_tail_field(
         spec, lags, args.replicates, RngStream(args.seed), q=args.q,
-        min_retained=args.min_retained,
+        min_retained=args.min_retained, threads=args.threads,
     )
     if args.spectral:
         samples = spectral_from_tail(samples)
@@ -352,7 +352,7 @@ def cmd_cluster_laplace(args) -> int:
     spectral = spectral_from_tail(
         estimate_tail_field(
             spec, centered_box(args.lag_radius, dim), args.replicates, rng.lane(2),
-            q=args.q,
+            q=args.q, threads=args.threads,
         )
     )
     order = InvariantOrder(dim=dim)

@@ -398,13 +398,14 @@ def br_theta_block_profile(
     strict_masks = {m: (radii <= m) & not_origin for m in M_list}
 
     def work(start, count, stream):
-        w = sampler.draw(count, stream.generator())
-        v = np.exp(w - 0.5 * s2)
+        v = sampler.draw(count, stream.generator())
+        v -= 0.5 * s2
+        np.exp(v, out=v)
         v0 = v[:, oix]
         sums = {}
         for m in M_list:
-            strict = v[:, strict_masks[m]]
-            ms = strict.max(axis=1) if strict.shape[1] else np.zeros(count)
+            # v > 0, so the initial 0 changes no maximum and is the empty one
+            ms = np.max(v, axis=1, where=strict_masks[m], initial=0.0)
             diff = np.maximum(v0, ms) - ms
             sums[m] = (diff.sum(), (diff**2).sum())
         return sums

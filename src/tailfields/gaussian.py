@@ -23,6 +23,9 @@ from .models import AdditiveFBM, VariogramSpec
 # factor at once would otherwise each miss the cache and compute it
 _FGN_LOCK = threading.Lock()
 
+# columns per gathered block in GaussianFieldSampler.draw
+_DRAW_BLOCK = 512
+
 
 @functools.lru_cache(maxsize=128)
 def fgn_cholesky(hurst: float, n: int) -> np.ndarray:
@@ -153,7 +156,11 @@ class GaussianFieldSampler:
         for axis in range(vg.dim):
             lo, hi = self._axis_ranges[axis]
             path = fbm_grid_batch(vg.hurst[axis], lo, hi, count, gen)
-            out += path[:, self._axis_cols[axis]]
+            cols = self._axis_cols[axis]
+            # in column blocks: freeing output-sized temporaries on every call
+            # lets glibc trim the heap, and the next call faults it back in
+            for j in range(0, len(cols), _DRAW_BLOCK):
+                out[:, j : j + _DRAW_BLOCK] += path[:, cols[j : j + _DRAW_BLOCK]]
         return out
 
 

@@ -5,8 +5,9 @@ NumPy generator it is given, so the same spec, window, count and
 generator state always reproduce the same fields.  Callers derive the
 generator from an ``RngStream``; the chunked estimators assign one stream
 per fixed-size chunk, which keeps results independent of worker count.
-``block_max_batch`` returns only each field's maximum, the same values
-and generator state as building the fields.
+``block_max_batch`` returns only each field's maximum, and ``field_roots``
+only each field's value at one site plus the full rows asked for; both
+give the same values and generator state as building the fields.
 """
 
 from __future__ import annotations
@@ -239,6 +240,48 @@ def block_max_batch(spec: ModelSpec, window: Window, count: int, gen) -> np.ndar
         )
     x = field_batch(spec, window, count, gen)
     return np.abs(x.reshape(count, -1)).max(axis=1)
+
+
+def field_roots(spec: ModelSpec, window: Window, point, count: int, gen):
+    """|X(point)| for ``count`` fields, and a builder for chosen rows.
+
+    Returns ``(roots, rows)``.  ``roots`` equals, bit for bit,
+    ``abs(field_batch(spec, window, count, gen))`` at ``point``, and
+    ``rows(idx)`` equals that batch's rows ``idx``; ``gen`` is left in the
+    same state.  Both come from the uniforms ``field_batch`` draws, kept
+    until ``rows`` is released, so a caller that needs a few full rows
+    never builds the others.  For a max-moving average the root is
+    max(Z(point), max_o w_o Z(point + o)), with the same noise values, the
+    same products and the same ``np.maximum`` steps as ``_stencil_max`` at
+    that site, and maxima are exact; IID noise needs the one uniform at the
+    point.  ``rows`` applies the Fréchet transform and the stencil to the
+    chosen rows only.  Every other model (Brown-Resnick, the counterexample
+    field, mixtures) builds all the fields.
+    """
+    _check_dim(spec, window)
+    pidx = window.index(as_point(point))
+    if isinstance(spec, IIDFrechet):
+        u = gen.random((count, *window.shape))
+        roots = _frechet_of(u[(slice(None), *pidx)], spec.alpha)
+        return roots, lambda idx: _frechet_of(u[idx], spec.alpha)
+    if isinstance(spec, (MaxMovingAverage, GeneralMaxMovingAverage)):
+        radius = stencil_radius(spec)
+        u = gen.random((count, *window.dilate(radius).shape))
+
+        def noise(o):
+            return _frechet_of(
+                u[(slice(None), *(radius + i + d for i, d in zip(pidx, o)))], 1.0
+            )
+
+        roots = noise((0,) * window.dim)
+        for o, w in _stencil_items(spec):
+            if w != 0.0:
+                np.maximum(roots, w * noise(o), out=roots)
+        return roots, lambda idx: _stencil_max(
+            spec, _frechet_of(u[idx], 1.0), radius, window.shape
+        )
+    x = field_batch(spec, window, count, gen)
+    return np.abs(x[(slice(None), *pidx)]), lambda idx: x[idx]
 
 
 # -- exact conditional sampling given an exceedance at one site ---------------

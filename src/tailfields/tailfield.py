@@ -7,7 +7,11 @@ lags x^-1 X(t) with one row per replicate and its root norm alongside.
 Dividing each row by its root norm gives the spectral batch.  Estimators
 are chunked with one substream per fixed-size chunk, so results do not
 depend on worker count and retained replicates can be regenerated
-bit-identically.
+bit-identically.  The threshold needs only |X(0)| of every replicate:
+for IID and max-moving-average noise ``field_roots`` computes it from the
+noise at the origin and its stencil sites, bit-identical to the built
+field, and full lag windows are built only for the rows a chunk keeps;
+Brown-Resnick, the counterexample field and mixtures build every field.
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ from scipy.special import ndtr
 from .gaussian import GaussianFieldSampler
 from .lattice import Window, as_point
 from .models import ModelSpec, VariogramSpec, tail_index
-from .rng import RngStream, chunk_sizes, map_chunks
-from .simulate import field_batch
+from .rng import RngStream, map_chunks
+from .simulate import field_roots
 from .testfuncs import FieldFunction
 
 
@@ -79,14 +83,20 @@ def estimate_tail_field(
     q: float = 0.999,
     min_retained: int = 50,
     chunk: int = 4096,
+    threads: int = 1,
 ) -> TailBatch:
     """Empirical tail-field draws of a model on a lag window.
 
     Simulates ``n_replicates`` fields, sets the threshold x to the
     empirical q-quantile of |X(0)|, and returns the rows with |X(0)| > x,
-    rescaled by x, in replicate order.  A per-chunk buffer keeps the
-    plausible exceedance rows from a single pass; a chunk is regenerated
-    only in the rare case its buffer turns out too shallow.
+    rescaled by x, in replicate order.  The threshold needs only the roots
+    |X(0)|, so each chunk takes them from ``field_roots`` and builds full
+    lag windows only for a buffer of its 3(1-q) share of largest roots; a
+    chunk is regenerated from its substream only in the rare case its
+    buffer turns out too shallow.  Rows and roots are bit-identical to
+    those of the built fields (see ``field_roots``), and chunk ``c`` always
+    draws from ``rng.substream(c)``, so the result does not depend on
+    ``threads``.
     """
     origin = (0,) * lags.dim
     if not lags.contains(origin):
@@ -96,45 +106,33 @@ def estimate_tail_field(
     if alpha is None:
         alpha = tail_index(spec)
 
-    oidx = lags.index(origin)
     keep_frac = min(1.0, 3.0 * (1.0 - q))
-    sizes = chunk_sizes(n_replicates, chunk)
 
-    all_roots = []
-    buffers = []  # (chunk_id, kept_row_ids, kept_values, keep_floor)
-    for c, count in enumerate(sizes):
-        gen = rng.substream(c).generator()
-        x = field_batch(spec, lags, count, gen)
-        roots = np.abs(x[(slice(None), *oidx)])
-        all_roots.append(roots)
+    def first_pass(start, count, stream):
+        roots, build = field_roots(spec, lags, origin, count, stream.generator())
         n_keep = max(1, int(math.ceil(keep_frac * count)))
         if n_keep >= count:
-            kept = np.arange(count)
-            floor = -np.inf
-        else:
-            kept = np.argpartition(roots, count - n_keep)[count - n_keep :]
-            kept.sort()
-            floor = float(
-                roots[np.argpartition(roots, count - n_keep - 1)[count - n_keep - 1]]
-            )
-        buffers.append((c, kept, x[kept].copy(), floor))
+            return roots, np.arange(count), build(np.arange(count)), -np.inf
+        order = np.argpartition(roots, count - n_keep)
+        kept = np.sort(order[count - n_keep :])
+        floor = float(roots[order[: count - n_keep]].max())
+        return roots, kept, build(kept), floor
 
-    roots = np.concatenate(all_roots)
-    x_thresh = float(np.quantile(roots, q))
+    parts = map_chunks(first_pass, n_replicates, chunk, rng, threads)
+    x_thresh = float(np.quantile(np.concatenate([p[0] for p in parts]), q))
     if x_thresh <= 0:
         raise TooFewExceedancesError("threshold is not positive")
 
     rows, row_roots = [], []
-    for (c, kept, kept_vals, floor), count, chunk_roots in zip(
-        buffers, sizes, all_roots
-    ):
+    for c, (chunk_roots, kept, kept_vals, floor) in enumerate(parts):
         retained = np.nonzero(chunk_roots > x_thresh)[0]
         if len(retained) == 0:
             continue
         if floor >= x_thresh:
             # buffer may miss rows; regenerate this chunk deterministically
             gen = rng.substream(c).generator()
-            rows.append(field_batch(spec, lags, count, gen)[retained])
+            _, build = field_roots(spec, lags, origin, len(chunk_roots), gen)
+            rows.append(build(retained))
         else:
             rows.append(kept_vals[np.searchsorted(kept, retained)])
         row_roots.append(chunk_roots[retained])

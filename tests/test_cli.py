@@ -77,8 +77,12 @@ class TestDeterminism:
             ["br-fig1", "--hurst-grid", "0.3,0.7", "--trunc-m", "8",
              "--n-mc", "500", "--seed", "3"],
             ["counterexample", "--n-per-rank", "20000", "--seed", "3"],
+            ["tailfield", "--spectral", "--lag-radius", "2", "--q", "0.99",
+             "--replicates", "20000", "--seed", "3"],
+            ["cluster-laplace", "--n", "40,40", "--r", "20,20", "--fields", "2",
+             "--lag-radius", "2", "--q", "0.99", "--replicates", "12000", "--seed", "3"],
         ],
-        ids=["mma", "fig1", "counterexample"],
+        ids=["mma", "fig1", "counterexample", "tailfield-spectral", "cluster-laplace"],
     )
     def test_bytes_identical_across_threads(self, argv, capsys, tmp_path):
         outs = []

@@ -116,6 +116,20 @@ class TestGaussianFieldSampler:
         b = GaussianFieldSampler(custom, pts).draw(200_000, RngStream(16).generator())
         assert np.allclose(np.cov(a, rowvar=False), np.cov(b, rowvar=False), atol=0.1)
 
+    def test_additive_draw_equals_path_sum(self):
+        # more points than one gathered block: the sum of the axis paths at
+        # each point's coordinates, bit for bit
+        hurst = (0.3, 0.8)
+        pts = Window((-30, -12), (4, 20)).point_array()
+        got = GaussianFieldSampler(AdditiveFBM(hurst), pts).draw(7, RngStream(18).generator())
+        gen = RngStream(18).generator()
+        want = np.zeros((7, len(pts)))
+        for axis, h in enumerate(hurst):
+            lo, hi = min(pts[:, axis].min(), 0), max(pts[:, axis].max(), 0)
+            want += fbm_grid_batch(h, lo, hi, 7, gen)[:, pts[:, axis] - lo]
+        assert len(pts) > 512
+        assert np.array_equal(got, want)
+
     def test_concurrent_draws_miss_each_factor_once(self):
         # map_chunks workers that need a new factor at the same moment must
         # not each compute it: the miss count is what the run reports

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from tailfields.lattice import Window, pos_block, sym_block
+from tailfields.lattice import Window, centered_box, pos_block, sym_block
 from tailfields.models import (
+    AdditiveFBM,
+    BrownResnick,
     MMA_OFFSETS,
     CounterexampleField,
     GeneralMaxMovingAverage,
@@ -21,6 +23,7 @@ from tailfields.simulate import (
     counterexample_pairs,
     factorial_rank,
     field_batch,
+    field_roots,
     frechet_batch,
 )
 
@@ -165,6 +168,46 @@ class TestBlockMaxBatch:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             block_max_batch(MMA, pos_block((3, 3, 3)), 1, RngStream(0).generator())
+
+
+class TestFieldRoots:
+    """Roots and chosen rows drawn straight from the noise equal those of
+    the built fields bit for bit, and leave the generator in the same state."""
+
+    OFF_CENTRE = Window((-1, -3), (2, 1))
+
+    @pytest.mark.parametrize(
+        "spec, window, point, count",
+        [
+            (MMA, centered_box(4, 2), (0, 0), 500),
+            (MMA, OFF_CENTRE, (0, 0), 500),
+            (MMA, OFF_CENTRE, (2, -3), 500),
+            (TestBlockMaxBatch.MMA2, OFF_CENTRE, (0, 0), 500),
+            (MaxMovingAverage(a=(0.0, 0.0, 0.0, 0.0)), OFF_CENTRE, (-1, 1), 500),
+            (TestBlockMaxBatch.GMMA3, Window((-2, -1, 0), (1, 3, 2)), (0, 0, 1), 500),
+            (IIDFrechet(2.0), OFF_CENTRE, (0, 0), 500),
+            (Mixture(components=((0.5, MMA), (0.5, TestBlockMaxBatch.MMA2))),
+             OFF_CENTRE, (0, 0), 500),
+            (CounterexampleField(1.0), OFF_CENTRE, (0, 0), 500),
+            (BrownResnick(variogram=AdditiveFBM(hurst=(0.5, 0.5))), centered_box(1, 2),
+             (0, 0), 60),
+        ],
+        ids=["mma-default", "mma-off-centre", "mma-corner", "mma2", "zero-weights",
+             "gmma3-radius-2", "iid-2", "mixture", "counterexample", "brown-resnick"],
+    )
+    def test_equals_built_fields(self, spec, window, point, count):
+        for seed in (0, 1):
+            g_roots, g_field = RngStream(seed).generator(), RngStream(seed).generator()
+            roots, rows = field_roots(spec, window, point, count, g_roots)
+            x = field_batch(spec, window, count, g_field)
+            assert np.array_equal(roots, np.abs(x[(slice(None), *window.index(point))]))
+            idx = np.array([0, 3, 4, 17, count // 2, count - 1])
+            assert np.array_equal(rows(idx), x[idx])
+            assert g_roots.random() == g_field.random()
+
+    def test_point_outside_window(self):
+        with pytest.raises(ValueError):
+            field_roots(MMA, centered_box(1, 2), (2, 0), 1, RngStream(0).generator())
 
 
 class TestCounterexamplePair:

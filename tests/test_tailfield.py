@@ -6,8 +6,15 @@ from scipy import stats
 from scipy.integrate import quad
 
 from tailfields.lattice import Window, centered_box
-from tailfields.models import MMA_OFFSETS, AdditiveFBM, CounterexampleField, IIDFrechet
+from tailfields.models import (
+    MMA_OFFSETS,
+    AdditiveFBM,
+    CounterexampleField,
+    IIDFrechet,
+    MaxMovingAverage,
+)
 from tailfields.rng import RngStream
+from tailfields.simulate import field_batch
 from tailfields.tailfield import (
     TailBatch,
     TooFewExceedancesError,
@@ -95,6 +102,25 @@ class TestEstimateTailField:
         assert len(a) == len(b)
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.root_norm, b.root_norm)
+
+    @pytest.mark.parametrize(
+        "spec", [IIDFrechet(1.0), MaxMovingAverage(a=MMA_A)], ids=["iid", "mma-default"]
+    )
+    def test_regenerated_chunks_match_brute_force(self, spec):
+        # 16-row chunks at q = 0.9 buffer ceil(3 * 0.1 * 16) = 5 rows, so a
+        # chunk with 6 or more exceedances is regenerated from its substream
+        lags, chunk, n, q, rng = centered_box(1, 2), 16, 16_000, 0.9, RngStream(73)
+        x = np.concatenate([
+            field_batch(spec, lags, chunk, rng.substream(c).generator())
+            for c in range(n // chunk)
+        ])
+        roots = np.abs(x[:, 1, 1])
+        thresh = float(np.quantile(roots, q))
+        exceed = roots > thresh
+        assert exceed.reshape(-1, chunk).sum(axis=1).max() > 5
+        got = estimate_tail_field(spec, lags, n, rng, q=q, chunk=chunk)
+        assert np.array_equal(got.values, x[exceed] / thresh)
+        assert np.array_equal(got.root_norm, roots[exceed] / thresh)
 
 
 class TestSpectral:
