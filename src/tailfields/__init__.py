@@ -8,7 +8,6 @@ from .lattice import (
     Window,
     InvariantOrder,
     corner_point,
-    orthant_region,
 )
 from .models import (
     IIDFrechet,
@@ -19,7 +18,6 @@ from .models import (
     Mixture,
     AdditiveFBM,
     CustomVariogram,
-    model_to_config,
     model_from_config,
     model_digest,
 )
@@ -29,7 +27,6 @@ __all__ = [
     "Window",
     "InvariantOrder",
     "corner_point",
-    "orthant_region",
     "IIDFrechet",
     "MaxMovingAverage",
     "GeneralMaxMovingAverage",
@@ -38,7 +35,6 @@ __all__ = [
     "Mixture",
     "AdditiveFBM",
     "CustomVariogram",
-    "model_to_config",
     "model_from_config",
     "model_digest",
     "__version__",

@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -44,9 +43,7 @@ from .models import (
     MaxMovingAverage,
     Mixture,
     model_digest,
-    model_dim,
     model_from_config,
-    tail_index,
 )
 from .rng import RngStream, single_threaded_blas
 from .simulate import field_batch
@@ -67,54 +64,6 @@ from .verify import (
 )
 
 BASE_COLUMNS = ["seed", "model", "version"]
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Flat record of one command invocation; round-trips through a dict."""
-
-    command: str
-    seed: int = 0
-    threads: int = 1
-    out: str = ""
-    format: str = "csv"
-    options: tuple[tuple[str, str], ...] = ()
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["options"] = {k: v for k, v in self.options}
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        opts = tuple(sorted((str(k), str(v)) for k, v in d.get("options", {}).items()))
-        return cls(
-            command=d["command"],
-            seed=int(d.get("seed", 0)),
-            threads=int(d.get("threads", 1)),
-            out=str(d.get("out", "")),
-            format=str(d.get("format", "csv")),
-            options=opts,
-        )
-
-
-def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    skip = {"command", "seed", "threads", "out", "format", "func"}
-    opts = tuple(
-        sorted(
-            (k, str(v))
-            for k, v in vars(args).items()
-            if k not in skip and v is not None
-        )
-    )
-    return ExperimentConfig(
-        command=args.command,
-        seed=args.seed,
-        threads=args.threads,
-        out=args.out or "",
-        format=args.format,
-        options=opts,
-    )
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
@@ -315,7 +264,7 @@ def cmd_br_tailcdf(args) -> int:
 
 def cmd_tailfield(args) -> int:
     spec = resolve_model(args)
-    dim = model_dim(spec) or 2
+    dim = spec.dim or 2
     lags = centered_box(args.lag_radius, dim)
     samples = estimate_tail_field(
         spec, lags, args.replicates, RngStream(args.seed), q=args.q,
@@ -333,11 +282,13 @@ LAPLACE_COLUMNS = ["function", "empirical", "empirical_se", "limit", "limit_se"]
 
 def cmd_cluster_laplace(args) -> int:
     spec = resolve_model(args)
-    alpha = tail_index(spec)
-    dim = model_dim(spec) or 2
+    alpha = spec.alpha
+    dim = spec.dim or 2
     rng = RngStream(args.seed)
     n = _parse_ints(args.n)
     r = _parse_ints(args.r)
+    if min(r) < 1:
+        raise ValueError(f"block size --r must be positive, got {args.r}")
     u = level_u(spec, n, args.tau)
     # The blocks of all fields are filled in place and freed before the tail
     # field is simulated, so the two never occupy memory at the same time.

@@ -10,11 +10,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .gaussian import br_tail_field_batch
 from .lattice import InvariantOrder, as_point, sym_block
-from .models import BrownResnick, ModelSpec
+from .models import Model
 from .rng import RngStream, map_chunks
-from .simulate import conditional_field_batch, supports_conditioning
+from .simulate import conditional_field_batch
 from .tailfield import MCEstimate, TailBatch
 from .testfuncs import PointFunction
 
@@ -126,7 +125,7 @@ class AnticlusterRow:
 
 
 def check_anticluster(
-    spec: ModelSpec,
+    spec: Model,
     r: Sequence[int],
     tau: float,
     M_list: Sequence[int],
@@ -141,9 +140,10 @@ def check_anticluster(
     A decreasing-to-zero profile is the anti-clustering diagnostic.  The
     excluded region is the centered box of sup-norm radius M.  Models
     with tractable noise are conditioned exactly at a level derived from
-    n (default n_l = r_l^2); Brown-Resnick fields are evaluated in the
-    limit via exact tail-field draws, where the event becomes
-    sup over the region of |Y| > 1.
+    n (default n_l = r_l^2); the others, such as Brown-Resnick fields,
+    are evaluated in the limit via exact tail-field draws from
+    ``limit_tail_batch`` (a ``TypeError`` where there are none), where the
+    event becomes sup over the region of |Y| > 1.
     """
     from .extremal import level_u  # local import to avoid a cycle
 
@@ -158,7 +158,7 @@ def check_anticluster(
     radius = np.abs(pts).max(axis=1)
     masks = {m: radius > m for m in M_list}
 
-    if supports_conditioning(spec):
+    if spec.exact_conditioning:
         n = as_point(n) if n is not None else tuple(x * x for x in r)
         u = level_u(spec, n, tau)
         origin = (0,) * window.dim
@@ -168,15 +168,13 @@ def check_anticluster(
             return np.abs(x.reshape(count, -1)) > u
 
         method = f"conditional(u={u:.6g})"
-    elif isinstance(spec, BrownResnick):
+    else:
         plist = [tuple(int(v) for v in p) for p in pts]
 
         def exceeds(count, gen):
-            return np.abs(br_tail_field_batch(spec.variogram, plist, count, gen)) > 1.0
+            return np.abs(spec.limit_tail_batch(plist, count, gen)) > 1.0
 
         method = "tail-limit"
-    else:
-        raise TypeError(f"no anti-clustering route for {type(spec).__name__}")
 
     def work(start, count, stream):
         hit = exceeds(count, stream.generator())

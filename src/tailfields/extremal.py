@@ -9,6 +9,7 @@ estimators are tested against.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -23,28 +24,20 @@ from .lattice import (
     as_point,
     centered_box,
     corner_point,
-    orthant_region,
     pos_block,
 )
-from .models import (
-    MMA_OFFSETS,
-    MaxMovingAverage,
-    ModelSpec,
-    marginal_exceed_prob,
-    model_digest,
-)
+from .models import MMA_OFFSETS, MaxMovingAverage, Model, model_digest
 from .rng import RngStream, map_chunks
 from .simulate import (
     TooFewEventsError,
     block_max_batch,
     conditional_field_batch,
     field_batch,
-    supports_conditioning,
 )
 from .tailfield import MCEstimate, TailBatch
 
 
-def level_u(spec: ModelSpec, n: Sequence[int], tau: float) -> float:
+def level_u(spec: Model, n: Sequence[int], tau: float) -> float:
     """Threshold u with (prod n) P(|X(0)| > u) = tau, via the exact marginal."""
     n = as_point(n)
     npts = math.prod(n)
@@ -55,7 +48,7 @@ def level_u(spec: ModelSpec, n: Sequence[int], tau: float) -> float:
     target = tau / npts
 
     def f(u):
-        return marginal_exceed_prob(spec, u) - target
+        return spec.exceed_prob(u) - target
 
     hi = 1.0
     while f(hi) > 0:
@@ -75,7 +68,7 @@ class DegenerateEstimateError(RuntimeError):
 
 
 def theta_classical_empirical(
-    spec: ModelSpec,
+    spec: Model,
     n: Sequence[int],
     tau: float,
     n_replicates: int,
@@ -112,7 +105,7 @@ def theta_classical_empirical(
 
 
 def theta_block_empirical(
-    spec: ModelSpec,
+    spec: Model,
     n: Sequence[int],
     r: Sequence[int],
     tau: float,
@@ -143,13 +136,13 @@ def theta_block_empirical(
     p = hits / n_replicates
     if p <= 0.0:
         raise DegenerateEstimateError("no block exceedances observed")
-    den = math.prod(r) * marginal_exceed_prob(spec, u)
+    den = math.prod(r) * spec.exceed_prob(u)
     se_p = math.sqrt(p * (1 - p) / n_replicates)
     return MCEstimate(value=p / den, se=se_p / den, n=n_replicates)
 
 
 def theta_run_empirical(
-    spec: ModelSpec,
+    spec: Model,
     corner: Sequence[int],
     r: Sequence[int],
     n: Sequence[int],
@@ -177,7 +170,7 @@ def theta_run_empirical(
     cidx = window.index(cpt)
     flat_cidx = int(np.ravel_multi_index(cidx, window.shape))
 
-    if supports_conditioning(spec):
+    if spec.exact_conditioning:
         def work(start, count, stream):
             x = conditional_field_batch(
                 spec, window, cpt, u, count, stream.generator()
@@ -214,13 +207,25 @@ def theta_run_empirical(
 
 @dataclass(frozen=True)
 class OrthantRegion:
-    """Truncated orthant away from a corner, origin removed."""
+    """Truncated closed orthant pointing away from a corner, origin removed:
+    {t : t_l (1 - 2 corner_l) >= 0 for all l, t != 0, |t|_inf <= bound}."""
 
     corner: tuple[int, ...]
     bound: int
 
     def points(self, dim: int) -> list[tuple[int, ...]]:
-        return sorted(orthant_region(self.corner, self.bound, dim))
+        """The region's points, in lexicographic order."""
+        corner = as_point(self.corner)
+        if dim != len(corner):
+            raise ValueError("dimension mismatch")
+        if any(b not in (0, 1) for b in corner):
+            raise ValueError("corner entries must be 0 or 1")
+        if self.bound < 1:
+            raise ValueError("bound must be >= 1")
+        b = self.bound
+        axes = [range(0, b + 1) if c == 0 else range(-b, 1) for c in corner]
+        # a product of increasing ranges comes out in lexicographic order
+        return [t for t in itertools.product(*axes) if any(t)]
 
 
 @dataclass(frozen=True)
@@ -447,7 +452,7 @@ def br_theta_block_mc(
 class IndexReport:
     """Named extremal-index estimates with their level geometry."""
 
-    model: ModelSpec
+    model: Model
     tau: float
     u: float
     n: tuple[int, ...]
@@ -489,14 +494,5 @@ class IndexReport:
             add("run", "".join(str(b) for b in c), est)
         for c, est in sorted(self.theta_tailfield.items()):
             add("tailfield", "".join(str(b) for b in c), est)
-        if self.theta_halfspace is not None:
-            add(
-                "halfspace",
-                "",
-                MCEstimate(
-                    value=self.theta_halfspace.value,
-                    se=self.theta_halfspace.se,
-                    n=self.theta_halfspace.n,
-                ),
-            )
+        add("halfspace", "", self.theta_halfspace)
         return out

@@ -119,6 +119,10 @@ class GaussianFieldSampler:
         pts = np.asarray(points, dtype=np.int64)
         if pts.ndim != 2 or len(pts) == 0:
             raise ValueError("need a nonempty (n, dim) set of points")
+        if pts.shape[1] != variogram.dim:
+            raise ValueError(
+                f"points have dimension {pts.shape[1]}, the variogram {variogram.dim}"
+            )
         self.points = pts
         self.variogram = variogram
         if isinstance(variogram, AdditiveFBM):

@@ -160,21 +160,3 @@ def corner_point(i: Sequence[int], r: Sequence[int]) -> Point:
     if any(x < 1 for x in r):
         raise ValueError("need r >= 1 componentwise")
     return tuple(rl - 1 if bl == 1 else 0 for bl, rl in zip(i, r))
-
-
-def orthant_region(i: Sequence[int], bound: int, dim: int | None = None) -> set[Point]:
-    """Truncated closed orthant pointing away from corner ``i``, origin removed.
-
-    Returns ``{t : t_l * (1 - 2 i_l) >= 0 for all l, t != 0, |t|_inf <= bound}``.
-    """
-    i = as_point(i)
-    if dim is not None and dim != len(i):
-        raise ValueError("dimension mismatch")
-    if any(b not in (0, 1) for b in i):
-        raise ValueError("corner entries must be 0 or 1")
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
-    axes = [
-        range(0, bound + 1) if b == 0 else range(-bound, 1) for b in i
-    ]
-    return {t for t in itertools.product(*axes) if any(x != 0 for x in t)}

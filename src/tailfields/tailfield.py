@@ -24,7 +24,7 @@ from scipy.special import ndtr
 
 from .gaussian import GaussianFieldSampler
 from .lattice import Window, as_point
-from .models import ModelSpec, VariogramSpec, tail_index
+from .models import Model, VariogramSpec
 from .rng import RngStream, map_chunks
 from .simulate import field_roots
 from .testfuncs import FieldFunction
@@ -75,7 +75,7 @@ class TailBatch:
 
 
 def estimate_tail_field(
-    spec: ModelSpec,
+    spec: Model,
     lags: Window,
     n_replicates: int,
     rng: RngStream,
@@ -104,7 +104,7 @@ def estimate_tail_field(
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie in (0,1)")
     if alpha is None:
-        alpha = tail_index(spec)
+        alpha = spec.alpha
 
     keep_frac = min(1.0, 3.0 * (1.0 - q))
 

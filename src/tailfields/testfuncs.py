@@ -33,10 +33,6 @@ class PointFunction:
         if self.a < 0 or self.b < self.a or self.height < 0:
             raise ValueError("need 0 <= a <= b and height >= 0")
 
-    @property
-    def vanish_radius(self) -> float:
-        return self.a
-
     def __call__(self, norms) -> np.ndarray:
         x = np.asarray(norms, dtype=float)
         if self.height == 0.0:

@@ -14,7 +14,7 @@ import numpy as np
 from scipy import stats
 
 from .lattice import centered_box
-from .models import ModelSpec, model_tag, tail_index
+from .models import Model, model_tag
 from .rng import RngStream
 from .tailfield import (
     TailBatch,
@@ -23,7 +23,7 @@ from .tailfield import (
     spectral_from_tail,
     verify_change_of_time,
 )
-from .testfuncs import ConstantOne, FieldIndicator, FieldRamp
+from .testfuncs import field_catalog
 
 # Central verdict thresholds for all campaigns.
 THRESHOLDS = {
@@ -68,7 +68,7 @@ PARETO_KS_REF_RETAINED = 5000
 
 
 def run_pareto_root_check(
-    spec: ModelSpec,
+    spec: Model,
     rng: RngStream,
     alpha: float | None = None,
     lag_radius: int = 1,
@@ -83,11 +83,9 @@ def run_pareto_root_check(
     so the threshold ``pareto_ks`` holds at ``PARETO_KS_REF_RETAINED`` roots
     and grows as 1/sqrt(m) below that: max(0.02, 0.02 sqrt(5000/m)).
     """
-    from .models import model_dim
-
     if alpha is None:
-        alpha = tail_index(spec)
-    dim = model_dim(spec) or 2
+        alpha = spec.alpha
+    dim = spec.dim or 2
     lags = centered_box(lag_radius, dim)
     samples = estimate_tail_field(
         spec, lags, n_replicates, rng, alpha=alpha, q=q, min_retained=min_retained
@@ -103,17 +101,8 @@ def run_pareto_root_check(
     return run
 
 
-def _identity_functions(dim: int):
-    anchor = ((1,) * dim,)
-    return (
-        ConstantOne(),
-        FieldIndicator("ind-0.5", level=0.5, lags=anchor),
-        FieldRamp("ramp-0.2-1", a=0.2, b=1.0, lags=anchor),
-    )
-
-
 def run_change_of_time_check(
-    spec: ModelSpec,
+    spec: Model,
     rng: RngStream,
     shifts=((1, 0), (0, 1), (1, 1)),
     q: float = 0.999,
@@ -128,15 +117,13 @@ def run_change_of_time_check(
     the floor reflects that both sides are estimated at a finite
     threshold, where the exact identity holds only in the limit.
     """
-    from .models import model_dim
-
-    alpha = tail_index(spec)
-    dim = model_dim(spec) or 2
+    alpha = spec.alpha
+    dim = spec.dim or 2
     lags = centered_box(lag_radius, dim)
     samples = spectral_from_tail(estimate_tail_field(spec, lags, n_replicates, rng, q=q))
     run = VerificationRun(name=name, model=model_tag(spec), seed=rng.seed)
     for s in shifts:
-        for g in _identity_functions(dim):
+        for g in field_catalog(((1,) * dim,)):
             res = verify_change_of_time(samples, s, g, alpha, zero_tol=zero_tol)
             band = max(
                 THRESHOLDS["identity_sigmas"] * res.se, THRESHOLDS["identity_floor"]
@@ -190,7 +177,7 @@ def rs_invariance_ks(
 
 
 def run_rs_invariance_check(
-    spec: ModelSpec,
+    spec: Model,
     rng: RngStream,
     q: float = 0.999,
     n_replicates: int = 1_000_000,
@@ -204,9 +191,7 @@ def run_rs_invariance_check(
     longer 1; the transform then provably changes the law and the check
     must reject (negative control).
     """
-    from .models import model_dim
-
-    dim = model_dim(spec) or 2
+    dim = spec.dim or 2
     samples = spectral_from_tail(
         estimate_tail_field(spec, centered_box(lag_radius, dim), n_replicates,
                             rng.lane(0), q=q)
@@ -231,6 +216,8 @@ def counterexample_scaled_box_prob(
     mass; the returned estimate and its standard error are on the
     a_m^alpha-rescaled scale.
     """
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
     if rank < 1:
         raise ValueError("rank must be >= 1")
     gen = rng.generator()
@@ -248,6 +235,8 @@ def counterexample_scaled_box_prob(
 
 def counterexample_exact_box_prob(alpha: float, rank: int) -> float:
     """Exact a_m^alpha-rescaled box probability from the mixture law."""
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
     c = 1.0 - 2.0**-alpha
     if rank % 2 == 1:
         return c

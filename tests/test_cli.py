@@ -5,8 +5,8 @@ import math
 
 import pytest
 
-from tailfields.cli import ExperimentConfig, build_parser, config_from_args, main
-from tailfields.models import model_to_config, MaxMovingAverage
+from tailfields.cli import main
+from tailfields.models import MaxMovingAverage
 
 
 def run_cli(argv, capsys):
@@ -160,7 +160,7 @@ class TestTailfieldCommand:
 
     def test_model_json(self, capsys, tmp_path):
         cfg = tmp_path / "model.json"
-        cfg.write_text(json.dumps(model_to_config(MaxMovingAverage(a=(0, 0, 0, 0)))))
+        cfg.write_text(json.dumps(MaxMovingAverage(a=(0, 0, 0, 0)).to_config()))
         code, out, _ = run_cli(
             ["tailfield", "--model-json", str(cfg), "--lag-radius", "1", "--q",
              "0.99", "--replicates", "20000", "--min-retained", "100"],
@@ -278,21 +278,19 @@ class TestCountFlags:
         assert f"argument {flag}: must be a positive integer" in err
 
 
-class TestExperimentConfig:
-    def test_round_trip_identity(self):
-        parser = build_parser()
-        args = parser.parse_args(
-            ["mma-theta", "--a", "0.1,0.7,0.6,0.1", "--empirical", "--seed", "9"]
-        )
-        cfg = config_from_args(args)
-        assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
-
-    def test_round_trip_all_commands(self):
-        parser = build_parser()
-        for argv in (
-            ["br-fig1", "--hurst-grid", "0.2,0.8"],
-            ["cluster-laplace", "--model", "mma-default"],
-            ["verify", "pareto-root"],
-        ):
-            cfg = config_from_args(parser.parse_args(argv))
-            assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+class TestRejectedInputs:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cluster-laplace", "--r", "0,20"],
+            ["counterexample", "--alpha", "0"],
+            ["counterexample", "--alpha", "-1", "--ranks", "9"],
+            ["verify", "counterexample", "--alpha", "0"],
+            ["br-tailcdf", "--point", "2"],
+        ],
+        ids="-".join,
+    )
+    def test_exits_2_with_one_line_error(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1

@@ -10,7 +10,6 @@ from tailfields.models import (
     CustomVariogram,
     IIDFrechet,
     MaxMovingAverage,
-    marginal_exceed_prob,
 )
 from tailfields.rng import RngStream
 from tailfields.simulate import TooFewEventsError
@@ -44,7 +43,7 @@ class TestLevelU:
         # root of 10^4 (1 - e^(-1/u)) = 1
         u = level_u(IIDFrechet(1.0), (100, 100), 1.0)
         assert u == pytest.approx(9999.5, abs=0.01)
-        assert 10_000 * marginal_exceed_prob(IIDFrechet(1.0), u) == pytest.approx(1.0, rel=1e-9)
+        assert 10_000 * IIDFrechet(1.0).exceed_prob(u) == pytest.approx(1.0, rel=1e-9)
 
     def test_mma_marginal_inversion(self):
         u = level_u(MMA, (50, 50), 2.0)
@@ -297,7 +296,7 @@ class TestBrBlockEstimatorCrossMethod:
         m = np.exp(w - 0.5 * sampler.sigma2).max(axis=1)
         p = 1.0 - math.exp(-m.mean() / u)
         se_p = math.exp(-m.mean() / u) * m.std() / math.sqrt(len(m)) / u
-        den = 16 * marginal_exceed_prob(spec, u)
+        den = 16 * spec.exceed_prob(u)
         oracle, oracle_se = p / den, se_p / den
         z = abs(est.value - oracle) / math.hypot(est.se, oracle_se)
         assert z <= 3.0, (est.value, oracle)

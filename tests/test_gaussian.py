@@ -116,6 +116,13 @@ class TestGaussianFieldSampler:
         b = GaussianFieldSampler(custom, pts).draw(200_000, RngStream(16).generator())
         assert np.allclose(np.cov(a, rowvar=False), np.cov(b, rowvar=False), atol=0.1)
 
+    @pytest.mark.parametrize("pts", [[(2,)], [(0, 0, 1)]])
+    def test_points_of_another_dimension_rejected(self, pts):
+        for vg in (AdditiveFBM(hurst=(0.5, 0.5)),
+                   CustomVariogram(dim=2, gamma=lambda t: 1.0, sigma2=lambda t: 1.0)):
+            with pytest.raises(ValueError, match="dimension"):
+                GaussianFieldSampler(vg, pts)
+
     def test_additive_draw_equals_path_sum(self):
         # more points than one gathered block: the sum of the axis paths at
         # each point's coordinates, bit for bit

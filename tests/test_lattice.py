@@ -7,10 +7,10 @@ from tailfields.lattice import (
     Window,
     centered_box,
     corner_point,
-    orthant_region,
     pos_block,
     sym_block,
 )
+from tailfields.extremal import OrthantRegion
 
 DEFAULT2 = InvariantOrder(dim=2)
 
@@ -92,31 +92,31 @@ class TestCornerPoint:
 
 class TestOrthantRegion:
     def test_positive_quadrant(self):
-        assert orthant_region((0, 0), 1) == {(0, 1), (1, 0), (1, 1)}
+        assert OrthantRegion((0, 0), 1).points(2) == [(0, 1), (1, 0), (1, 1)]
 
     def test_reflected_quadrant(self):
-        assert orthant_region((1, 1), 1) == {(0, -1), (-1, 0), (-1, -1)}
+        assert OrthantRegion((1, 1), 1).points(2) == [(-1, -1), (-1, 0), (0, -1)]
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("bound", [1, 2, 3, 4])
     def test_cardinality_by_enumeration(self, dim, bound):
-        # brute-force count over the full box as the independent oracle
-        region = orthant_region((0,) * dim, bound)
+        # brute-force enumeration of the full box, row-major, as the independent oracle
+        region = OrthantRegion((0,) * dim, bound).points(dim)
         box = centered_box(bound, dim)
         brute = [
             p
             for p in box.points()
             if all(x >= 0 for x in p) and any(x != 0 for x in p)
         ]
-        assert len(region) == len(brute) == (bound + 1) ** dim - 1
+        assert region == brute and len(region) == (bound + 1) ** dim - 1
 
     @given(st.integers(1, 3), st.integers(1, 4), st.data())
     @settings(max_examples=60, deadline=None)
     def test_point_reflection(self, dim, bound, data):
         i = data.draw(st.tuples(*[st.integers(0, 1)] * dim))
         flipped = tuple(1 - b for b in i)
-        a = orthant_region(i, bound)
-        b = {tuple(-x for x in p) for p in orthant_region(flipped, bound)}
+        a = set(OrthantRegion(i, bound).points(dim))
+        b = {tuple(-x for x in p) for p in OrthantRegion(flipped, bound).points(dim)}
         assert a == b
 
 

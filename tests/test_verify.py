@@ -120,6 +120,13 @@ class TestCounterexample:
         with pytest.raises(ValueError):
             counterexample_scaled_box_prob(1.0, 0, 100, RngStream(0))
 
+    @pytest.mark.parametrize("alpha", [0.0, -1.0])
+    def test_alpha_validation(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            counterexample_scaled_box_prob(alpha, 9, 100, RngStream(0))
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            counterexample_exact_box_prob(alpha, 9)
+
 
 class TestRsIdempotence:
     def test_transform_of_transformed_keeps_the_law(self, mma_spectral):
