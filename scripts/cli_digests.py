@@ -1,0 +1,77 @@
+#!/usr/bin/env python3
+"""SHA-256 digests of the output of a fixed list of reduced-size CLI commands.
+
+Each command runs in-process through ``tailfields.cli.main`` with ``--out``
+to a temporary file; one line ``<sha256>  <argv>`` is printed per command.
+Run it on two checkouts and diff the outputs to show that a change keeps
+the CLI output byte-identical:
+
+    PYTHONPATH=src python scripts/cli_digests.py > digests.txt
+
+The list covers every subcommand, all four ``verify`` campaigns plus the
+corrupted negative control, one ``--threads 2`` run and one ``--format
+json`` run.  The whole list takes a few seconds on one core.
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+from tailfields.cli import main as cli_main
+
+COMMANDS = (
+    ["mma-theta"],
+    ["mma-theta", "--empirical", "--mixture-a", "0.6,0.2,0.6,0.1", "--n", "100,100",
+     "--r", "10,10", "--replicates", "400", "--seed", "3"],
+    ["mma-empirical", "--n", "100,100", "--r", "10,10", "--replicates", "400",
+     "--seed", "4"],
+    ["br-theta", "--hurst", "0.6,0.4", "--trunc-m", "8", "--n-mc", "400",
+     "--seed", "5"],
+    ["br-fig1", "--hurst-grid", "0.3,0.7", "--trunc-m", "6", "--n-mc", "300",
+     "--seed", "6"],
+    ["br-tailcdf", "--point", "2,1", "--y", "0.7,1.0,2.0", "--n-mc", "20000",
+     "--seed", "7"],
+    ["tailfield", "--lag-radius", "2", "--q", "0.99", "--replicates", "20000",
+     "--seed", "8"],
+    ["tailfield", "--model", "br-fbm", "--spectral", "--lag-radius", "1", "--q", "0.99",
+     "--replicates", "5000", "--seed", "9"],
+    ["cluster-laplace", "--n", "40,40", "--r", "20,20", "--fields", "10",
+     "--lag-radius", "2", "--q", "0.99", "--replicates", "12000", "--seed", "10"],
+    ["counterexample", "--n-per-rank", "20000", "--seed", "11"],
+    ["verify", "pareto-root", "--replicates", "50000", "--seed", "12"],
+    ["verify", "change-of-time", "--replicates", "50000", "--seed", "13"],
+    ["verify", "rs-invariance", "--q", "0.99", "--replicates", "30000", "--seed", "14"],
+    ["verify", "rs-invariance", "--model", "corrupted", "--q", "0.99",
+     "--replicates", "30000", "--seed", "14"],
+    ["verify", "counterexample", "--seed", "15"],
+    ["cluster-laplace", "--model", "mixture", "--n", "40,40", "--r", "20,20",
+     "--fields", "5", "--lag-radius", "2", "--q", "0.99", "--replicates", "12000",
+     "--seed", "16", "--threads", "2"],
+    ["mma-empirical", "--n", "60,60", "--r", "6,6", "--replicates", "300",
+     "--seed", "17", "--format", "json"],
+)
+
+
+def digest(argv: list[str]) -> str:
+    """SHA-256 of the file that ``argv`` writes through ``--out``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "out")
+        with contextlib.redirect_stderr(io.StringIO()):
+            code = cli_main(argv + ["--out", path])  # a verify FAIL verdict exits 1
+        if not os.path.exists(path):
+            return f"no output (exit {code})"
+        with open(path, "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
+
+
+def main() -> int:
+    for argv in COMMANDS:
+        print(f"{digest(argv)}  {' '.join(argv)}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -25,8 +25,7 @@ from .cluster import (
 )
 from .extremal import (
     ALL_CORNERS,
-    IndexReport,
-    br_theta_block_mc,
+    br_theta_block_profile,
     level_u,
     mixture_theta,
     mma_index_table,
@@ -45,9 +44,10 @@ from .models import (
     model_digest,
     model_from_config,
 )
-from .rng import RngStream, single_threaded_blas
+from .rng import RngStream, map_chunks, single_threaded_blas
 from .simulate import field_batch
 from .tailfield import (
+    MCEstimate,
     br_tail_fdd_mc,
     br_tail_marginal_cdf,
     estimate_tail_field,
@@ -102,8 +102,14 @@ NAMED_MODELS = {
 
 def resolve_model(args) -> object:
     if getattr(args, "model_json", None):
-        with open(args.model_json) as fh:
-            return model_from_config(json.load(fh))
+        try:
+            with open(args.model_json) as fh:
+                return model_from_config(json.load(fh))
+        except (OSError, KeyError, TypeError) as exc:
+            raise ValueError(
+                f"cannot load a model from {args.model_json}: "
+                f"{type(exc).__name__}: {exc}"
+            ) from None
     name = getattr(args, "model", None) or "mma-default"
     if name not in NAMED_MODELS:
         _unknown_model(name)
@@ -136,38 +142,37 @@ def _mma_weights(args):
     return a
 
 
+def _index_rows(prefix: str, estimates: dict, base: dict) -> list[dict]:
+    """Rows of index estimates keyed by "classical" or a corner.
+
+    An estimate is an exact closed form (se 0) or an ``MCEstimate``; the
+    method is the prefix followed by "classical" or "run".
+    """
+    rows = []
+    for key, est in estimates.items():
+        if isinstance(est, MCEstimate):
+            theta, se = est.value, est.se
+        else:
+            theta, se = float(est), 0.0
+        classical = key == "classical"
+        rows.append(
+            {"method": prefix + ("classical" if classical else "run"),
+             "corner": "" if classical else "".join(map(str, key)),
+             "theta": theta, "se": se, **base}
+        )
+    return rows
+
+
 def cmd_mma_theta(args) -> int:
     a = _mma_weights(args)
     spec = MaxMovingAverage(a=a)
     base = _base(args, spec)
-    records = []
-    table = mma_index_table(a)
-    records.append(
-        {"method": "closed-classical", "corner": "", "theta": float(table["classical"]),
-         "se": 0.0, "tau": "", "u": "", "r": "", "n": "", **base}
-    )
-    for c in ALL_CORNERS:
-        records.append(
-            {"method": "closed-run", "corner": "".join(map(str, c)),
-             "theta": float(table[c]), "se": 0.0, "tau": "", "u": "", "r": "", "n": "",
-             **base}
-        )
+    records = _index_rows("closed-", mma_index_table(a), base)
     if args.mixture_a:
-        a2 = _parse_floats(args.mixture_a)
-        mt = mixture_theta([(0.5, a), (0.5, a2)])
-        records.append(
-            {"method": "closed-mixture-classical", "corner": "",
-             "theta": float(mt["classical"]), "se": 0.0, "tau": "", "u": "", "r": "",
-             "n": "", **base}
-        )
-        for c in ALL_CORNERS:
-            records.append(
-                {"method": "closed-mixture-run", "corner": "".join(map(str, c)),
-                 "theta": float(mt[c]), "se": 0.0, "tau": "", "u": "", "r": "", "n": "",
-                 **base}
-            )
+        mixture = mixture_theta([(0.5, a), (0.5, _parse_floats(args.mixture_a))])
+        records += _index_rows("closed-mixture-", mixture, base)
     if args.empirical:
-        records.extend(_empirical_records(args, spec))
+        records += _empirical_records(args, spec)
     write_records(records, INDEX_COLUMNS, args.out, args.format)
     return 0
 
@@ -176,20 +181,21 @@ def _empirical_records(args, spec) -> list[dict]:
     rng = RngStream(args.seed)
     n = _parse_ints(args.n)
     r = _parse_ints(args.r)
-    u = level_u(spec, n, args.tau)
-    report = IndexReport(model=spec, tau=args.tau, u=u, n=n, r=r, seed=args.seed)
-    report.theta_classical = theta_classical_empirical(
+    base = {"tau": args.tau, "u": level_u(spec, n, args.tau),
+            "r": "x".join(map(str, r)), "n": "x".join(map(str, n)),
+            **_base(args, spec)}
+    classical = theta_classical_empirical(
         spec, n, args.tau, args.replicates, rng.lane(1), threads=args.threads
     )
-    for i, corner in enumerate(ALL_CORNERS):
-        report.theta_run[corner] = theta_run_empirical(
+    runs = {
+        corner: theta_run_empirical(
             spec, corner, r, n, args.tau, args.replicates, rng.lane(2 + i),
             threads=args.threads,
         )
-    recs = report.records()
-    for rec in recs:
-        rec["version"] = __version__
-    return recs
+        for i, corner in enumerate(ALL_CORNERS)
+    }
+    estimates = {"classical": classical, **{c: runs[c] for c in sorted(runs)}}
+    return _index_rows("", estimates, base)
 
 
 def cmd_mma_empirical(args) -> int:
@@ -205,12 +211,14 @@ BR_COLUMNS = ["h1", "h2", "trunc_m", "n_mc", "theta_b", "se"] + BASE_COLUMNS
 
 def cmd_br_theta(args) -> int:
     hurst = _parse_floats(args.hurst)
+    if len(hurst) > 2:
+        raise ValueError(f"--hurst takes one or two values, got {args.hurst}")
     spec = BrownResnick(variogram=AdditiveFBM(hurst=hurst))
     order = InvariantOrder(dim=len(hurst))
-    est = br_theta_block_mc(
-        AdditiveFBM(hurst=hurst), args.trunc_m, order, args.n_mc,
-        RngStream(args.seed), threads=args.threads,
-    )
+    est = br_theta_block_profile(
+        spec.variogram, [args.trunc_m], order, args.n_mc, RngStream(args.seed),
+        threads=args.threads,
+    )[args.trunc_m]
     rec = {"h1": hurst[0], "h2": hurst[1] if len(hurst) > 1 else "",
            "trunc_m": args.trunc_m, "n_mc": args.n_mc,
            "theta_b": est.value, "se": est.se, **_base(args, spec)}
@@ -226,10 +234,10 @@ def cmd_br_fig1(args) -> int:
     for h1 in grid:
         for h2 in grid:
             spec = BrownResnick(variogram=AdditiveFBM(hurst=(h1, h2)))
-            est = br_theta_block_mc(
-                AdditiveFBM(hurst=(h1, h2)), args.trunc_m, InvariantOrder(dim=2),
-                args.n_mc, rng.lane(lane), threads=args.threads,
-            )
+            est = br_theta_block_profile(
+                spec.variogram, [args.trunc_m], InvariantOrder(dim=2), args.n_mc,
+                rng.lane(lane), threads=args.threads,
+            )[args.trunc_m]
             lane += 1
             records.append(
                 {"h1": h1, "h2": h2, "trunc_m": args.trunc_m, "n_mc": args.n_mc,
@@ -294,9 +302,14 @@ def cmd_cluster_laplace(args) -> int:
     # field is simulated, so the two never occupy memory at the same time.
     per_field = math.prod(n) // math.prod(r)
     atoms = np.empty((args.fields * per_field, math.prod(r)))
-    for i in range(args.fields):
-        field = field_batch(spec, pos_block(n), 1, rng.lane(1).substream(i).generator())
-        atoms[i * per_field : (i + 1) * per_field] = cluster_process_extract(field[0], r, u)
+
+    def fill(start, count, stream):  # one field per chunk
+        field = field_batch(spec, pos_block(n), 1, stream.generator())
+        atoms[start * per_field : (start + 1) * per_field] = cluster_process_extract(
+            field[0], r, u
+        )
+
+    map_chunks(fill, args.fields, 1, rng.lane(1), args.threads)
     functions = (ZERO,) + POINT_CATALOG
     empirical = [empirical_cluster_laplace(atoms, f) for f in functions]
     del atoms
@@ -327,12 +340,12 @@ def cmd_counterexample(args) -> int:
     rng = RngStream(args.seed)
     records = []
     for i, rank in enumerate(_parse_ints(args.ranks)):
-        est, se = counterexample_scaled_box_prob(
+        est = counterexample_scaled_box_prob(
             args.alpha, rank, args.n_per_rank, rng.lane(i)
         )
         records.append(
             {"rank": rank, "parity": "odd" if rank % 2 else "even",
-             "estimate": est, "se": se,
+             "estimate": est.value, "se": est.se,
              "exact": counterexample_exact_box_prob(args.alpha, rank),
              "seed": args.seed, "model": f"counterexample-a{args.alpha}",
              "version": __version__}
@@ -348,6 +361,8 @@ def cmd_verify(args) -> int:
     rng = RngStream(args.seed)
     campaign = args.campaign
     corrupt = args.model == "corrupted"
+    if corrupt and campaign != "rs-invariance":
+        raise ValueError("--model corrupted applies to the rs-invariance campaign only")
     model_name = "mma-default" if corrupt else (args.model or "mma-default")
     if campaign != "counterexample" and model_name not in NAMED_MODELS:
         _unknown_model(args.model)

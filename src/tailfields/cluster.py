@@ -5,7 +5,6 @@ spectral-field draws, and the anti-clustering diagnostic."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -50,10 +49,7 @@ def empirical_cluster_laplace(atoms: np.ndarray, f: PointFunction) -> MCEstimate
     if not len(sums):
         raise ValueError("no nonempty clusters at this threshold")
     # libm exp per block: NumPy's SIMD exp can differ from it in the last bit
-    vals = np.array([math.exp(-x) for x in sums.tolist()])
-    n = len(vals)
-    se = float(vals.std(ddof=1) / math.sqrt(n)) if n > 1 else float("inf")
-    return MCEstimate(value=float(vals.mean()), se=se, n=n)
+    return MCEstimate.sample_mean(np.array([math.exp(-x) for x in sums.tolist()]))
 
 
 def limit_cluster_laplace_mc(
@@ -111,17 +107,8 @@ def limit_cluster_laplace_mc(
         theta_half = float(theta_vals.mean())
     if theta_half <= 0:
         raise ValueError("half-space index must be positive")
-    se = float(vals.std(ddof=1) / math.sqrt(n)) / theta_half if n > 1 else float("inf")
-    return MCEstimate(value=float(vals.mean()) / theta_half, se=se, n=n)
-
-
-@dataclass(frozen=True)
-class AnticlusterRow:
-    M: int
-    value: float
-    se: float
-    n: int
-    method: str
+    est = MCEstimate.sample_mean(vals)
+    return MCEstimate(est.value / theta_half, est.se / theta_half, n)
 
 
 def check_anticluster(
@@ -133,17 +120,18 @@ def check_anticluster(
     rng: RngStream,
     n: Sequence[int] | None = None,
     chunk: int = 4096,
-) -> list[AnticlusterRow]:
+) -> dict[int, MCEstimate]:
     """Profile of P(an exceedance occurs in R_r beyond the box |t| <= M,
-    given an exceedance at the origin), for each M of the list.
+    given an exceedance at the origin), as a proportion keyed by M.
 
     A decreasing-to-zero profile is the anti-clustering diagnostic.  The
     excluded region is the centered box of sup-norm radius M.  Models
-    with tractable noise are conditioned exactly at a level derived from
-    n (default n_l = r_l^2); the others, such as Brown-Resnick fields,
-    are evaluated in the limit via exact tail-field draws from
-    ``limit_tail_batch`` (a ``TypeError`` where there are none), where the
-    event becomes sup over the region of |Y| > 1.
+    with tractable noise (``spec.exact_conditioning``) are conditioned
+    exactly at a level derived from n (default n_l = r_l^2); the others,
+    such as Brown-Resnick fields, are evaluated in the limit via exact
+    tail-field draws from ``limit_tail_batch`` (a ``TypeError`` where
+    there are none), where the event becomes sup over the region of
+    |Y| > 1.
     """
     from .extremal import level_u  # local import to avoid a cycle
 
@@ -166,31 +154,18 @@ def check_anticluster(
         def exceeds(count, gen):
             x = conditional_field_batch(spec, window, origin, u, count, gen)
             return np.abs(x.reshape(count, -1)) > u
-
-        method = f"conditional(u={u:.6g})"
     else:
         plist = [tuple(int(v) for v in p) for p in pts]
 
         def exceeds(count, gen):
             return np.abs(spec.limit_tail_batch(plist, count, gen)) > 1.0
 
-        method = "tail-limit"
-
     def work(start, count, stream):
         hit = exceeds(count, stream.generator())
         return [int(hit[:, masks[m]].any(axis=1).sum()) for m in M_list]
 
     parts = map_chunks(work, n_replicates, chunk, rng)
-    rows = []
-    for j, m in enumerate(M_list):
-        p = sum(part[j] for part in parts) / n_replicates
-        rows.append(
-            AnticlusterRow(
-                M=m,
-                value=p,
-                se=math.sqrt(max(p * (1 - p), 1e-300) / n_replicates),
-                n=n_replicates,
-                method=method,
-            )
-        )
-    return rows
+    return {
+        m: MCEstimate.proportion(sum(part[j] for part in parts), n_replicates)
+        for j, m in enumerate(M_list)
+    }

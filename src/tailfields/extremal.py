@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -26,7 +26,7 @@ from .lattice import (
     corner_point,
     pos_block,
 )
-from .models import MMA_OFFSETS, MaxMovingAverage, Model, model_digest
+from .models import MMA_OFFSETS, MaxMovingAverage, Model
 from .rng import RngStream, map_chunks
 from .simulate import (
     TooFewEventsError,
@@ -92,16 +92,15 @@ def theta_classical_empirical(
         m = block_max_batch(spec, window, count, stream.generator())
         return int((m <= u).sum())
 
-    hits = sum(map_chunks(work, n_replicates, chunk, rng, threads))
-    p = hits / n_replicates
+    est = MCEstimate.proportion(
+        sum(map_chunks(work, n_replicates, chunk, rng, threads)), n_replicates
+    )
+    p = est.value
     if p <= 0.0 or p >= 1.0:
         raise DegenerateEstimateError(
             f"P(M <= u) estimated as {p}; adjust tau or n"
         )
-    se_p = math.sqrt(p * (1 - p) / n_replicates)
-    return MCEstimate(
-        value=-math.log(p) / tau, se=se_p / (p * tau), n=n_replicates
-    )
+    return MCEstimate(-math.log(p) / tau, est.se / (p * tau), n_replicates)
 
 
 def theta_block_empirical(
@@ -132,13 +131,13 @@ def theta_block_empirical(
         m = block_max_batch(spec, window, count, stream.generator())
         return int((m > u).sum())
 
-    hits = sum(map_chunks(work, n_replicates, chunk, rng, threads))
-    p = hits / n_replicates
-    if p <= 0.0:
+    est = MCEstimate.proportion(
+        sum(map_chunks(work, n_replicates, chunk, rng, threads)), n_replicates
+    )
+    if est.value <= 0.0:
         raise DegenerateEstimateError("no block exceedances observed")
     den = math.prod(r) * spec.exceed_prob(u)
-    se_p = math.sqrt(p * (1 - p) / n_replicates)
-    return MCEstimate(value=p / den, se=se_p / den, n=n_replicates)
+    return MCEstimate(est.value / den, est.se / den, n_replicates)
 
 
 def theta_run_empirical(
@@ -197,10 +196,7 @@ def theta_run_empirical(
             f"only {events} conditioning events; increase n_replicates or "
             "use a model with exact conditioning"
         )
-    p = hits / events
-    return MCEstimate(
-        value=p, se=math.sqrt(max(p * (1 - p), 1e-300) / events), n=events
-    )
+    return MCEstimate.proportion(hits, events)
 
 
 # -- tail-field based indices --------------------------------------------------
@@ -240,21 +236,15 @@ class HalfSpaceRegion:
         return [tuple(int(x) for x in p) for p in pts if p.any()]
 
 
-@dataclass(frozen=True)
-class TailRegionEstimate:
-    value: float
-    se: float
-    n: int
-    boundary_mass: float  # fraction of samples whose region sup sits on the shell
-
-
 def theta_from_tail_samples(
     samples: TailBatch, region: OrthantRegion | HalfSpaceRegion
-) -> TailRegionEstimate:
+) -> tuple[MCEstimate, MCEstimate]:
     """P(sup of |Y| over the region <= 1) from tail-field draws.
 
-    Also reports the empirical mass of exceedances on the truncation
-    shell |t|_inf = bound, a diagnostic for the region being too small.
+    Returns ``(theta, shell)``, two proportions over the same draws: the
+    index estimate, and the share of draws with |Y| > 1 somewhere on the
+    truncation shell |t|_inf = bound, a diagnostic for the region being
+    too small.
     """
     n = len(samples)
     if not n:
@@ -269,13 +259,7 @@ def theta_from_tail_samples(
     norms = samples.norms_at(pts)
     ok = int((norms.max(axis=1) <= 1.0).sum())
     on_shell = int((norms[:, shell] > 1.0).any(axis=1).sum())
-    p = ok / n
-    return TailRegionEstimate(
-        value=p,
-        se=math.sqrt(max(p * (1 - p), 1e-300) / n),
-        n=n,
-        boundary_mass=on_shell / n,
-    )
+    return MCEstimate.proportion(ok, n), MCEstimate.proportion(on_shell, n)
 
 
 # -- exact closed forms for the diagonal max-moving average --------------------
@@ -388,7 +372,10 @@ def br_theta_block_profile(
     Per replicate and truncation M the value is
     max(V(0), max_(t<0, |t|<=M) V(t)) - max_(t<0, |t|<=M) V(t) with
     V = exp(W - sigma2/2); all truncations share the Gaussian draw, so
-    the per-replicate value is nonincreasing in M pathwise.
+    the per-replicate value is nonincreasing in M pathwise.  Valid when
+    the Gaussian drift criterion holds (W(t) - sigma2(t)/2 diverges to
+    -infinity), as it does for additive fractional Brownian motion with
+    any Hurst parameters.
     """
     M_list = sorted(set(int(m) for m in M_list))
     if M_list[0] < 1:
@@ -416,83 +403,9 @@ def br_theta_block_profile(
         return sums
 
     parts = map_chunks(work, n_mc, chunk, rng, threads)
-    out = {}
-    for m in M_list:
-        tot = sum(p[m][0] for p in parts)
-        tot2 = sum(p[m][1] for p in parts)
-        mean = tot / n_mc
-        var = max(0.0, tot2 / n_mc - mean**2)
-        out[m] = MCEstimate(value=float(mean), se=math.sqrt(var / n_mc), n=n_mc)
-    return out
-
-
-def br_theta_block_mc(
-    variogram,
-    M: int,
-    order: InvariantOrder,
-    n_mc: int,
-    rng: RngStream,
-    chunk: int = 64,
-    threads: int = 1,
-) -> MCEstimate:
-    """Block extremal index of a Brown-Resnick field, truncated to |t| <= M.
-
-    Valid when the Gaussian drift criterion holds (W(t) - sigma2(t)/2
-    diverges to -infinity), as it does for additive fractional Brownian
-    motion with any Hurst parameters.
-    """
-    return br_theta_block_profile(
-        variogram, [M], order, n_mc, rng, chunk=chunk, threads=threads
-    )[M]
-
-
-# -- report shell ----------------------------------------------------------------
-
-@dataclass
-class IndexReport:
-    """Named extremal-index estimates with their level geometry."""
-
-    model: Model
-    tau: float
-    u: float
-    n: tuple[int, ...]
-    r: tuple[int, ...]
-    seed: int
-    theta_classical: MCEstimate | None = None
-    theta_block: MCEstimate | None = None
-    theta_run: dict = field(default_factory=dict)
-    theta_tailfield: dict = field(default_factory=dict)
-    theta_halfspace: TailRegionEstimate | None = None
-
-    def records(self) -> list[dict]:
-        base = {
-            "tau": self.tau,
-            "u": self.u,
-            "r": "x".join(str(x) for x in self.r),
-            "n": "x".join(str(x) for x in self.n),
-            "seed": self.seed,
-            "model": model_digest(self.model),
-        }
-        out = []
-
-        def add(method, corner, est):
-            if est is None:
-                return
-            out.append(
-                {
-                    "method": method,
-                    "corner": corner,
-                    "theta": est.value,
-                    "se": est.se,
-                    **base,
-                }
-            )
-
-        add("classical", "", self.theta_classical)
-        add("block", "", self.theta_block)
-        for c, est in sorted(self.theta_run.items()):
-            add("run", "".join(str(b) for b in c), est)
-        for c, est in sorted(self.theta_tailfield.items()):
-            add("tailfield", "".join(str(b) for b in c), est)
-        add("halfspace", "", self.theta_halfspace)
-        return out
+    return {
+        m: MCEstimate.from_sums(
+            sum(p[m][0] for p in parts), sum(p[m][1] for p in parts), n_mc
+        )
+        for m in M_list
+    }

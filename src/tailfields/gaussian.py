@@ -63,21 +63,6 @@ def fbm_grid_batch(hurst: float, lo: int, hi: int, count: int, gen) -> np.ndarra
     return s[:, lo - lo2 : hi - lo2 + 1]
 
 
-def additive_fbm_batch(
-    hurst: tuple[float, ...], window: Window, count: int, gen
-) -> np.ndarray:
-    """Batch of additive-fBm fields W(t) = sum_l fBm_(H_l)(t_l) on a window."""
-    if len(hurst) != window.dim:
-        raise ValueError("one Hurst parameter per axis required")
-    out = np.zeros((count, *window.shape))
-    for axis, h in enumerate(hurst):
-        path = fbm_grid_batch(h, window.lo[axis], window.hi[axis], count, gen)
-        shape = [count] + [1] * window.dim
-        shape[1 + axis] = window.shape[axis]
-        out += path.reshape(shape)
-    return out
-
-
 def _variogram_at(variogram: VariogramSpec, lags: np.ndarray) -> np.ndarray:
     """gamma at each row of an ``(n, dim)`` int array of lags.
 

@@ -12,6 +12,10 @@ for IID and max-moving-average noise ``field_roots`` computes it from the
 noise at the origin and its stencil sites, bit-identical to the built
 field, and full lag windows are built only for the rows a chunk keeps;
 Brown-Resnick, the counterexample field and mixtures build every field.
+
+:class:`MCEstimate` is the package's estimate record: every Monte-Carlo
+estimator reduces its per-replicate outcomes to (value, se, n) through one
+of its three constructors.
 """
 
 from __future__ import annotations
@@ -32,6 +36,36 @@ from .testfuncs import FieldFunction
 
 class TooFewExceedancesError(RuntimeError):
     pass
+
+
+@dataclass(frozen=True)
+class MCEstimate:
+    """A Monte-Carlo estimate with its standard error over n replicates."""
+
+    value: float
+    se: float
+    n: int
+
+    @classmethod
+    def proportion(cls, hits: int, n: int) -> "MCEstimate":
+        """Share of ``hits`` among ``n`` replicates, with the binomial se
+        (floored so that it stays positive at p = 0 and p = 1)."""
+        p = hits / n
+        return cls(p, math.sqrt(max(p * (1 - p), 1e-300) / n), n)
+
+    @classmethod
+    def from_sums(cls, total, total_sq, n: int) -> "MCEstimate":
+        """Mean of n replicates from their sum and sum of squares."""
+        mean = total / n
+        var = max(0.0, total_sq / n - mean**2)
+        return cls(float(mean), math.sqrt(var / n), n)
+
+    @classmethod
+    def sample_mean(cls, values: np.ndarray) -> "MCEstimate":
+        """Mean of the values, with the ddof=1 se (infinite for one value)."""
+        n = len(values)
+        se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else float("inf")
+        return cls(float(values.mean()), se, n)
 
 
 @dataclass(frozen=True)
@@ -179,14 +213,6 @@ def br_tail_marginal_cdf(gamma_t: float, y: float) -> float:
     )
 
 
-@dataclass(frozen=True)
-class MCEstimate:
-    value: float
-    se: float
-    n: int
-    flagged: bool = False
-
-
 def br_tail_fdd_mc(
     points,
     y,
@@ -218,15 +244,10 @@ def br_tail_fdd_mc(
         diff = np.maximum(m_pts, v[:, 0]) - m_pts
         return diff.sum(), (diff**2).sum()
 
-    tot = 0.0
-    tot2 = 0.0
-    for part, part2 in map_chunks(work, n_mc, chunk, rng):  # chunk order
-        tot += part
-        tot2 += part2
-    mean = tot / n_mc
-    var = max(0.0, tot2 / n_mc - mean**2)
-    se = math.sqrt(var / n_mc)
-    return MCEstimate(value=float(mean), se=float(se), n=n_mc, flagged=mean < -3 * se)
+    parts = map_chunks(work, n_mc, chunk, rng)
+    return MCEstimate.from_sums(
+        sum(p[0] for p in parts), sum(p[1] for p in parts), n_mc
+    )
 
 
 # -- the re-rooting transform and identity checks -----------------------------
@@ -311,8 +332,7 @@ def verify_change_of_time(
     hit = ns[:, 0] > 0
     rhs_vals = np.zeros(n)
     rhs_vals[hit] = g(samples.norms_at(g.lags)[hit] / ns[hit]) * ns[hit, 0] ** alpha
-    diffs = lhs_vals - rhs_vals
-    se = float(diffs.std(ddof=1) / math.sqrt(n)) if n > 1 else float("inf")
+    se = MCEstimate.sample_mean(lhs_vals - rhs_vals).se
     return IdentityCheck(
         lhs=float(lhs_vals.mean()), rhs=float(rhs_vals.mean()), se=se, n=n
     )

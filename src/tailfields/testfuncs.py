@@ -53,13 +53,6 @@ POINT_CATALOG: tuple[PointFunction, ...] = (
 )
 
 
-def point_function(fid: str) -> PointFunction:
-    for f in (ZERO,) + POINT_CATALOG:
-        if f.fid == fid:
-            return f
-    raise KeyError(f"unknown point function {fid!r}")
-
-
 # -- field functions ----------------------------------------------------------
 #
 # A field function maps an ``(n, len(g.lags))`` array of field norms at its

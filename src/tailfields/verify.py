@@ -17,6 +17,7 @@ from .lattice import centered_box
 from .models import Model, model_tag
 from .rng import RngStream
 from .tailfield import (
+    MCEstimate,
     TailBatch,
     estimate_tail_field,
     rs_transform,
@@ -207,13 +208,13 @@ def run_rs_invariance_check(
 
 def counterexample_scaled_box_prob(
     alpha: float, rank: int, n_draws: int, rng: RngStream
-) -> tuple[float, float]:
+) -> MCEstimate:
     """Importance-sampled a_m^alpha P(a_m^-1 (Z1,Z2) in (1,2]^2) at rank m.
 
     The latent Pareto variable is drawn directly inside the factorial
     block [a_m, a_(m+1)) under its conditional law (in ratio space, so
     factorial scales never materialize) and reweighted by the exact block
-    mass; the returned estimate and its standard error are on the
+    mass; the returned estimate's value and standard error are on the
     a_m^alpha-rescaled scale.
     """
     if alpha <= 0:
@@ -229,8 +230,8 @@ def counterexample_scaled_box_prob(
         hit = draws[:, 0] <= 2.0  # diagonal block: both coordinates equal Z
     else:
         hit = (draws <= 2.0).all(axis=1)
-    p = float(hit.mean())
-    return weight * p, weight * math.sqrt(max(p * (1 - p), 1e-300) / n_draws)
+    est = MCEstimate.proportion(int(hit.sum()), n_draws)
+    return MCEstimate(weight * est.value, weight * est.se, n_draws)
 
 
 def counterexample_exact_box_prob(alpha: float, rank: int) -> float:
@@ -266,15 +267,13 @@ def run_counterexample_check(
     for label, ranks, target in (("odd", odd_ranks, c), ("even", even_ranks, c * c)):
         ests, ses = [], []
         for m in ranks:
-            est, se = counterexample_scaled_box_prob(
-                alpha, m, n_per_rank, rng.lane(lane)
-            )
+            est = counterexample_scaled_box_prob(alpha, m, n_per_rank, rng.lane(lane))
             lane += 1
-            exact = counterexample_exact_box_prob(alpha, m)
-            band = THRESHOLDS["counterexample_rank_sigmas"] * se
-            run.add(f"{label}-rank-{m}-exact", abs(est - exact), band, abs(est - exact) <= band)
-            ests.append(est)
-            ses.append(se)
+            err = abs(est.value - counterexample_exact_box_prob(alpha, m))
+            band = THRESHOLDS["counterexample_rank_sigmas"] * est.se
+            run.add(f"{label}-rank-{m}-exact", err, band, err <= band)
+            ests.append(est.value)
+            ses.append(est.se)
         mean = float(np.mean(ests))
         run.add(
             f"{label}-group-near-{target:.4g}",

@@ -67,6 +67,24 @@ class TestMmaTheta:
         for c in ("00", "11", "01", "10"):
             assert abs(emp[("run", c)] - closed[("closed-run", c)]) <= 0.06
 
+    def test_empirical_rows_schema(self, capsys):
+        code, out, _ = run_cli(
+            ["mma-empirical", "--n", "50,50", "--r", "10,10", "--replicates", "500",
+             "--seed", "7"],
+            capsys,
+        )
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [(r["method"], r["corner"]) for r in rows] == [
+            ("classical", ""), ("run", "00"), ("run", "01"), ("run", "10"),
+            ("run", "11"),
+        ]
+        for row in rows:
+            geometry = (row["tau"], row["r"], row["n"], row["seed"])
+            assert geometry == ("1.0", "10x10", "50x50", "7")
+            assert float(row["u"]) > 1.0 and float(row["se"]) > 0.0
+            assert row["model"] == rows[0]["model"] != ""
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(
@@ -81,8 +99,12 @@ class TestDeterminism:
              "--replicates", "20000", "--seed", "3"],
             ["cluster-laplace", "--n", "40,40", "--r", "20,20", "--fields", "2",
              "--lag-radius", "2", "--q", "0.99", "--replicates", "12000", "--seed", "3"],
+            # more field chunks than workers, each filling its own rows
+            ["cluster-laplace", "--n", "40,40", "--r", "20,20", "--fields", "12",
+             "--lag-radius", "2", "--q", "0.99", "--replicates", "12000", "--seed", "5"],
         ],
-        ids=["mma", "fig1", "counterexample", "tailfield-spectral", "cluster-laplace"],
+        ids=["mma", "fig1", "counterexample", "tailfield-spectral", "cluster-laplace",
+             "cluster-laplace-12-fields"],
     )
     def test_bytes_identical_across_threads(self, argv, capsys, tmp_path):
         outs = []
@@ -287,10 +309,19 @@ class TestRejectedInputs:
             ["counterexample", "--alpha", "-1", "--ranks", "9"],
             ["verify", "counterexample", "--alpha", "0"],
             ["br-tailcdf", "--point", "2"],
+            ["br-theta", "--hurst", "0.5,0.5,0.2"],
+            ["verify", "pareto-root", "--model", "corrupted"],
+            ["tailfield", "--model-json", "{tmp}/missing.json"],
+            ["tailfield", "--model-json", "{tmp}/no-variant.json"],
+            ["tailfield", "--model-json", "{tmp}/no-weights.json"],
         ],
         ids="-".join,
     )
-    def test_exits_2_with_one_line_error(self, argv, capsys):
+    def test_exits_2_with_one_line_error(self, argv, capsys, tmp_path):
+        (tmp_path / "no-variant.json").write_text(json.dumps({"alpha": 2}))
+        no_weights = {"variant": "MaxMovingAverage"}
+        (tmp_path / "no-weights.json").write_text(json.dumps(no_weights))
+        argv = [a.format(tmp=tmp_path) for a in argv]
         code, out, err = run_cli(argv, capsys)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1

@@ -23,11 +23,12 @@ from tailfields.models import (
 from tailfields.rng import RngStream
 from tailfields.simulate import field_batch
 from tailfields.tailfield import TailBatch
-from tailfields.testfuncs import ZERO, PointFunction, point_function
+from tailfields.testfuncs import POINT_CATALOG, ZERO, PointFunction
 
 MMA = MaxMovingAverage(a=(0.1, 0.7, 0.6, 0.1))
 LEX = InvariantOrder(dim=2)
-STEP1 = point_function("step-1")
+CATALOG = {f.fid: f for f in POINT_CATALOG}
+STEP1 = CATALOG["step-1"]
 
 
 def one_field(spec, n, stream):
@@ -103,7 +104,7 @@ class TestEmpiricalLaplace:
     def test_matches_block_loop(self, iid_field):
         # reference: one block at a time over the nonempty blocks
         atoms = cluster_process_extract(iid_field, (8, 8), 15.0)
-        f = point_function("ramp-1-2")
+        f = CATALOG["ramp-1-2"]
         vals = [
             math.exp(-float(f(np.abs(block)).sum()))
             for block in atoms
@@ -144,7 +145,7 @@ class TestLimitLaplace:
         # y Pareto(alpha) above 1, here constant beyond the step level 1
         res = limit_cluster_laplace_mc(single_atom_samples(), STEP1, 1.0, LEX)
         assert res.value == pytest.approx(math.exp(-1.0), abs=1e-12)
-        half = point_function("step-2")  # height 0.5 above level 2
+        half = CATALOG["step-2"]  # height 0.5 above level 2
         res2 = limit_cluster_laplace_mc(single_atom_samples(), half, 1.0, LEX)
         # integral: y in (1,2] -> f=0; y > 2 -> f=0.5; d(-y^-1) masses 1/2 each
         assert res2.value == pytest.approx(0.5 + 0.5 * math.exp(-0.5), abs=1e-3)
@@ -156,7 +157,7 @@ class TestLimitLaplace:
         assert 0.0 < v2.value <= v1.value <= 1.0
 
     def test_ramp_below_step(self, mma_spectral):
-        ramp = point_function("ramp-1-2")  # pointwise <= step-1
+        ramp = CATALOG["ramp-1-2"]  # pointwise <= step-1
         a = limit_cluster_laplace_mc(mma_spectral, ramp, 1.0, LEX)
         b = limit_cluster_laplace_mc(mma_spectral, STEP1, 1.0, LEX)
         assert a.value >= b.value
@@ -182,7 +183,7 @@ class TestCrossMethod:
             for i in range(400)
         ])
         for fid in ("step-1", "step-2"):
-            f = point_function(fid)
+            f = CATALOG[fid]
             emp = empirical_cluster_laplace(atoms, f)
             lim = limit_cluster_laplace_mc(mma_spectral, f, 1.0, LEX)
             z = abs(emp.value - lim.value) / math.hypot(emp.se, lim.se)
@@ -194,8 +195,8 @@ class TestAnticluster:
         rows = check_anticluster(IIDFrechet(1.0), (6, 6), 1.0, [1, 2, 3, 4],
                                  60_000, RngStream(505))
         p = 1 - math.exp(-1 / level_u(IIDFrechet(1.0), (36, 36), 1.0))
-        for row in rows:
-            region = 121 - (2 * row.M + 1) ** 2
+        for m, row in rows.items():
+            region = 121 - (2 * m + 1) ** 2
             oracle = 1 - (1 - p) ** region
             assert abs(row.value - oracle) <= max(4 * row.se, 1e-4)
 
@@ -204,8 +205,8 @@ class TestAnticluster:
         # level the profile at M=2 is pure background
         rows = check_anticluster(MMA, (6, 6), 1.0, [1, 2], 60_000,
                                  RngStream(506), n=(300, 300))
-        assert rows[0].value > 0.3  # genuine cluster mass at M=1
-        assert rows[1].value <= 0.005
+        assert rows[1].value > 0.3  # genuine cluster mass at M=1
+        assert rows[2].value <= 0.005
 
     def test_br_stationary_profile_floored(self):
         s2 = 1.0
@@ -217,15 +218,14 @@ class TestAnticluster:
         rows = check_anticluster(BrownResnick(variogram=vg), (6, 6), 1.0,
                                  [1, 2, 3, 4], 20_000, RngStream(507))
         floor = 2 * ndtr(-math.sqrt(s2))
-        for row in rows:
+        assert list(rows) == [1, 2, 3, 4]
+        for row in rows.values():
             assert row.value >= floor * (1 - 0.05)
-            assert row.method == "tail-limit"
 
     def test_br_fbm_profile_decays(self):
         rows = check_anticluster(BrownResnick(variogram=AdditiveFBM((0.7, 0.7))),
                                  (6, 6), 1.0, [1, 2, 3, 4], 20_000, RngStream(508))
-        vals = [r.value for r in rows]
-        assert vals[0] > vals[-1]
+        assert rows[1].value > rows[4].value
 
     def test_unsupported_model(self):
         with pytest.raises(TypeError):

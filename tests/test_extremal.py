@@ -17,9 +17,7 @@ from tailfields.extremal import (
     ALL_CORNERS,
     DegenerateEstimateError,
     HalfSpaceRegion,
-    IndexReport,
     OrthantRegion,
-    br_theta_block_mc,
     br_theta_block_profile,
     level_u,
     mixture_theta,
@@ -184,9 +182,9 @@ class TestBlockEstimator:
 class TestTailSampleIndices:
     def test_iid_all_indices_one(self, iid_tails):
         for corner in ALL_CORNERS:
-            est = theta_from_tail_samples(iid_tails, OrthantRegion(corner, 2))
+            est, _ = theta_from_tail_samples(iid_tails, OrthantRegion(corner, 2))
             assert est.value >= 0.96
-        est = theta_from_tail_samples(iid_tails, HalfSpaceRegion(LEX, 2))
+        est, _ = theta_from_tail_samples(iid_tails, HalfSpaceRegion(LEX, 2))
         assert est.value >= 0.96
 
     def test_mma_matches_run_indices(self):
@@ -197,15 +195,15 @@ class TestTailSampleIndices:
                                     RngStream(320), q=0.999)
         rng = RngStream(309)
         for i, corner in enumerate(ALL_CORNERS):
-            tf = theta_from_tail_samples(tails, OrthantRegion(corner, 2))
+            tf, _ = theta_from_tail_samples(tails, OrthantRegion(corner, 2))
             run = theta_run_empirical(MMA, corner, (20, 20), (400, 400), 1.0,
                                       4000, rng.lane(i))
             z = abs(tf.value - run.value) / math.hypot(tf.se, run.se)
             assert z <= 3.5
 
     def test_halfspace_order_free(self, mma_tails):
-        a = theta_from_tail_samples(mma_tails, HalfSpaceRegion(LEX, 2))
-        b = theta_from_tail_samples(
+        a, _ = theta_from_tail_samples(mma_tails, HalfSpaceRegion(LEX, 2))
+        b, _ = theta_from_tail_samples(
             mma_tails, HalfSpaceRegion(InvariantOrder(dim=2, perm=(1, 0)), 2)
         )
         assert abs(a.value - b.value) <= 3 * math.hypot(a.se, b.se)
@@ -221,8 +219,13 @@ class TestTailSampleIndices:
         assert HalfSpaceRegion(order, 2).points(order.dim) == expected
 
     def test_boundary_diagnostic_reported(self, mma_tails):
-        est = theta_from_tail_samples(mma_tails, OrthantRegion((0, 0), 4))
-        assert 0.0 <= est.boundary_mass <= 1.0
+        # the stencil reaches two steps, so the shell at bound 4 carries only
+        # the finite-threshold noise floor; at bound 1 it holds the clusters
+        est, shell = theta_from_tail_samples(mma_tails, OrthantRegion((0, 0), 4))
+        near, near_shell = theta_from_tail_samples(mma_tails, OrthantRegion((0, 0), 1))
+        assert shell.n == est.n == len(mma_tails)
+        assert 0.0 <= shell.value < near_shell.value <= 1.0
+        assert near_shell.value == pytest.approx(1.0 - near.value)
 
     def test_region_exceeds_window(self, mma_tails):
         with pytest.raises(ValueError):
@@ -242,38 +245,26 @@ class TestBrBlockIndex:
             gamma=lambda t: 0.0 if all(x == 0 for x in t) else 1e6,
             sigma2=lambda t: 0.0 if all(x == 0 for x in t) else 1e6,
         )
-        est = br_theta_block_mc(vg, 2, LEX, 2000, RngStream(311))
+        est = br_theta_block_profile(vg, [2], LEX, 2000, RngStream(311))[2]
         assert est.value == pytest.approx(1.0, abs=1e-6)
 
     def test_matches_half_space_on_exact_tail_draws(self):
         # same truncation on both routes estimates the same probability
         vg = AdditiveFBM((0.7, 0.7))
         M = 8
-        bb = br_theta_block_mc(vg, M, LEX, 40_000, RngStream(312))
+        bb = br_theta_block_profile(vg, [M], LEX, 40_000, RngStream(312))[M]
         lagw = centered_box(M, 2)
         pts = list(lagw.points())
         rows = br_tail_field_batch(vg, pts, 40_000, RngStream(313).generator())
         oi = pts.index((0, 0))
         samples = TailBatch(lagw, rows.reshape(-1, *lagw.shape), rows[:, oi], 1.0)
-        half = theta_from_tail_samples(samples, HalfSpaceRegion(LEX, M))
+        half, _ = theta_from_tail_samples(samples, HalfSpaceRegion(LEX, M))
         assert abs(bb.value - half.value) <= 3 * math.hypot(bb.se, half.se)
 
     def test_paper_scale_truncation_runs(self):
-        est = br_theta_block_mc(AdditiveFBM((0.5, 0.5)), 200, LEX, 200,
-                                RngStream(314))
+        est = br_theta_block_profile(AdditiveFBM((0.5, 0.5)), [200], LEX, 200,
+                                     RngStream(314))[200]
         assert 0.0 < est.value < 1.0 and est.se < 0.05
-
-
-class TestIndexReport:
-    def test_records_schema(self):
-        rep = IndexReport(model=MMA, tau=1.0, u=1e5, n=(100, 100), r=(10, 10), seed=7)
-        rep.theta_classical = theta_classical_empirical(
-            MMA, (50, 50), 1.0, 500, RngStream(315), chunk=256
-        )
-        recs = rep.records()
-        assert len(recs) == 1
-        assert recs[0]["method"] == "classical"
-        assert set(recs[0]) >= {"method", "corner", "theta", "se", "tau", "u", "r", "n", "seed", "model"}
 
 
 class TestBrBlockEstimatorCrossMethod:

@@ -10,7 +10,6 @@ from scipy.special import ndtr
 
 from tailfields.gaussian import (
     GaussianFieldSampler,
-    additive_fbm_batch,
     br_tail_field_batch,
     brown_resnick_batch,
     fbm_grid_batch,
@@ -20,6 +19,12 @@ from tailfields.lattice import Window, centered_box, pos_block
 from tailfields.models import AdditiveFBM, CustomVariogram
 from tailfields.rng import RngStream
 from tailfields.tailfield import br_tail_marginal_cdf
+
+
+def additive_fields(hurst, window, count, gen):
+    """Additive-fBm fields on a window, as arrays of the window's shape."""
+    x = GaussianFieldSampler(AdditiveFBM(hurst), window.point_array()).draw(count, gen)
+    return x.reshape(count, *window.shape)
 
 
 def fbm_cov(s, t, h):
@@ -79,13 +84,13 @@ class TestFbm:
 class TestAdditiveFbm:
     def test_one_axis_reduces_to_path(self):
         w = Window((0,), (12,))
-        a = additive_fbm_batch((0.7,), w, 3, RngStream(11).generator())
+        a = additive_fields((0.7,), w, 3, RngStream(11).generator())
         b = fbm_grid_batch(0.7, 0, 12, 3, RngStream(11).generator())
         assert np.array_equal(a, b)
 
     def test_variance_sum(self):
         w = pos_block((5, 6))
-        x = additive_fbm_batch((0.5, 0.5), w, 80_000, RngStream(12).generator())
+        x = additive_fields((0.5, 0.5), w, 80_000, RngStream(12).generator())
         assert x[:, 3, 4].var() == pytest.approx(7.0, rel=0.02)
 
     def test_stationary_increment_identity(self):
@@ -93,7 +98,7 @@ class TestAdditiveFbm:
         hurst = (0.3, 0.8)
         vg = AdditiveFBM(hurst=hurst)
         w = centered_box(3, 2)
-        x = additive_fbm_batch(hurst, w, 150_000, RngStream(13).generator())
+        x = additive_fields(hurst, w, 150_000, RngStream(13).generator())
         s, t = (-2, 1), (3, 2)
         emp = np.mean(x[:, 1, 4] * x[:, 6, 5])
         diff = tuple(b - a for a, b in zip(s, t))
@@ -101,7 +106,7 @@ class TestAdditiveFbm:
         assert emp == pytest.approx(expect, abs=0.06)
 
     def test_field_sample_api(self):
-        x = additive_fbm_batch((0.5, 0.5), pos_block((4, 4)), 3, RngStream(14).generator())
+        x = additive_fields((0.5, 0.5), pos_block((4, 4)), 3, RngStream(14).generator())
         assert x.shape == (3, 4, 4)
         assert np.all(x[:, 0, 0] == 0.0)
 

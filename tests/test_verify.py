@@ -98,8 +98,9 @@ class TestCounterexample:
         # (a_3, 2 a_3] = (6, 12], rescaled by a_3
         alpha = 1.0
         val, _ = quad(lambda z: alpha * z ** -(alpha + 1), 6.0, 12.0)
-        est, se = counterexample_scaled_box_prob(alpha, 3, 400_000, RngStream(608))
-        assert est == pytest.approx(6.0 * val, abs=4 * se)
+        est = counterexample_scaled_box_prob(alpha, 3, 400_000, RngStream(608))
+        assert est.n == 400_000
+        assert est.value == pytest.approx(6.0 * val, abs=4 * est.se)
         assert counterexample_exact_box_prob(alpha, 3) == pytest.approx(6.0 * val, rel=1e-9)
 
     def test_alpha_one_campaign(self):
