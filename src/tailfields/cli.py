@@ -1,10 +1,16 @@
 """Command-line entry point.
 
 Subcommands: mma-theta, mma-empirical, br-theta, br-fig1, br-tailcdf,
-tailfield, cluster-laplace, counterexample, verify.  Every command is a
-pure function of its flags and --seed; outputs are byte-identical across
-re-runs at any --threads value.  TAILFIELDS_THREADS sets the default
-worker count; BLAS runs on one thread per worker.
+tailfield, cluster-laplace, counterexample, verify.  Each command accepts
+only the flags it reads and is a pure function of them and --seed.
+--threads is taken by mma-theta, mma-empirical, br-theta, br-fig1,
+tailfield and cluster-laplace, whose outputs are byte-identical at any
+value; TAILFIELDS_THREADS sets its default, and BLAS runs on one thread
+per worker.  tailfield writes CSV only; the others take --format.  verify
+flags go after the campaign name, so ``verify --seed 3 pareto-root``
+does not parse.  Rejected input exits 2: a flag the command does not
+take with argparse's usage message, a bad value such as an unknown model
+name with one ``error: `` line.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ from .models import (
     IIDFrechet,
     MaxMovingAverage,
     Mixture,
+    Model,
     model_digest,
     model_from_config,
 )
@@ -57,6 +64,9 @@ from .tailfield import (
 from .testfuncs import POINT_CATALOG, ZERO
 from .verify import (
     PARETO_ROOT_Q,
+    VerificationRun,
+    counterexample_exact_box_prob,
+    counterexample_scaled_box_prob,
     run_change_of_time_check,
     run_counterexample_check,
     run_pareto_root_check,
@@ -100,7 +110,9 @@ NAMED_MODELS = {
 }
 
 
-def resolve_model(args) -> object:
+def resolve_model(args) -> Model:
+    """The model of ``--model-json`` if given, else the one ``--model`` names;
+    a ``ValueError`` for an unreadable config or an unknown name."""
     if getattr(args, "model_json", None):
         try:
             with open(args.model_json) as fh:
@@ -110,36 +122,18 @@ def resolve_model(args) -> object:
                 f"cannot load a model from {args.model_json}: "
                 f"{type(exc).__name__}: {exc}"
             ) from None
-    name = getattr(args, "model", None) or "mma-default"
-    if name not in NAMED_MODELS:
-        _unknown_model(name)
-        raise SystemExit(2)
-    return NAMED_MODELS[name]()
-
-
-def _unknown_model(name) -> None:
-    print(f"unknown model {name!r}; one of {sorted(NAMED_MODELS)}", file=sys.stderr)
+    if args.model not in NAMED_MODELS:
+        raise ValueError(f"unknown model {args.model!r}; one of {sorted(NAMED_MODELS)}")
+    return NAMED_MODELS[args.model]()
 
 
 def _base(args, spec) -> dict:
-    return {
-        "seed": args.seed,
-        "model": model_digest(spec) if spec is not None else "",
-        "version": __version__,
-    }
+    return {"seed": args.seed, "model": model_digest(spec), "version": __version__}
 
 
 # -- commands -----------------------------------------------------------------
 
 INDEX_COLUMNS = ["method", "corner", "theta", "se", "tau", "u", "r", "n"] + BASE_COLUMNS
-
-
-def _mma_weights(args):
-    a = _parse_floats(args.a)
-    if len(a) != 4 or any(not 0.0 <= w <= 1.0 for w in a):
-        print(f"invalid weights {args.a}: need four values in [0,1]", file=sys.stderr)
-        raise SystemExit(2)
-    return a
 
 
 def _index_rows(prefix: str, estimates: dict, base: dict) -> list[dict]:
@@ -164,12 +158,11 @@ def _index_rows(prefix: str, estimates: dict, base: dict) -> list[dict]:
 
 
 def cmd_mma_theta(args) -> int:
-    a = _mma_weights(args)
-    spec = MaxMovingAverage(a=a)
+    spec = MaxMovingAverage(a=_parse_floats(args.a))
     base = _base(args, spec)
-    records = _index_rows("closed-", mma_index_table(a), base)
+    records = _index_rows("closed-", mma_index_table(spec.a), base)
     if args.mixture_a:
-        mixture = mixture_theta([(0.5, a), (0.5, _parse_floats(args.mixture_a))])
+        mixture = mixture_theta([(0.5, spec.a), (0.5, _parse_floats(args.mixture_a))])
         records += _index_rows("closed-mixture-", mixture, base)
     if args.empirical:
         records += _empirical_records(args, spec)
@@ -199,8 +192,7 @@ def _empirical_records(args, spec) -> list[dict]:
 
 
 def cmd_mma_empirical(args) -> int:
-    a = _mma_weights(args)
-    spec = MaxMovingAverage(a=a)
+    spec = MaxMovingAverage(a=_parse_floats(args.a))
     records = _empirical_records(args, spec)
     write_records(records, INDEX_COLUMNS, args.out, args.format)
     return 0
@@ -290,7 +282,6 @@ LAPLACE_COLUMNS = ["function", "empirical", "empirical_se", "limit", "limit_se"]
 
 def cmd_cluster_laplace(args) -> int:
     spec = resolve_model(args)
-    alpha = spec.alpha
     dim = spec.dim or 2
     rng = RngStream(args.seed)
     n = _parse_ints(args.n)
@@ -322,7 +313,7 @@ def cmd_cluster_laplace(args) -> int:
     order = InvariantOrder(dim=dim)
     records = []
     for f, emp in zip(functions, empirical):
-        lim = limit_cluster_laplace_mc(spectral, f, alpha, order)
+        lim = limit_cluster_laplace_mc(spectral, f, order)
         records.append(
             {"function": f.fid, "empirical": emp.value, "empirical_se": emp.se,
              "limit": lim.value, "limit_se": lim.se, **_base(args, spec)}
@@ -335,8 +326,6 @@ CE_COLUMNS = ["rank", "parity", "estimate", "se", "exact"] + BASE_COLUMNS
 
 
 def cmd_counterexample(args) -> int:
-    from .verify import counterexample_exact_box_prob, counterexample_scaled_box_prob
-
     rng = RngStream(args.seed)
     records = []
     for i, rank in enumerate(_parse_ints(args.ranks)):
@@ -359,36 +348,10 @@ VERIFY_COLUMNS = ["campaign", "check", "statistic", "threshold", "verdict", "mod
 
 def cmd_verify(args) -> int:
     rng = RngStream(args.seed)
-    campaign = args.campaign
-    corrupt = args.model == "corrupted"
-    if corrupt and campaign != "rs-invariance":
-        raise ValueError("--model corrupted applies to the rs-invariance campaign only")
-    model_name = "mma-default" if corrupt else (args.model or "mma-default")
-    if campaign != "counterexample" and model_name not in NAMED_MODELS:
-        _unknown_model(args.model)
-        return 2
-    spec = NAMED_MODELS[model_name]() if campaign != "counterexample" else None
-
-    # without --q each campaign keeps its own default level
-    opts = {"q": args.q} if args.q is not None else {}
-    if args.replicates is not None:
-        opts["n_replicates"] = args.replicates
-    if campaign == "pareto-root":
-        if args.replicates is not None:
-            # keep the retention requirement feasible for reduced runs
-            q = opts.get("q", PARETO_ROOT_Q)
-            opts["min_retained"] = min(5000, int(args.replicates * (1 - q) / 2))
-        run = run_pareto_root_check(spec, rng, **opts)
-    elif campaign == "change-of-time":
-        run = run_change_of_time_check(spec, rng, **opts)
-    elif campaign == "rs-invariance":
-        run = run_rs_invariance_check(spec, rng, corrupt=corrupt, **opts)
-    elif campaign == "counterexample":
+    if args.campaign == "counterexample":
         run = run_counterexample_check(args.alpha, rng)
     else:
-        print(f"unknown campaign {campaign!r}", file=sys.stderr)
-        return 2
-
+        run = _tail_campaign(args, rng)
     records = [
         {"campaign": run.name, "model": run.model, "check": c.check_id,
          "statistic": c.statistic, "threshold": c.threshold,
@@ -401,7 +364,33 @@ def cmd_verify(args) -> int:
     return 0 if run.passed else 1
 
 
+def _tail_campaign(args, rng: RngStream) -> VerificationRun:
+    """One of the three campaigns on tail-field draws of a named model."""
+    corrupt = args.campaign == "rs-invariance" and args.model == "corrupted"
+    spec = NAMED_MODELS["mma-default"]() if corrupt else resolve_model(args)
+    # without --q each campaign keeps its own default level
+    opts = {"q": args.q} if args.q is not None else {}
+    if args.replicates is not None:
+        opts["n_replicates"] = args.replicates
+    if args.campaign == "pareto-root":
+        if args.replicates is not None:
+            # keep the retention requirement feasible for reduced runs
+            q = opts.get("q", PARETO_ROOT_Q)
+            opts["min_retained"] = min(5000, int(args.replicates * (1 - q) / 2))
+        return run_pareto_root_check(spec, rng, **opts)
+    if args.campaign == "change-of-time":
+        return run_change_of_time_check(spec, rng, **opts)
+    return run_rs_invariance_check(spec, rng, corrupt=corrupt, **opts)
+
+
 # -- parser ---------------------------------------------------------------------
+
+TAIL_CAMPAIGNS = {
+    "pareto-root": "KS test of the rescaled root norm against Pareto(alpha)",
+    "change-of-time": "both sides of the spectral field's shift identity",
+    "rs-invariance": "re-rooting invariance of the spectral law, by per-lag KS",
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
@@ -412,14 +401,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, threads=True, fmt=True):
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument(
-            "--threads", type=int,
-            default=int(os.environ.get("TAILFIELDS_THREADS", "1")),
-        )
+        if threads:
+            sp.add_argument(
+                "--threads", type=int,
+                default=int(os.environ.get("TAILFIELDS_THREADS", "1")),
+            )
         sp.add_argument("--out", default=None, help="output path (default stdout)")
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
+        if fmt:
+            sp.add_argument("--format", choices=("csv", "json"), default="csv")
 
     sp = sub.add_parser("mma-theta", help="exact index table, optionally with MC")
     sp.add_argument("--a", default="0.1,0.7,0.6,0.1")
@@ -460,10 +451,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--point", default="2,2")
     sp.add_argument("--y", default="1.0,2.0")
     sp.add_argument("--n-mc", type=_positive_int, default=100000)
-    common(sp)
+    common(sp, threads=False)
     sp.set_defaults(func=cmd_br_tailcdf)
 
-    sp = sub.add_parser("tailfield", help="columnar batch of tail-field draws")
+    sp = sub.add_parser("tailfield", help="columnar CSV batch of tail-field draws")
     sp.add_argument("--model", default="mma-default", help=f"one of {sorted(NAMED_MODELS)}")
     sp.add_argument("--model-json", default=None)
     sp.add_argument("--lag-radius", type=int, default=4)
@@ -471,11 +462,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--replicates", type=_positive_int, default=200000)
     sp.add_argument("--min-retained", type=int, default=50)
     sp.add_argument("--spectral", action="store_true")
-    common(sp)
+    common(sp, fmt=False)
     sp.set_defaults(func=cmd_tailfield)
 
     sp = sub.add_parser("cluster-laplace", help="empirical vs limiting Laplace functional")
-    sp.add_argument("--model", default="mma-default")
+    sp.add_argument("--model", default="mma-default", help=f"one of {sorted(NAMED_MODELS)}")
     sp.add_argument("--model-json", default=None)
     sp.add_argument("--n", default="200,200")
     sp.add_argument("--r", default="20,20")
@@ -491,22 +482,29 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha", type=float, default=1.0)
     sp.add_argument("--ranks", default="9,10,13,14,19,20")
     sp.add_argument("--n-per-rank", type=_positive_int, default=200000)
-    common(sp)
+    common(sp, threads=False)
     sp.set_defaults(func=cmd_counterexample)
 
-    sp = sub.add_parser("verify", help="run a named verification campaign")
-    sp.add_argument(
-        "campaign",
-        choices=("pareto-root", "change-of-time", "rs-invariance", "counterexample"),
+    sp = sub.add_parser(
+        "verify", help="run a named verification campaign; its flags follow the name"
     )
-    sp.add_argument("--model", default="mma-default",
-                    help=f"one of {sorted(NAMED_MODELS)} or 'corrupted'")
-    sp.add_argument("--alpha", type=float, default=1.0)
-    sp.add_argument("--q", type=float, default=None,
-                    help="exceedance level (default: the campaign's own)")
-    sp.add_argument("--replicates", type=_positive_int, default=None)
-    common(sp)
     sp.set_defaults(func=cmd_verify)
+    campaigns = sp.add_subparsers(dest="campaign", required=True)
+    for name, text in TAIL_CAMPAIGNS.items():
+        cp = campaigns.add_parser(name, help=text)
+        models = f"one of {sorted(NAMED_MODELS)}"
+        if name == "rs-invariance":
+            models += " or 'corrupted', the negative control"
+        cp.add_argument("--model", default="mma-default", help=models)
+        cp.add_argument("--q", type=float, default=None,
+                        help="exceedance level (default: the campaign's own)")
+        cp.add_argument("--replicates", type=_positive_int, default=None)
+        common(cp, threads=False)
+    cp = campaigns.add_parser(
+        "counterexample", help="box probabilities of the counterexample pair by rank parity"
+    )
+    cp.add_argument("--alpha", type=float, default=1.0)
+    common(cp, threads=False)
 
     return p
 

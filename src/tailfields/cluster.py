@@ -9,6 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .extremal import level_u
 from .lattice import InvariantOrder, as_point, sym_block
 from .models import Model
 from .rng import RngStream, map_chunks
@@ -55,18 +56,18 @@ def empirical_cluster_laplace(atoms: np.ndarray, f: PointFunction) -> MCEstimate
 def limit_cluster_laplace_mc(
     spectral: TailBatch,
     f: PointFunction,
-    alpha: float,
     order: InvariantOrder,
     theta_half: float | None = None,
     quad_points: int = 256,
 ) -> MCEstimate:
     """Laplace functional of the limiting cluster from spectral-field draws.
 
-    Per draw the radial integral against d(-y^-alpha) is split into the
-    two indicator pieces and each is reduced by the substitution
-    w = (y m)^-alpha to a smooth integral over (0, 1], handled by a
-    midpoint rule; the indicator jumps are thereby integrated exactly,
-    so the zero function evaluates to exactly theta_half / theta_half = 1.
+    Per draw the radial integral against d(-y^-alpha), alpha that of the
+    batch, is split into the two indicator pieces and each is reduced by
+    the substitution w = (y m)^-alpha to a smooth integral over (0, 1],
+    handled by a midpoint rule; the indicator jumps are thereby integrated
+    exactly, so the zero function evaluates to exactly
+    theta_half / theta_half = 1.  ``order`` must have the lags' dimension.
     When ``theta_half`` is omitted it is estimated from the same draws
     (the mean of max_(t>=0)|field|^alpha - max_(t>0)|field|^alpha).
     The quadrature runs one draw at a time, which keeps its memory at
@@ -75,6 +76,7 @@ def limit_cluster_laplace_mc(
     n = len(spectral)
     if not n:
         raise ValueError("no spectral samples")
+    alpha = spectral.alpha
     pts = spectral.lags.point_array()
     before = order.before_origin_mask(pts)
     origin_mask = np.all(pts == 0, axis=1)
@@ -133,8 +135,6 @@ def check_anticluster(
     there are none), where the event becomes sup over the region of
     |Y| > 1.
     """
-    from .extremal import level_u  # local import to avoid a cycle
-
     r = as_point(r)
     M_list = [int(m) for m in M_list]
     if sorted(M_list) != M_list:

@@ -26,7 +26,7 @@ from .lattice import (
     corner_point,
     pos_block,
 )
-from .models import MMA_OFFSETS, MaxMovingAverage, Model
+from .models import MMA_OFFSETS, Model
 from .rng import RngStream, map_chunks
 from .simulate import (
     TooFewEventsError,
@@ -209,11 +209,10 @@ class OrthantRegion:
     corner: tuple[int, ...]
     bound: int
 
-    def points(self, dim: int) -> list[tuple[int, ...]]:
-        """The region's points, in lexicographic order."""
+    def points(self) -> list[tuple[int, ...]]:
+        """The region's points, in lexicographic order; the corner fixes the
+        dimension."""
         corner = as_point(self.corner)
-        if dim != len(corner):
-            raise ValueError("dimension mismatch")
         if any(b not in (0, 1) for b in corner):
             raise ValueError("corner entries must be 0 or 1")
         if self.bound < 1:
@@ -231,8 +230,8 @@ class HalfSpaceRegion:
     order: InvariantOrder
     bound: int
 
-    def points(self, dim: int) -> list[tuple[int, ...]]:
-        pts = _half_space_points(self.order, self.bound, dim)
+    def points(self) -> list[tuple[int, ...]]:
+        pts = _half_space_points(self.order, self.bound)
         return [tuple(int(x) for x in p) for p in pts if p.any()]
 
 
@@ -249,7 +248,7 @@ def theta_from_tail_samples(
     n = len(samples)
     if not n:
         raise ValueError("no samples")
-    pts = region.points(samples.lags.dim)
+    pts = region.points()
     for p in pts:
         if not samples.lags.contains(p):
             raise ValueError(f"region point {p} outside the lag window")
@@ -265,9 +264,7 @@ def theta_from_tail_samples(
 # -- exact closed forms for the diagonal max-moving average --------------------
 
 def _exact_weights(a) -> dict[tuple[int, int], Fraction]:
-    if isinstance(a, MaxMovingAverage):
-        vals = a.a
-    elif isinstance(a, Mapping):
+    if isinstance(a, Mapping):
         vals = [a[o] for o in MMA_OFFSETS]
     else:
         vals = list(a)
@@ -350,10 +347,10 @@ def mixture_theta(components: Sequence[tuple[float, object]]) -> dict:
 
 # -- Brown-Resnick block index by Monte Carlo ----------------------------------
 
-def _half_space_points(order: InvariantOrder, bound: int, dim: int) -> np.ndarray:
-    """The origin and the points of [-bound, bound]^dim before it, as an
-    ``(n, dim)`` int array in row-major order."""
-    pts = centered_box(bound, dim).point_array()
+def _half_space_points(order: InvariantOrder, bound: int) -> np.ndarray:
+    """The origin and the points of [-bound, bound]^dim before it, dim that
+    of the order, as an ``(n, dim)`` int array in row-major order."""
+    pts = centered_box(bound, order.dim).point_array()
     keep = order.before_origin_mask(pts) | np.all(pts == 0, axis=1)
     return pts[keep]
 
@@ -380,8 +377,7 @@ def br_theta_block_profile(
     M_list = sorted(set(int(m) for m in M_list))
     if M_list[0] < 1:
         raise ValueError("truncation radii must be >= 1")
-    dim = order.dim
-    pts = _half_space_points(order, M_list[-1], dim)
+    pts = _half_space_points(order, M_list[-1])
     not_origin = np.any(pts != 0, axis=1)
     oix = int(np.flatnonzero(~not_origin)[0])
     sampler = GaussianFieldSampler(variogram, pts)

@@ -35,15 +35,19 @@ def render_records(records: list[dict], columns: list[str], fmt: str) -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def write_records(
-    records: list[dict], columns: list[str], path: str | None, fmt: str
-) -> None:
-    text = render_records(records, columns, fmt)
+def _emit(text: str, path: str | None) -> None:
+    """Write text to stdout when ``path`` is None or "-", else to the file."""
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
         with open(path, "w") as fh:
             fh.write(text)
+
+
+def write_records(
+    records: list[dict], columns: list[str], path: str | None, fmt: str
+) -> None:
+    _emit(render_records(records, columns, fmt), path)
 
 
 def write_table(header: list[str], rows, path: str | None) -> None:
@@ -52,9 +56,4 @@ def write_table(header: list[str], rows, path: str | None) -> None:
     buf.write(",".join(header) + "\n")
     for row in rows:
         buf.write(",".join(_fmt(v) for v in row) + "\n")
-    text = buf.getvalue()
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+    _emit(buf.getvalue(), path)

@@ -141,6 +141,8 @@ class InvariantOrder:
     def before_origin_mask(self, pts: np.ndarray) -> np.ndarray:
         """Boolean mask of rows of ``pts`` strictly preceding the origin."""
         pts = np.asarray(pts)
+        if pts.shape[1] != self.dim:
+            raise ValueError("dimension mismatch with order")
         res = np.zeros(len(pts), dtype=bool)
         undecided = np.ones(len(pts), dtype=bool)
         for axis in self.perm:

@@ -113,7 +113,6 @@ def estimate_tail_field(
     lags: Window,
     n_replicates: int,
     rng: RngStream,
-    alpha: float | None = None,
     q: float = 0.999,
     min_retained: int = 50,
     chunk: int = 4096,
@@ -137,8 +136,6 @@ def estimate_tail_field(
         raise ValueError("lag window must contain the origin")
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie in (0,1)")
-    if alpha is None:
-        alpha = spec.alpha
 
     keep_frac = min(1.0, 3.0 * (1.0 - q))
 
@@ -180,7 +177,7 @@ def estimate_tail_field(
         lags=lags,
         values=np.concatenate(rows) / x_thresh,
         root_norm=np.concatenate(row_roots) / x_thresh,
-        alpha=alpha,
+        alpha=spec.alpha,
     )
 
 
@@ -299,15 +296,15 @@ def verify_change_of_time(
     samples: TailBatch,
     s,
     g: FieldFunction,
-    alpha: float,
     zero_tol: float = 0.05,
 ) -> IdentityCheck:
     """Estimate both sides of the shift identity for the spectral field.
 
     Left side: E[g(field(. - s)) 1(|field(-s)| > zero_tol)]; right side:
-    E[g(field(.) / |field(s)|) |field(s)|^alpha].  ``zero_tol`` stands in
-    for the exact event {field(-s) != 0}, which is never observed at a
-    finite threshold; it must be below the smallest nonzero limit value.
+    E[g(field(.) / |field(s)|) |field(s)|^alpha], with the batch's alpha.
+    ``zero_tol`` stands in for the exact event {field(-s) != 0}, which is
+    never observed at a finite threshold; it must be below the smallest
+    nonzero limit value.
     The standard error is that of the paired per-sample difference.
     """
     s = as_point(s)
@@ -331,7 +328,9 @@ def verify_change_of_time(
     ns = samples.norms_at([s])
     hit = ns[:, 0] > 0
     rhs_vals = np.zeros(n)
-    rhs_vals[hit] = g(samples.norms_at(g.lags)[hit] / ns[hit]) * ns[hit, 0] ** alpha
+    rhs_vals[hit] = (
+        g(samples.norms_at(g.lags)[hit] / ns[hit]) * ns[hit, 0] ** samples.alpha
+    )
     se = MCEstimate.sample_mean(lhs_vals - rhs_vals).se
     return IdentityCheck(
         lhs=float(lhs_vals.mean()), rhs=float(rhs_vals.mean()), se=se, n=n

@@ -76,24 +76,25 @@ def run_pareto_root_check(
     q: float = PARETO_ROOT_Q,
     n_replicates: int = 500_000,
     min_retained: int = 5000,
-    name: str = "pareto-root",
 ) -> VerificationRun:
     """Kolmogorov-Smirnov check that the rescaled root norm is Pareto(alpha).
 
     The KS distance of a correct sample of m roots is about 0.87/sqrt(m),
     so the threshold ``pareto_ks`` holds at ``PARETO_KS_REF_RETAINED`` roots
     and grows as 1/sqrt(m) below that: max(0.02, 0.02 sqrt(5000/m)).
+    ``alpha`` defaults to the model's; another value is the negative
+    control.
     """
     if alpha is None:
         alpha = spec.alpha
     dim = spec.dim or 2
     lags = centered_box(lag_radius, dim)
     samples = estimate_tail_field(
-        spec, lags, n_replicates, rng, alpha=alpha, q=q, min_retained=min_retained
+        spec, lags, n_replicates, rng, q=q, min_retained=min_retained
     )
     roots = samples.root_norm
     ks = stats.kstest(roots, lambda y: 1.0 - np.maximum(y, 1.0) ** -alpha).statistic
-    run = VerificationRun(name=name, model=model_tag(spec), seed=rng.seed)
+    run = VerificationRun(name="pareto-root", model=model_tag(spec), seed=rng.seed)
     run.add("retained", float(len(roots)), float(min_retained), len(roots) >= min_retained)
     # estimate_tail_field retains at least one root
     scale = max(1.0, math.sqrt(PARETO_KS_REF_RETAINED / len(roots)))
@@ -105,27 +106,27 @@ def run_pareto_root_check(
 def run_change_of_time_check(
     spec: Model,
     rng: RngStream,
-    shifts=((1, 0), (0, 1), (1, 1)),
     q: float = 0.999,
     n_replicates: int = 2_000_000,
     lag_radius: int = 4,
     zero_tol: float = 0.05,
-    name: str = "change-of-time",
 ) -> VerificationRun:
-    """Both sides of the shift identity must agree for every shift and g.
+    """Both sides of the shift identity must agree for every g and every
+    shift: the unit vectors and the diagonal, (1, 0), (0, 1) and (1, 1) in
+    two dimensions.
 
     The pass band is max(identity_sigmas * paired se, identity_floor):
     the floor reflects that both sides are estimated at a finite
     threshold, where the exact identity holds only in the limit.
     """
-    alpha = spec.alpha
     dim = spec.dim or 2
     lags = centered_box(lag_radius, dim)
     samples = spectral_from_tail(estimate_tail_field(spec, lags, n_replicates, rng, q=q))
-    run = VerificationRun(name=name, model=model_tag(spec), seed=rng.seed)
-    for s in shifts:
+    run = VerificationRun(name="change-of-time", model=model_tag(spec), seed=rng.seed)
+    units = [tuple(int(i == j) for i in range(dim)) for j in range(dim)]
+    for s in units + [(1,) * dim]:
         for g in field_catalog(((1,) * dim,)):
-            res = verify_change_of_time(samples, s, g, alpha, zero_tol=zero_tol)
+            res = verify_change_of_time(samples, s, g, zero_tol=zero_tol)
             band = max(
                 THRESHOLDS["identity_sigmas"] * res.se, THRESHOLDS["identity_floor"]
             )
@@ -147,9 +148,8 @@ def rs_invariance_ks(
     samples: TailBatch,
     rng: RngStream,
     test_radius: int = 3,
-    level: float = 0.01,
     zero_tol: float = 0.05,
-) -> tuple[float, float]:
+) -> float:
     """Smallest Bonferroni-adjusted two-sample KS p-value across test lags.
 
     Compares the per-lag norm distribution of the samples with that of
@@ -157,7 +157,7 @@ def rs_invariance_ks(
     O(1/threshold) noise floor at lags where the limit law vanishes;
     values below ``zero_tol`` are treated as exact zeros on both sides,
     since the limit law has no mass in (0, zero_tol) for the models
-    under test.  Returns (min adjusted p-value, level).
+    under test.
     """
     if not len(samples):
         raise ValueError("no samples")
@@ -174,7 +174,7 @@ def rs_invariance_ks(
             continue
         pval = stats.ks_2samp(a, b, method="asymp").pvalue
         min_adj = min(min_adj, min(1.0, pval * n_tests))
-    return float(min_adj), level
+    return float(min_adj)
 
 
 def run_rs_invariance_check(
@@ -184,7 +184,6 @@ def run_rs_invariance_check(
     n_replicates: int = 1_000_000,
     lag_radius: int = 4,
     corrupt: bool = False,
-    name: str = "rs-invariance",
 ) -> VerificationRun:
     """Re-rooting invariance of the spectral law, by per-lag two-sample KS.
 
@@ -197,10 +196,11 @@ def run_rs_invariance_check(
         estimate_tail_field(spec, centered_box(lag_radius, dim), n_replicates,
                             rng.lane(0), q=q)
     )
-    label = name + ("-corrupted" if corrupt else "")
+    label = "rs-invariance-corrupted" if corrupt else "rs-invariance"
     if corrupt:
         samples = TailBatch(samples.lags, 1.3 * samples.values, None, samples.alpha)
-    min_adj, level = rs_invariance_ks(samples, rng.lane(1), level=THRESHOLDS["ks_level"])
+    min_adj = rs_invariance_ks(samples, rng.lane(1))
+    level = THRESHOLDS["ks_level"]
     run = VerificationRun(name=label, model=model_tag(spec), seed=rng.seed)
     run.add("ks-no-rejection", min_adj, level, min_adj >= level)
     return run
@@ -244,15 +244,9 @@ def counterexample_exact_box_prob(alpha: float, rank: int) -> float:
     return c**2 / (1.0 - (rank + 1.0) ** (-alpha))
 
 
-def run_counterexample_check(
-    alpha: float,
-    rng: RngStream,
-    odd_ranks=(9, 13, 19),
-    even_ranks=(10, 14, 20),
-    n_per_rank: int = 200_000,
-    name: str = "counterexample",
-) -> VerificationRun:
-    """Scaled box probabilities split by factorial-rank parity.
+def run_counterexample_check(alpha: float, rng: RngStream) -> VerificationRun:
+    """Scaled box probabilities at the odd ranks 9, 13, 19 and the even ranks
+    10, 14, 20, 200000 draws each.
 
     Odd ranks must cluster near 1 - 2^-alpha and even ranks near its
     square, with the groups separated by at least the configured number
@@ -260,14 +254,16 @@ def run_counterexample_check(
     finite-rank value.  The persistent gap between the two subsequences
     is what rules out joint regular variation.
     """
-    run = VerificationRun(name=name, model=f"CounterexamplePair(alpha={alpha})", seed=rng.seed)
+    run = VerificationRun(
+        name="counterexample", model=f"CounterexamplePair(alpha={alpha})", seed=rng.seed
+    )
     c = 1.0 - 2.0**-alpha
     groups = {}
     lane = 0
-    for label, ranks, target in (("odd", odd_ranks, c), ("even", even_ranks, c * c)):
+    for label, ranks, target in (("odd", (9, 13, 19), c), ("even", (10, 14, 20), c * c)):
         ests, ses = [], []
         for m in ranks:
-            est = counterexample_scaled_box_prob(alpha, m, n_per_rank, rng.lane(lane))
+            est = counterexample_scaled_box_prob(alpha, m, 200_000, rng.lane(lane))
             lane += 1
             err = abs(est.value - counterexample_exact_box_prob(alpha, m))
             band = THRESHOLDS["counterexample_rank_sigmas"] * est.se

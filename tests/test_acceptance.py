@@ -280,11 +280,11 @@ class TestCriterion10ClusterLaplace:
         spectral = spectral_from_tail(
             estimate_tail_field(MMA, centered_box(5, 2), 600_000, rng.lane(2), q=0.995)
         )
-        zero = limit_cluster_laplace_mc(spectral, ZERO, 1.0, LEX)
+        zero = limit_cluster_laplace_mc(spectral, ZERO, LEX)
         zs = {}
         for f in POINT_CATALOG:
             emp = empirical_cluster_laplace(atoms, f)
-            lim = limit_cluster_laplace_mc(spectral, f, 1.0, LEX)
+            lim = limit_cluster_laplace_mc(spectral, f, LEX)
             zs[f.fid] = abs(emp.value - lim.value) / math.hypot(emp.se, lim.se)
         record(
             "criterion-10 cluster Laplace cross-method",

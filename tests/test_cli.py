@@ -1,7 +1,9 @@
 import csv
+import importlib.util
 import io
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -94,7 +96,6 @@ class TestDeterminism:
              "--replicates", "400", "--seed", "3"],
             ["br-fig1", "--hurst-grid", "0.3,0.7", "--trunc-m", "8",
              "--n-mc", "500", "--seed", "3"],
-            ["counterexample", "--n-per-rank", "20000", "--seed", "3"],
             ["tailfield", "--spectral", "--lag-radius", "2", "--q", "0.99",
              "--replicates", "20000", "--seed", "3"],
             ["cluster-laplace", "--n", "40,40", "--r", "20,20", "--fields", "2",
@@ -103,7 +104,7 @@ class TestDeterminism:
             ["cluster-laplace", "--n", "40,40", "--r", "20,20", "--fields", "12",
              "--lag-radius", "2", "--q", "0.99", "--replicates", "12000", "--seed", "5"],
         ],
-        ids=["mma", "fig1", "counterexample", "tailfield-spectral", "cluster-laplace",
+        ids=["mma", "fig1", "tailfield-spectral", "cluster-laplace",
              "cluster-laplace-12-fields"],
     )
     def test_bytes_identical_across_threads(self, argv, capsys, tmp_path):
@@ -244,12 +245,12 @@ class TestVerifyCommand:
             ["verify", "pareto-root", "--model", "nope"], capsys
         )
         assert code == 2
-        assert "unknown model 'nope'; one of [" in err
+        assert err.startswith("error: unknown model 'nope'; one of [")
 
     def test_unknown_model_named_by_resolve_model(self, capsys):
         code, _, err = run_cli(["tailfield", "--model", "nope"], capsys)
         assert code == 2
-        assert "unknown model 'nope'; one of [" in err
+        assert err.startswith("error: unknown model 'nope'; one of [")
         assert "'mma-default'" in err
 
     def test_pareto_root_default_flags_exit_0(self, capsys):
@@ -311,6 +312,9 @@ class TestRejectedInputs:
             ["br-tailcdf", "--point", "2"],
             ["br-theta", "--hurst", "0.5,0.5,0.2"],
             ["verify", "pareto-root", "--model", "corrupted"],
+            ["verify", "pareto-root", "--model", "nope"],
+            ["tailfield", "--model", "nope"],
+            ["mma-theta", "--a", "1.3,0,0,0"],
             ["tailfield", "--model-json", "{tmp}/missing.json"],
             ["tailfield", "--model-json", "{tmp}/no-variant.json"],
             ["tailfield", "--model-json", "{tmp}/no-weights.json"],
@@ -325,3 +329,40 @@ class TestRejectedInputs:
         code, out, err = run_cli(argv, capsys)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestUnreadFlags:
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["verify", "counterexample", "--model", "nope"], "--model"),
+            (["verify", "counterexample", "--q", "0.5"], "--q"),
+            (["verify", "counterexample", "--replicates", "10"], "--replicates"),
+            (["verify", "pareto-root", "--alpha", "2"], "--alpha"),
+            (["verify", "change-of-time", "--threads", "2"], "--threads"),
+            (["tailfield", "--format", "json"], "--format"),
+            (["counterexample", "--threads", "2"], "--threads"),
+            (["br-tailcdf", "--threads", "2"], "--threads"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else "-".join(v[:3]),
+    )
+    def test_exits_2_naming_the_flag(self, argv, flag, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert f"unrecognized arguments: {flag}" in err
+
+
+DIGESTS_PATH = Path(__file__).resolve().parents[1] / "scripts" / "cli_digests.py"
+
+
+def test_digest_script_commands_run(capsys, tmp_path):
+    # scripts/cli_digests.py is not a package module; load it by path so a
+    # flag change that breaks one of its commands fails here, not silently
+    spec = importlib.util.spec_from_file_location("cli_digests", DIGESTS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    for i, argv in enumerate(module.COMMANDS):
+        path = tmp_path / f"out-{i}"
+        code, _, _ = run_cli(argv + ["--out", str(path)], capsys)
+        assert code in (0, 1), argv  # 1: a verify FAIL verdict
+        assert path.stat().st_size > 0, argv

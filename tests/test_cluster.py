@@ -137,40 +137,47 @@ def single_atom_samples(n=64):
 
 class TestLimitLaplace:
     def test_zero_function_exactly_one(self, mma_spectral):
-        res = limit_cluster_laplace_mc(mma_spectral, ZERO, 1.0, LEX)
+        res = limit_cluster_laplace_mc(mma_spectral, ZERO, LEX)
         assert res.value == 1.0
 
     def test_single_atom_closed_form(self):
         # one spectral atom at the origin: the functional is exp(-f(y)) with
         # y Pareto(alpha) above 1, here constant beyond the step level 1
-        res = limit_cluster_laplace_mc(single_atom_samples(), STEP1, 1.0, LEX)
+        res = limit_cluster_laplace_mc(single_atom_samples(), STEP1, LEX)
         assert res.value == pytest.approx(math.exp(-1.0), abs=1e-12)
         half = CATALOG["step-2"]  # height 0.5 above level 2
-        res2 = limit_cluster_laplace_mc(single_atom_samples(), half, 1.0, LEX)
+        res2 = limit_cluster_laplace_mc(single_atom_samples(), half, LEX)
         # integral: y in (1,2] -> f=0; y > 2 -> f=0.5; d(-y^-1) masses 1/2 each
         assert res2.value == pytest.approx(0.5 + 0.5 * math.exp(-0.5), abs=1e-3)
 
     def test_monotone_in_function(self, mma_spectral):
-        v1 = limit_cluster_laplace_mc(mma_spectral, STEP1, 1.0, LEX)
+        v1 = limit_cluster_laplace_mc(mma_spectral, STEP1, LEX)
         bigger = PointFunction("double", a=1.0, b=1.0, height=2.0)
-        v2 = limit_cluster_laplace_mc(mma_spectral, bigger, 1.0, LEX)
+        v2 = limit_cluster_laplace_mc(mma_spectral, bigger, LEX)
         assert 0.0 < v2.value <= v1.value <= 1.0
 
     def test_ramp_below_step(self, mma_spectral):
         ramp = CATALOG["ramp-1-2"]  # pointwise <= step-1
-        a = limit_cluster_laplace_mc(mma_spectral, ramp, 1.0, LEX)
-        b = limit_cluster_laplace_mc(mma_spectral, STEP1, 1.0, LEX)
+        a = limit_cluster_laplace_mc(mma_spectral, ramp, LEX)
+        b = limit_cluster_laplace_mc(mma_spectral, STEP1, LEX)
         assert a.value >= b.value
 
     def test_quadrature_resolution(self, mma_spectral):
         first = TailBatch(mma_spectral.lags, mma_spectral.values[:400], None, 1.0)
-        a = limit_cluster_laplace_mc(first, STEP1, 1.0, LEX, quad_points=256)
-        b = limit_cluster_laplace_mc(first, STEP1, 1.0, LEX, quad_points=4096)
+        a = limit_cluster_laplace_mc(first, STEP1, LEX, quad_points=256)
+        b = limit_cluster_laplace_mc(first, STEP1, LEX, quad_points=4096)
         assert abs(a.value - b.value) <= 2e-4
 
     def test_external_theta_half(self, mma_spectral):
-        res = limit_cluster_laplace_mc(mma_spectral, ZERO, 1.0, LEX, theta_half=0.4)
+        res = limit_cluster_laplace_mc(mma_spectral, ZERO, LEX, theta_half=0.4)
         assert res.value != 1.0  # normalization no longer self-consistent
+
+    def test_order_of_another_dimension_rejected(self):
+        vals = np.zeros((4, 3, 3, 3))
+        vals[:, 1, 1, 1] = 1.0
+        spectral = TailBatch(centered_box(1, 3), vals, None, 1.0)
+        with pytest.raises(ValueError, match="dimension mismatch with order"):
+            limit_cluster_laplace_mc(spectral, STEP1, LEX)
 
 
 class TestCrossMethod:
@@ -185,7 +192,7 @@ class TestCrossMethod:
         for fid in ("step-1", "step-2"):
             f = CATALOG[fid]
             emp = empirical_cluster_laplace(atoms, f)
-            lim = limit_cluster_laplace_mc(mma_spectral, f, 1.0, LEX)
+            lim = limit_cluster_laplace_mc(mma_spectral, f, LEX)
             z = abs(emp.value - lim.value) / math.hypot(emp.se, lim.se)
             assert z <= 3.5, (fid, emp.value, lim.value)
 

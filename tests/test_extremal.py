@@ -216,7 +216,7 @@ class TestTailSampleIndices:
         origin = (0,) * order.dim
         expected = [p for p in centered_box(2, order.dim).points()
                     if order.compare(p, origin) < 0]
-        assert HalfSpaceRegion(order, 2).points(order.dim) == expected
+        assert HalfSpaceRegion(order, 2).points() == expected
 
     def test_boundary_diagnostic_reported(self, mma_tails):
         # the stencil reaches two steps, so the shell at bound 4 carries only

@@ -69,6 +69,12 @@ class TestLexCompare:
         for p, m in zip(pts, mask):
             assert m == (order.compare(tuple(p), (0, 0)) < 0)
 
+    @pytest.mark.parametrize("dim, width", [(2, 3), (3, 2)])
+    def test_before_origin_mask_dimension_mismatch(self, dim, width):
+        # a 2-D order on 3-D points would silently ignore the third axis
+        with pytest.raises(ValueError, match="dimension mismatch with order"):
+            InvariantOrder(dim).before_origin_mask([[0] * (width - 1) + [-1]])
+
 
 class TestCornerPoint:
     def test_zero_corner(self):
@@ -92,16 +98,16 @@ class TestCornerPoint:
 
 class TestOrthantRegion:
     def test_positive_quadrant(self):
-        assert OrthantRegion((0, 0), 1).points(2) == [(0, 1), (1, 0), (1, 1)]
+        assert OrthantRegion((0, 0), 1).points() == [(0, 1), (1, 0), (1, 1)]
 
     def test_reflected_quadrant(self):
-        assert OrthantRegion((1, 1), 1).points(2) == [(-1, -1), (-1, 0), (0, -1)]
+        assert OrthantRegion((1, 1), 1).points() == [(-1, -1), (-1, 0), (0, -1)]
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("bound", [1, 2, 3, 4])
     def test_cardinality_by_enumeration(self, dim, bound):
         # brute-force enumeration of the full box, row-major, as the independent oracle
-        region = OrthantRegion((0,) * dim, bound).points(dim)
+        region = OrthantRegion((0,) * dim, bound).points()
         box = centered_box(bound, dim)
         brute = [
             p
@@ -115,8 +121,8 @@ class TestOrthantRegion:
     def test_point_reflection(self, dim, bound, data):
         i = data.draw(st.tuples(*[st.integers(0, 1)] * dim))
         flipped = tuple(1 - b for b in i)
-        a = set(OrthantRegion(i, bound).points(dim))
-        b = {tuple(-x for x in p) for p in OrthantRegion(flipped, bound).points(dim)}
+        a = set(OrthantRegion(i, bound).points())
+        b = {tuple(-x for x in p) for p in OrthantRegion(flipped, bound).points()}
         assert a == b
 
 

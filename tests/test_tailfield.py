@@ -272,7 +272,7 @@ class TestChangeOfTime:
     def test_mma_identity_paired(self, mma_spectral):
         # both sides estimated on the same draws must agree
         for s in [(1, 1), (2, 0)]:
-            res = verify_change_of_time(mma_spectral, s, ConstantOne(), 1.0)
+            res = verify_change_of_time(mma_spectral, s, ConstantOne())
             assert abs(res.discrepancy) <= max(3 * res.se, 0.03)
 
     def test_mma_alpha_moment_exact_values(self):
@@ -285,7 +285,7 @@ class TestChangeOfTime:
             estimate_tail_field(spec, centered_box(3, 2), 1_000_000, RngStream(81), q=0.999)
         )
         for s in [(1, 1), (2, 0)]:
-            res = verify_change_of_time(spectral, s, ConstantOne(), 1.0)
+            res = verify_change_of_time(spectral, s, ConstantOne())
             exact = mma_nonzero_prob(MMA_A, s)
             assert abs(res.discrepancy) <= max(3 * res.se, 0.012)
             assert res.lhs == pytest.approx(exact, abs=0.06)
@@ -293,20 +293,20 @@ class TestChangeOfTime:
 
     def test_alpha_moment_bounded_by_one(self, mma_spectral):
         for s in [(1, 1), (2, 0), (1, 0)]:
-            res = verify_change_of_time(mma_spectral, s, ConstantOne(), 1.0)
+            res = verify_change_of_time(mma_spectral, s, ConstantOne())
             assert res.rhs <= 1.0 + 3 * res.se
 
     def test_iid_both_sides_vanish(self, iid_spectral):
         g = FieldIndicator("ind", level=0.5, lags=((1, 1),))
         for s in [(1, 0), (1, 1)]:
-            res = verify_change_of_time(iid_spectral, s, g, 1.0, zero_tol=0.2)
+            res = verify_change_of_time(iid_spectral, s, g, zero_tol=0.2)
             assert abs(res.lhs) <= 0.03
             assert abs(res.rhs) <= 0.03
 
     def test_matches_row_loop(self, mma_spectral):
         # reference: both sides draw by draw, the way the identity is written
         g = FieldRamp("ramp", a=0.2, b=1.0, lags=((1, 1), (0, 1)))
-        s, alpha, tol = (1, 0), 1.0, 0.05
+        s, alpha, tol = (1, 0), mma_spectral.alpha, 0.05
         lags = mma_spectral.lags
         lhs, rhs = [], []
         for row in np.abs(mma_spectral.values):
@@ -316,7 +316,7 @@ class TestChangeOfTime:
             ns = at(s)
             here = np.array([[at(l) / ns for l in g.lags]])
             rhs.append(g(here)[0] * ns**alpha if ns > 0 else 0.0)
-        res = verify_change_of_time(mma_spectral, s, g, alpha, zero_tol=tol)
+        res = verify_change_of_time(mma_spectral, s, g, zero_tol=tol)
         diffs = np.array(lhs) - np.array(rhs)
         assert res.lhs == np.mean(lhs) and res.rhs == np.mean(rhs)
         assert res.se == diffs.std(ddof=1) / math.sqrt(len(diffs))
@@ -324,7 +324,7 @@ class TestChangeOfTime:
     def test_window_too_small(self, mma_spectral):
         g = FieldIndicator("ind", level=0.5, lags=((4, 4),))
         with pytest.raises(ValueError):
-            verify_change_of_time(mma_spectral, (-2, -2), g, 1.0)
+            verify_change_of_time(mma_spectral, (-2, -2), g)
 
 
 class TestSamplesToRows:

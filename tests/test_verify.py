@@ -3,7 +3,7 @@ import math
 import pytest
 from scipy.integrate import quad
 
-from tailfields.models import IIDFrechet, MaxMovingAverage
+from tailfields.models import GeneralMaxMovingAverage, IIDFrechet, MaxMovingAverage
 from tailfields.rng import RngStream
 from tailfields.verify import (
     THRESHOLDS,
@@ -65,6 +65,14 @@ class TestChangeOfTime:
                                        n_replicates=600_000, lag_radius=4,
                                        zero_tol=0.2)
         assert run.passed, [c for c in run.checks if not c.passed]
+
+    def test_shifts_follow_the_model_dimension(self):
+        spec = GeneralMaxMovingAverage(stencil=(((1, 0, 1), 0.5),))
+        run = run_change_of_time_check(spec, RngStream(613), q=0.99,
+                                       n_replicates=20_000, lag_radius=2)
+        shifts = {c.check_id.partition("-")[0] for c in run.checks}
+        assert shifts == {"shift(1, 0, 0)", "shift(0, 1, 0)", "shift(0, 0, 1)",
+                          "shift(1, 1, 1)"}
 
 
 class TestRsInvariance:
@@ -136,5 +144,4 @@ class TestRsIdempotence:
         from tailfields.verify import _censor, rs_invariance_ks
 
         once = rs_transform(_censor(mma_spectral, 0.05), RngStream(611))
-        min_adj, level = rs_invariance_ks(once, RngStream(612))
-        assert min_adj >= level
+        assert rs_invariance_ks(once, RngStream(612)) >= THRESHOLDS["ks_level"]
