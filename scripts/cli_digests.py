@@ -8,9 +8,11 @@ the CLI output byte-identical:
 
     PYTHONPATH=src python scripts/cli_digests.py > digests.txt
 
-The list covers every subcommand, all four ``verify`` campaigns plus the
-corrupted negative control, one ``--threads 2`` run and one ``--format
-json`` run.  The whole list takes a few seconds on one core.
+The 20 commands cover every subcommand, all four ``verify`` campaigns plus
+the corrupted negative control, one ``--threads 2`` run, one ``--format
+json`` run, and the counterexample and exact-index commands at a
+non-default alpha or weights.  The whole list takes a few seconds on one
+core.
 """
 
 import contextlib
@@ -52,6 +54,10 @@ COMMANDS = (
      "--seed", "16", "--threads", "2"],
     ["mma-empirical", "--n", "60,60", "--r", "6,6", "--replicates", "300",
      "--seed", "17", "--format", "json"],
+    ["counterexample", "--alpha", "0.5", "--ranks", "1,2,9", "--n-per-rank", "20000",
+     "--seed", "18"],
+    ["verify", "counterexample", "--alpha", "2.0", "--seed", "19"],
+    ["mma-theta", "--a", "0.6,0.2,0.6,0.1", "--mixture-a", "0.1,0.7,0.6,0.1"],
 )
 
 

@@ -3,14 +3,13 @@
 Subcommands: mma-theta, mma-empirical, br-theta, br-fig1, br-tailcdf,
 tailfield, cluster-laplace, counterexample, verify.  Each command accepts
 only the flags it reads and is a pure function of them and --seed.
---threads is taken by mma-theta, mma-empirical, br-theta, br-fig1,
-tailfield and cluster-laplace, whose outputs are byte-identical at any
-value; TAILFIELDS_THREADS sets its default, and BLAS runs on one thread
-per worker.  tailfield writes CSV only; the others take --format.  verify
-flags go after the campaign name, so ``verify --seed 3 pareto-root``
-does not parse.  Rejected input exits 2: a flag the command does not
-take with argparse's usage message, a bad value such as an unknown model
-name with one ``error: `` line.
+--threads (default 1) is taken by mma-theta, mma-empirical, br-theta,
+br-fig1, tailfield and cluster-laplace, whose outputs are byte-identical
+at any value; BLAS runs on one thread per worker.  tailfield writes CSV
+only; the others take --format.  verify flags go after the campaign
+name; ``verify --seed 3 pareto-root`` exits 2 saying so.  Rejected input
+exits 2: a flag the command does not take with argparse's usage message,
+a bad value such as an unknown model name with one ``error: `` line.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -30,17 +28,15 @@ from .cluster import (
     limit_cluster_laplace_mc,
 )
 from .extremal import (
-    ALL_CORNERS,
     br_theta_block_profile,
     level_u,
-    mixture_theta,
-    mma_index_table,
     theta_classical_empirical,
     theta_run_empirical,
 )
 from .io import write_records, write_table
 from .lattice import InvariantOrder, centered_box, pos_block
 from .models import (
+    ALL_CORNERS,
     AdditiveFBM,
     BrownResnick,
     CounterexampleField,
@@ -65,8 +61,6 @@ from .testfuncs import POINT_CATALOG, ZERO
 from .verify import (
     PARETO_ROOT_Q,
     VerificationRun,
-    counterexample_exact_box_prob,
-    counterexample_scaled_box_prob,
     run_change_of_time_check,
     run_counterexample_check,
     run_pareto_root_check,
@@ -160,10 +154,11 @@ def _index_rows(prefix: str, estimates: dict, base: dict) -> list[dict]:
 def cmd_mma_theta(args) -> int:
     spec = MaxMovingAverage(a=_parse_floats(args.a))
     base = _base(args, spec)
-    records = _index_rows("closed-", mma_index_table(spec.a), base)
+    records = _index_rows("closed-", spec.exact_indices(), base)
     if args.mixture_a:
-        mixture = mixture_theta([(0.5, spec.a), (0.5, _parse_floats(args.mixture_a))])
-        records += _index_rows("closed-mixture-", mixture, base)
+        other = MaxMovingAverage(a=_parse_floats(args.mixture_a))
+        mixture = Mixture(components=((0.5, spec), (0.5, other)))
+        records += _index_rows("closed-mixture-", mixture.exact_indices(), base)
     if args.empirical:
         records += _empirical_records(args, spec)
     write_records(records, INDEX_COLUMNS, args.out, args.format)
@@ -326,17 +321,15 @@ CE_COLUMNS = ["rank", "parity", "estimate", "se", "exact"] + BASE_COLUMNS
 
 
 def cmd_counterexample(args) -> int:
+    spec = CounterexampleField(args.alpha)
     rng = RngStream(args.seed)
     records = []
     for i, rank in enumerate(_parse_ints(args.ranks)):
-        est = counterexample_scaled_box_prob(
-            args.alpha, rank, args.n_per_rank, rng.lane(i)
-        )
+        est = spec.scaled_box_prob(rank, args.n_per_rank, rng.lane(i))
         records.append(
             {"rank": rank, "parity": "odd" if rank % 2 else "even",
-             "estimate": est.value, "se": est.se,
-             "exact": counterexample_exact_box_prob(args.alpha, rank),
-             "seed": args.seed, "model": f"counterexample-a{args.alpha}",
+             "estimate": est.value, "se": est.se, "exact": spec.exact_box_prob(rank),
+             "seed": args.seed, "model": f"counterexample-a{spec.alpha}",
              "version": __version__}
         )
     write_records(records, CE_COLUMNS, args.out, args.format)
@@ -349,7 +342,7 @@ VERIFY_COLUMNS = ["campaign", "check", "statistic", "threshold", "verdict", "mod
 def cmd_verify(args) -> int:
     rng = RngStream(args.seed)
     if args.campaign == "counterexample":
-        run = run_counterexample_check(args.alpha, rng)
+        run = run_counterexample_check(CounterexampleField(args.alpha), rng)
     else:
         run = _tail_campaign(args, rng)
     records = [
@@ -404,10 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, threads=True, fmt=True):
         sp.add_argument("--seed", type=int, default=0)
         if threads:
-            sp.add_argument(
-                "--threads", type=int,
-                default=int(os.environ.get("TAILFIELDS_THREADS", "1")),
-            )
+            sp.add_argument("--threads", type=int, default=1)
         sp.add_argument("--out", default=None, help="output path (default stdout)")
         if fmt:
             sp.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -505,6 +495,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cp.add_argument("--alpha", type=float, default=1.0)
     common(cp, threads=False)
+    # every parse error of the verify parser itself concerns the campaign
+    # name: missing, unknown, or preceded by a flag whose value took its place
+    names = ",".join(campaigns.choices)
+    sp.error = lambda message: sp.exit(
+        2, f"error: verify flags go after the campaign name: verify {{{names}}} [flags]\n"
+    )
 
     return p
 

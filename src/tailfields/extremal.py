@@ -3,8 +3,9 @@
 The five notions (classical, block, run per corner, tail-field per
 corner, half-space) agree only under extra conditions, so each gets its
 own estimator.  For the diagonal max-moving-average family the classical
-and run indices have exact rational closed forms, which the empirical
-estimators are tested against.
+and run indices have exact rational closed forms,
+``MaxMovingAverage.exact_indices`` (and ``Mixture.exact_indices`` for
+mixtures of them), which the empirical estimators are tested against.
 """
 
 from __future__ import annotations
@@ -12,8 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.optimize import brentq
@@ -26,7 +26,7 @@ from .lattice import (
     corner_point,
     pos_block,
 )
-from .models import MMA_OFFSETS, Model
+from .models import MaxMovingAverage, Model
 from .rng import RngStream, map_chunks
 from .simulate import (
     TooFewEventsError,
@@ -261,88 +261,10 @@ def theta_from_tail_samples(
     return MCEstimate.proportion(ok, n), MCEstimate.proportion(on_shell, n)
 
 
-# -- exact closed forms for the diagonal max-moving average --------------------
-
-def _exact_weights(a) -> dict[tuple[int, int], Fraction]:
-    if isinstance(a, Mapping):
-        vals = [a[o] for o in MMA_OFFSETS]
-    else:
-        vals = list(a)
-    if len(vals) != 4:
-        raise ValueError("need four weights in the diagonal-offset order")
-    out = {}
-    for o, w in zip(MMA_OFFSETS, vals):
-        fw = Fraction(str(w)) if isinstance(w, float) else Fraction(w)
-        if not 0 <= fw <= 1:
-            raise ValueError(f"weight {w} outside [0,1]")
-        out[o] = fw
-    return out
-
-
-def mma_theta_closed_form(a, corner=None) -> Fraction:
-    """Exact extremal index of the diagonal max-moving average.
-
-    ``corner=None`` gives the classical (= block) index 1/(1+s) with s
-    the weight sum.  A corner in {0,1}^2 gives the run index there: the
-    stencil is reflected through the axes where the corner bit is 1 and
-    the corner-0 exceedance mass is evaluated on the reflected weights.
-    """
-    w = _exact_weights(a)
-    s = sum(w.values())
-    if corner is None:
-        return 1 / (1 + s)
-    corner = as_point(corner)
-    if any(b not in (0, 1) for b in corner) or len(corner) != 2:
-        raise ValueError("corner must lie in {0,1}^2")
-    refl = {
-        tuple(v * (-1 if b else 1) for v, b in zip(o, corner)): wt
-        for o, wt in w.items()
-    }
-    mass = (
-        refl[(-1, -1)]
-        + min(refl[(-1, 1)], refl[(-1, -1)])
-        + refl[(1, 1)]
-        + min(refl[(1, -1)], refl[(-1, -1)])
-    )
-    return 1 - mass / (1 + s)
-
-
-ALL_CORNERS = ((0, 0), (1, 1), (0, 1), (1, 0))
-
-
 def mma_index_table(a) -> dict:
-    """Classical index plus the run index at all four corners, exact."""
-    out = {"classical": mma_theta_closed_form(a)}
-    for c in ALL_CORNERS:
-        out[c] = mma_theta_closed_form(a, corner=c)
-    return out
-
-
-def mixture_theta(components: Sequence[tuple[float, object]]) -> dict:
-    """Exact indices of a whole-field mixture of diagonal max-moving averages.
-
-    Run indices average with the mixture weights; this is valid only when
-    the components share the marginal exceedance scale s (equal weight
-    sums), which also forces a common classical index.
-    """
-    comps = [
-        (Fraction(str(w)) if isinstance(w, float) else Fraction(w), _exact_weights(a))
-        for w, a in components
-    ]
-    if sum(w for w, _ in comps) != 1:
-        raise ValueError("mixture weights must sum to 1")
-    sums = {sum(wts.values()) for _, wts in comps}
-    if len(sums) != 1:
-        raise ValueError(
-            "components have unequal weight sums; the averaging rule for run "
-            "indices is not justified in that case"
-        )
-    out = {"classical": 1 / (1 + sums.pop())}
-    for c in ALL_CORNERS:
-        out[c] = sum(
-            w * mma_theta_closed_form(wts, corner=c) for w, wts in comps
-        )
-    return out
+    """``MaxMovingAverage(a=a).exact_indices()``, under the name that
+    ``perfbench/test_checks.py`` imports."""
+    return MaxMovingAverage(a=a).exact_indices()
 
 
 # -- Brown-Resnick block index by Monte Carlo ----------------------------------

@@ -2,33 +2,25 @@
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 import sys
 
 
-def _fmt(v):
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
-def _csv_field(v) -> str:
-    """Format one CSV field, quoting it when it holds a comma or a quote."""
-    s = _fmt(v)
-    if "," in s or '"' in s:
-        return '"' + s.replace('"', '""') + '"'
-    return s
+def _csv(header: list[str], rows) -> str:
+    """CSV with "\\n" line ends, floats as their repr and minimal quoting."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def render_records(records: list[dict], columns: list[str], fmt: str) -> str:
     """Render records with a fixed column schema; byte-stable across runs."""
     if fmt == "csv":
-        buf = io.StringIO()
-        buf.write(",".join(columns) + "\n")
-        for r in records:
-            buf.write(",".join(_csv_field(r.get(c, "")) for c in columns) + "\n")
-        return buf.getvalue()
+        return _csv(columns, ([r.get(c, "") for c in columns] for r in records))
     if fmt == "json":
         rows = [{c: r.get(c, "") for c in columns} for r in records]
         return json.dumps(rows, indent=2) + "\n"
@@ -52,8 +44,4 @@ def write_records(
 
 def write_table(header: list[str], rows, path: str | None) -> None:
     """Plain CSV writer for columnar sample batches."""
-    buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
-    for row in rows:
-        buf.write(",".join(_fmt(v) for v in row) + "\n")
-    _emit(buf.getvalue(), path)
+    _emit(_csv(header, rows), path)

@@ -19,8 +19,15 @@ These members have defaults in :class:`Model`:
   u, count, gen)``, which raises ``TooFewEventsError``;
 * ``limit_tail_batch(points, count, gen)``, exact draws of the limit tail
   field, which raises ``TypeError``;
+* ``exact_indices()``, the exact classical index and run index at each of
+  ``ALL_CORNERS`` as ``Fraction``s keyed by "classical" and the corner,
+  which raises ``TypeError``; ``MaxMovingAverage`` and ``Mixture`` define it;
 * ``to_config()``, which raises ``TypeError``.  A class listed in
   ``MODEL_VARIANTS`` also defines the classmethod ``from_config(cfg)``.
+
+``CounterexampleField`` also states its rank-parity box law:
+``exact_box_prob(rank)`` and the importance sampler ``scaled_box_prob(rank,
+n_draws, rng)``.
 
 The samplers are called through the ``simulate`` entry points, which check
 their arguments first.  ``block_maxima`` and ``roots`` must equal the
@@ -33,6 +40,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Union
 
 import numpy as np
@@ -40,6 +48,8 @@ import numpy as np
 from . import simulate
 
 MMA_OFFSETS = ((-1, -1), (-1, 1), (1, 1), (1, -1))
+# the corners of {0,1}^2 in the key order of ``exact_indices``
+ALL_CORNERS = ((0, 0), (1, 1), (0, 1), (1, 0))
 
 
 @dataclass(frozen=True)
@@ -108,6 +118,9 @@ class Model:
 
     def limit_tail_batch(self, points, count: int, gen) -> np.ndarray:
         raise TypeError(f"no exact limit tail field for {type(self).__name__}")
+
+    def exact_indices(self) -> dict:
+        raise TypeError(f"no exact extremal indices for {type(self).__name__}")
 
     def to_config(self) -> dict:
         raise TypeError(f"unknown model {self!r}")
@@ -303,6 +316,23 @@ class MaxMovingAverage(_StencilModel):
     def stencil(self) -> tuple[tuple[tuple[int, int], float], ...]:
         return tuple(zip(MMA_OFFSETS, self.a))
 
+    def exact_indices(self) -> dict:
+        """Classical (= block) index 1/(1+s), s the weight sum, then the run
+        index at each corner: the stencil is reflected through the axes
+        where the corner bit is 1 and the corner-0 exceedance mass is
+        evaluated on the reflected weights."""
+        w = {o: Fraction(str(x)) for o, x in self.stencil}
+        s = sum(w.values())
+        out = {"classical": 1 / (1 + s)}
+        for corner in ALL_CORNERS:
+            r = {tuple(-v if b else v for v, b in zip(o, corner)): x for o, x in w.items()}
+            mass = (
+                r[(-1, -1)] + min(r[(-1, 1)], r[(-1, -1)])
+                + r[(1, 1)] + min(r[(1, -1)], r[(-1, -1)])
+            )
+            out[corner] = 1 - mass / (1 + s)
+        return out
+
     def to_config(self) -> dict:
         return {
             "variant": "MaxMovingAverage",
@@ -421,6 +451,33 @@ class CounterexampleField(Model):
     def fields(self, window, count: int, gen) -> np.ndarray:
         return simulate.counterexample_batch(self.alpha, window, count, gen)
 
+    def scaled_box_prob(self, rank: int, n_draws: int, rng):
+        """Importance-sampled a_m^alpha P(a_m^-1 (Z1,Z2) in (1,2]^2) at rank m,
+        an ``MCEstimate`` on that scale: the latent Pareto variable is drawn
+        inside the factorial block [a_m, a_(m+1)) in ratio space, so factorial
+        scales never materialize, and reweighted by the exact block mass."""
+        from .tailfield import MCEstimate  # tailfield imports this module
+
+        if rank < 1:
+            raise ValueError("rank must be >= 1")
+        weight = 1.0 - (rank + 1.0) ** (-self.alpha)  # a_m^alpha * P(Z in block m)
+        draws = simulate.pareto_in_block(rng.generator(), self.alpha, rank, (n_draws, 2))
+        if rank % 2 == 1:
+            hit = draws[:, 0] <= 2.0  # diagonal block: both coordinates equal Z
+        else:
+            hit = (draws <= 2.0).all(axis=1)
+        est = MCEstimate.proportion(int(hit.sum()), n_draws)
+        return MCEstimate(weight * est.value, weight * est.se, n_draws)
+
+    def exact_box_prob(self, rank: int) -> float:
+        """Exact a_m^alpha-rescaled box probability at rank m: the block tail
+        mass 1 - 2^-alpha on odd (diagonal) blocks, its square over the
+        block mass on even ones."""
+        c = 1.0 - 2.0**-self.alpha
+        if rank % 2 == 1:
+            return c
+        return c**2 / (1.0 - (rank + 1.0) ** (-self.alpha))
+
     def to_config(self) -> dict:
         return {"variant": "CounterexampleField", "alpha": self.alpha}
 
@@ -441,21 +498,19 @@ class Mixture(Model):
             raise ValueError("component weights must be nonnegative")
         if abs(sum(w for w, _ in comps) - 1.0) > 1e-12:
             raise ValueError("mixture weights must sum to 1")
+        if len({m.dim for _, m in comps} - {None}) > 1:
+            raise ValueError("mixture components disagree on dimension")
+        if len({m.alpha for _, m in comps}) != 1:
+            raise ValueError("mixture components disagree on tail index")
         object.__setattr__(self, "components", comps)
 
     @property
     def dim(self) -> int | None:
-        dims = {m.dim for _, m in self.components} - {None}
-        if len(dims) > 1:
-            raise ValueError("mixture components disagree on dimension")
-        return dims.pop() if dims else None
+        return next((m.dim for _, m in self.components if m.dim is not None), None)
 
     @property
     def alpha(self) -> float:
-        alphas = {m.alpha for _, m in self.components}
-        if len(alphas) != 1:
-            raise ValueError("mixture components disagree on tail index")
-        return alphas.pop()
+        return self.components[0][1].alpha
 
     @property
     def radius(self) -> int:
@@ -467,6 +522,19 @@ class Mixture(Model):
 
     def exceed_prob(self, u: float) -> float:
         return sum(w * m.exceed_prob(u) for w, m in self.components)
+
+    def exact_indices(self) -> dict:
+        """Weighted average of the components' exact index tables, valid only
+        when they share one classical index (for max-moving averages, equal
+        weight sums); a ``ValueError`` otherwise."""
+        tables = [(Fraction(str(w)), m.exact_indices()) for w, m in self.components]
+        if len({t["classical"] for _, t in tables}) != 1:
+            raise ValueError(
+                "components have unequal classical indices; the averaging rule "
+                "for run indices is not justified in that case"
+            )
+        total = sum(w for w, _ in tables)
+        return {k: sum(w * t[k] for w, t in tables) / total for k in tables[0][1]}
 
     def _batch(self, count: int, gen, draw, shape, p=None) -> np.ndarray:
         """Pick a component per replicate with probabilities ``p`` (default:

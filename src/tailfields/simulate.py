@@ -89,9 +89,10 @@ def factorial_rank(z: np.ndarray) -> np.ndarray:
     return np.searchsorted(_FACTORIALS, z, side="right")
 
 
-def _pareto_in_block(gen, alpha: float, m: np.ndarray) -> np.ndarray:
-    """Pareto(alpha) conditioned to [a_m, a_(m+1)), returned as Z / a_m."""
-    v = gen.random(m.shape)
+def pareto_in_block(gen, alpha: float, m, shape) -> np.ndarray:
+    """Pareto(alpha) conditioned to [a_m, a_(m+1)), returned as Z / a_m; the
+    rank ``m`` is one number or an array of ``shape``."""
+    v = gen.random(shape)
     ratio_tail = (m + 1.0) ** (-alpha)  # (a_(m+1)/a_m)^-alpha
     return (1.0 - v * (1.0 - ratio_tail)) ** (-1.0 / alpha)
 
@@ -102,10 +103,8 @@ def counterexample_pairs(alpha: float, count: int, gen) -> np.ndarray:
     The latent variable Z is standard Pareto(alpha).  On odd factorial
     blocks [a_(2n-1), a_(2n)) the pair is the diagonal (Z, Z); on even
     blocks the coordinates are redrawn independently from the block's
-    conditional Pareto law.
+    conditional Pareto law.  ``CounterexampleField`` checks ``alpha``.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
     z = (1.0 - gen.random(count)) ** (-1.0 / alpha)
     m = factorial_rank(z)
     out = np.empty((count, 2))
@@ -115,8 +114,8 @@ def counterexample_pairs(alpha: float, count: int, gen) -> np.ndarray:
     if n_even:
         me = m[~odd].astype(float)
         a_m = _FACTORIALS[m[~odd] - 1]
-        z1 = _pareto_in_block(gen, alpha, me) * a_m
-        z2 = _pareto_in_block(gen, alpha, me) * a_m
+        z1 = pareto_in_block(gen, alpha, me, me.shape) * a_m
+        z2 = pareto_in_block(gen, alpha, me, me.shape) * a_m
         out[~odd, 0] = z1
         out[~odd, 1] = z2
     return out

@@ -14,10 +14,9 @@ import numpy as np
 from scipy import stats
 
 from .lattice import centered_box
-from .models import Model, model_tag
+from .models import CounterexampleField, Model, model_tag
 from .rng import RngStream
 from .tailfield import (
-    MCEstimate,
     TailBatch,
     estimate_tail_field,
     rs_transform,
@@ -206,45 +205,7 @@ def run_rs_invariance_check(
     return run
 
 
-def counterexample_scaled_box_prob(
-    alpha: float, rank: int, n_draws: int, rng: RngStream
-) -> MCEstimate:
-    """Importance-sampled a_m^alpha P(a_m^-1 (Z1,Z2) in (1,2]^2) at rank m.
-
-    The latent Pareto variable is drawn directly inside the factorial
-    block [a_m, a_(m+1)) under its conditional law (in ratio space, so
-    factorial scales never materialize) and reweighted by the exact block
-    mass; the returned estimate's value and standard error are on the
-    a_m^alpha-rescaled scale.
-    """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if rank < 1:
-        raise ValueError("rank must be >= 1")
-    gen = rng.generator()
-    weight = 1.0 - (rank + 1.0) ** (-alpha)  # a_m^alpha * P(Z in block m)
-    ratio_tail = (rank + 1.0) ** (-alpha)
-    v = gen.random((n_draws, 2))
-    draws = (1.0 - v * (1.0 - ratio_tail)) ** (-1.0 / alpha)  # Z / a_m in [1, m+1)
-    if rank % 2 == 1:
-        hit = draws[:, 0] <= 2.0  # diagonal block: both coordinates equal Z
-    else:
-        hit = (draws <= 2.0).all(axis=1)
-    est = MCEstimate.proportion(int(hit.sum()), n_draws)
-    return MCEstimate(weight * est.value, weight * est.se, n_draws)
-
-
-def counterexample_exact_box_prob(alpha: float, rank: int) -> float:
-    """Exact a_m^alpha-rescaled box probability from the mixture law."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    c = 1.0 - 2.0**-alpha
-    if rank % 2 == 1:
-        return c
-    return c**2 / (1.0 - (rank + 1.0) ** (-alpha))
-
-
-def run_counterexample_check(alpha: float, rng: RngStream) -> VerificationRun:
+def run_counterexample_check(spec: CounterexampleField, rng: RngStream) -> VerificationRun:
     """Scaled box probabilities at the odd ranks 9, 13, 19 and the even ranks
     10, 14, 20, 200000 draws each.
 
@@ -255,17 +216,17 @@ def run_counterexample_check(alpha: float, rng: RngStream) -> VerificationRun:
     is what rules out joint regular variation.
     """
     run = VerificationRun(
-        name="counterexample", model=f"CounterexamplePair(alpha={alpha})", seed=rng.seed
+        "counterexample", f"CounterexamplePair(alpha={spec.alpha})", rng.seed
     )
-    c = 1.0 - 2.0**-alpha
+    c = 1.0 - 2.0**-spec.alpha
     groups = {}
     lane = 0
     for label, ranks, target in (("odd", (9, 13, 19), c), ("even", (10, 14, 20), c * c)):
         ests, ses = [], []
         for m in ranks:
-            est = counterexample_scaled_box_prob(alpha, m, 200_000, rng.lane(lane))
+            est = spec.scaled_box_prob(m, 200_000, rng.lane(lane))
             lane += 1
-            err = abs(est.value - counterexample_exact_box_prob(alpha, m))
+            err = abs(est.value - spec.exact_box_prob(m))
             band = THRESHOLDS["counterexample_rank_sigmas"] * est.se
             run.add(f"{label}-rank-{m}-exact", err, band, err <= band)
             ests.append(est.value)

@@ -17,21 +17,21 @@ from tailfields.cluster import (
     limit_cluster_laplace_mc,
 )
 from tailfields.extremal import (
-    ALL_CORNERS,
     br_theta_block_profile,
     level_u,
-    mixture_theta,
-    mma_theta_closed_form,
     theta_classical_empirical,
     theta_run_empirical,
 )
 from tailfields.lattice import InvariantOrder, centered_box, pos_block
 from tailfields.models import (
+    ALL_CORNERS,
     AdditiveFBM,
     BrownResnick,
+    CounterexampleField,
     CustomVariogram,
     IIDFrechet,
     MaxMovingAverage,
+    Mixture,
 )
 from tailfields.rng import RngStream
 from tailfields.simulate import field_batch
@@ -62,10 +62,7 @@ def record(criterion: str, ok: bool, detail: str):
 
 class TestCriterion01ExactTable:
     def test_exact_example_table(self):
-        table = {
-            "classical": mma_theta_closed_form(MMA_A),
-            **{c: mma_theta_closed_form(MMA_A, corner=c) for c in ALL_CORNERS},
-        }
+        table = MMA.exact_indices()
         expect = {
             "classical": Fraction(2, 5),
             (0, 0): Fraction(16, 25),
@@ -82,7 +79,9 @@ class TestCriterion01ExactTable:
 
 class TestCriterion02ExactMixture:
     def test_exact_mixture_table(self):
-        m = mixture_theta([(Fraction(1, 2), MMA_A), (Fraction(1, 2), MMA_A2)])
+        m = Mixture(
+            components=((0.5, MMA), (0.5, MaxMovingAverage(a=MMA_A2)))
+        ).exact_indices()
         expect = {
             "classical": Fraction(2, 5),
             (0, 0): Fraction(13, 25),
@@ -105,7 +104,7 @@ class TestCriterion03RunEmpirical:
             est = theta_run_empirical(
                 MMA, corner, (20, 20), (400, 400), 1.0, 2500, rng.lane(i)
             )
-            exact = float(mma_theta_closed_form(MMA_A, corner))
+            exact = float(MMA.exact_indices()[corner])
             worst = max(worst, abs(est.value - exact))
         record(
             "criterion-3 empirical run indices",
@@ -224,7 +223,7 @@ class TestCriterion07HurstSweep:
 
 class TestCriterion08Counterexample:
     def test_rank_parity_separation(self):
-        run = run_counterexample_check(1.0, RngStream(9801))
+        run = run_counterexample_check(CounterexampleField(1.0), RngStream(9801))
         sep = next(c for c in run.checks if c.check_id == "group-separation-sigmas")
         odd = next(c for c in run.checks if c.check_id.startswith("odd-group"))
         even = next(c for c in run.checks if c.check_id.startswith("even-group"))

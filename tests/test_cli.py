@@ -271,6 +271,12 @@ class TestVerifyCommand:
         assert "shift(1, 0)-one" in {r["check"] for r in rows}
         assert {r["verdict"] for r in rows} <= {"pass", "fail"}
 
+    def test_flag_before_campaign_name_exits_2(self, capsys):
+        code, out, err = run_cli(["verify", "--seed", "3", "pareto-root"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: verify flags go after the campaign name")
+        assert err.count("\n") == 1
+
     def test_counterexample_campaign(self, capsys):
         code, out, err = run_cli(
             ["verify", "counterexample", "--seed", "2"], capsys
@@ -315,6 +321,9 @@ class TestRejectedInputs:
             ["verify", "pareto-root", "--model", "nope"],
             ["tailfield", "--model", "nope"],
             ["mma-theta", "--a", "1.3,0,0,0"],
+            ["mma-theta", "--mixture-a", "1.3,0,0,0"],
+            ["mma-theta", "--mixture-a", "0.1,0.1,0.1,0.1"],
+            ["tailfield", "--model-json", "{tmp}/mixed-alpha.json"],
             ["tailfield", "--model-json", "{tmp}/missing.json"],
             ["tailfield", "--model-json", "{tmp}/no-variant.json"],
             ["tailfield", "--model-json", "{tmp}/no-weights.json"],
@@ -325,6 +334,11 @@ class TestRejectedInputs:
         (tmp_path / "no-variant.json").write_text(json.dumps({"alpha": 2}))
         no_weights = {"variant": "MaxMovingAverage"}
         (tmp_path / "no-weights.json").write_text(json.dumps(no_weights))
+        mixed = {"variant": "Mixture", "components": [
+            {"weight": 0.5, "model": {"variant": "IIDFrechet", "alpha": a}}
+            for a in (1.0, 2.0)
+        ]}
+        (tmp_path / "mixed-alpha.json").write_text(json.dumps(mixed))
         argv = [a.format(tmp=tmp_path) for a in argv]
         code, out, err = run_cli(argv, capsys)
         assert code == 2 and out == ""

@@ -6,23 +6,22 @@ import pytest
 from tailfields.gaussian import br_tail_field_batch
 from tailfields.lattice import InvariantOrder, centered_box
 from tailfields.models import (
+    ALL_CORNERS,
     AdditiveFBM,
     CustomVariogram,
+    GeneralMaxMovingAverage,
     IIDFrechet,
     MaxMovingAverage,
+    Mixture,
 )
 from tailfields.rng import RngStream
 from tailfields.simulate import TooFewEventsError
 from tailfields.extremal import (
-    ALL_CORNERS,
     DegenerateEstimateError,
     HalfSpaceRegion,
     OrthantRegion,
     br_theta_block_profile,
     level_u,
-    mixture_theta,
-    mma_index_table,
-    mma_theta_closed_form,
     theta_block_empirical,
     theta_classical_empirical,
     theta_from_tail_samples,
@@ -33,6 +32,7 @@ from tailfields.tailfield import TailBatch
 MMA_A = (0.1, 0.7, 0.6, 0.1)
 MMA_A2 = (0.6, 0.2, 0.6, 0.1)
 MMA = MaxMovingAverage(a=MMA_A)
+MMA2 = MaxMovingAverage(a=MMA_A2)
 LEX = InvariantOrder(dim=2)
 
 
@@ -59,7 +59,8 @@ class TestLevelU:
 
 class TestClosedForms:
     def test_reference_weight_table(self):
-        t = mma_index_table(MMA_A)
+        t = MMA.exact_indices()
+        assert list(t) == ["classical", *ALL_CORNERS]
         assert t["classical"] == Fraction(2, 5)
         assert t[(0, 0)] == Fraction(16, 25)
         assert t[(1, 1)] == Fraction(11, 25)
@@ -67,18 +68,19 @@ class TestClosedForms:
         assert t[(1, 0)] == Fraction(3, 5)
 
     def test_second_weight_table(self):
-        t = mma_index_table(MMA_A2)
+        t = MMA2.exact_indices()
         assert t["classical"] == Fraction(2, 5)
         assert (t[(0, 0)], t[(1, 1)], t[(0, 1)], t[(1, 0)]) == (
             Fraction(2, 5), Fraction(2, 5), Fraction(18, 25), Fraction(4, 5)
         )
 
     def test_all_zero_weights_give_one(self):
-        t = mma_index_table((0, 0, 0, 0))
+        t = MaxMovingAverage(a=(0, 0, 0, 0)).exact_indices()
         assert all(v == 1 for v in t.values())
 
     def test_exact_mixture_table(self):
-        m = mixture_theta([(0.5, MMA_A), (0.5, MMA_A2)])
+        m = Mixture(components=((0.5, MMA), (0.5, MMA2))).exact_indices()
+        assert list(m) == ["classical", *ALL_CORNERS]
         assert m["classical"] == Fraction(2, 5)
         assert m[(0, 0)] == Fraction(13, 25)
         assert m[(1, 1)] == Fraction(21, 50)
@@ -86,22 +88,30 @@ class TestClosedForms:
         assert m[(1, 0)] == Fraction(7, 10)
 
     def test_mixture_single_component_reduces(self):
-        m = mixture_theta([(1, MMA_A)])
-        t = mma_index_table(MMA_A)
+        m = Mixture(components=((1, MMA),)).exact_indices()
+        t = MMA.exact_indices()
         assert all(m[k] == t[k] for k in m)
 
     def test_mixture_self_fixed_point(self):
-        m = mixture_theta([(0.5, MMA_A), (0.5, MMA_A)])
-        t = mma_index_table(MMA_A)
+        m = Mixture(components=((0.5, MMA), (0.5, MMA))).exact_indices()
+        t = MMA.exact_indices()
         assert all(m[k] == t[k] for k in m)
 
     def test_mixture_unequal_scale_rejected(self):
-        with pytest.raises(ValueError):
-            mixture_theta([(0.5, MMA_A), (0.5, (0.1, 0.1, 0.1, 0.1))])
+        other = MaxMovingAverage(a=(0.1, 0.1, 0.1, 0.1))
+        with pytest.raises(ValueError, match="unequal classical indices"):
+            Mixture(components=((0.5, MMA), (0.5, other))).exact_indices()
 
     def test_weight_validation(self):
         with pytest.raises(ValueError):
-            mma_theta_closed_form((1.5, 0, 0, 0))
+            MaxMovingAverage(a=(1.5, 0, 0, 0))
+
+    def test_models_without_a_closed_form_raise_type_error(self):
+        with pytest.raises(TypeError, match="IIDFrechet"):
+            IIDFrechet(1.0).exact_indices()
+        general = GeneralMaxMovingAverage(stencil=(((1, 0), 0.5),))
+        with pytest.raises(TypeError, match="GeneralMaxMovingAverage"):
+            Mixture(components=((0.5, MMA), (0.5, general))).exact_indices()
 
 
 class TestRunEstimator:
@@ -110,7 +120,7 @@ class TestRunEstimator:
         for i, corner in enumerate(ALL_CORNERS):
             est = theta_run_empirical(MMA, corner, (20, 20), (400, 400), 1.0,
                                       4000, rng.lane(i))
-            exact = float(mma_theta_closed_form(MMA_A, corner))
+            exact = float(MMA.exact_indices()[corner])
             assert abs(est.value - exact) <= max(3.5 * est.se, 0.03)
 
     def test_iid_no_clustering(self):

@@ -49,6 +49,19 @@ def test_validation_errors():
         GeneralMaxMovingAverage(stencil=(((0, 0), 0.5),))
 
 
+@pytest.mark.parametrize(
+    "first, second, message",
+    [
+        (IIDFrechet(1.0), IIDFrechet(2.0), "tail index"),
+        (MMA, BrownResnick(variogram=AdditiveFBM(hurst=(0.5, 0.5, 0.5))), "dimension"),
+    ],
+    ids=["alpha", "dim"],
+)
+def test_mixture_components_must_agree(first, second, message):
+    with pytest.raises(ValueError, match=f"disagree on {message}"):
+        Mixture(components=((0.5, first), (0.5, second)))
+
+
 def test_dims_and_indices():
     assert MMA.dim == 2
     assert IIDFrechet(2.0).dim is None

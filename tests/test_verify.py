@@ -3,12 +3,15 @@ import math
 import pytest
 from scipy.integrate import quad
 
-from tailfields.models import GeneralMaxMovingAverage, IIDFrechet, MaxMovingAverage
+from tailfields.models import (
+    CounterexampleField,
+    GeneralMaxMovingAverage,
+    IIDFrechet,
+    MaxMovingAverage,
+)
 from tailfields.rng import RngStream
 from tailfields.verify import (
     THRESHOLDS,
-    counterexample_exact_box_prob,
-    counterexample_scaled_box_prob,
     run_change_of_time_check,
     run_counterexample_check,
     run_pareto_root_check,
@@ -91,13 +94,13 @@ class TestRsInvariance:
 class TestCounterexample:
     def test_exact_values(self):
         # odd blocks are diagonal: the box probability is the block tail mass
-        assert counterexample_exact_box_prob(1.0, 9) == 0.5
-        assert counterexample_exact_box_prob(2.0, 9) == 0.75
+        assert CounterexampleField(1.0).exact_box_prob(9) == 0.5
+        assert CounterexampleField(2.0).exact_box_prob(9) == 0.75
         # even blocks: independent-coordinate square over the block mass
-        assert counterexample_exact_box_prob(1.0, 10) == pytest.approx(
+        assert CounterexampleField(1.0).exact_box_prob(10) == pytest.approx(
             0.25 / (1 - 1 / 11)
         )
-        assert counterexample_exact_box_prob(2.0, 10) == pytest.approx(
+        assert CounterexampleField(2.0).exact_box_prob(10) == pytest.approx(
             0.5625 / (1 - 11**-2)
         )
 
@@ -106,20 +109,21 @@ class TestCounterexample:
         # (a_3, 2 a_3] = (6, 12], rescaled by a_3
         alpha = 1.0
         val, _ = quad(lambda z: alpha * z ** -(alpha + 1), 6.0, 12.0)
-        est = counterexample_scaled_box_prob(alpha, 3, 400_000, RngStream(608))
+        spec = CounterexampleField(alpha)
+        est = spec.scaled_box_prob(3, 400_000, RngStream(608))
         assert est.n == 400_000
         assert est.value == pytest.approx(6.0 * val, abs=4 * est.se)
-        assert counterexample_exact_box_prob(alpha, 3) == pytest.approx(6.0 * val, rel=1e-9)
+        assert spec.exact_box_prob(3) == pytest.approx(6.0 * val, rel=1e-9)
 
     def test_alpha_one_campaign(self):
-        run = run_counterexample_check(1.0, RngStream(609))
+        run = run_counterexample_check(CounterexampleField(1.0), RngStream(609))
         assert run.passed
         sep = [c for c in run.checks if c.check_id == "group-separation-sigmas"]
         assert sep and sep[0].statistic >= THRESHOLDS["counterexample_separation"]
 
     def test_alpha_two_targets(self):
         # plug alpha = 2 into the two tail constants: 0.75 and 0.5625
-        run = run_counterexample_check(2.0, RngStream(610))
+        run = run_counterexample_check(CounterexampleField(2.0), RngStream(610))
         assert run.passed
         near = {c.check_id: c for c in run.checks}
         assert "odd-group-near-0.75" in near
@@ -127,14 +131,12 @@ class TestCounterexample:
 
     def test_rank_validation(self):
         with pytest.raises(ValueError):
-            counterexample_scaled_box_prob(1.0, 0, 100, RngStream(0))
+            CounterexampleField(1.0).scaled_box_prob(0, 100, RngStream(0))
 
     @pytest.mark.parametrize("alpha", [0.0, -1.0])
     def test_alpha_validation(self, alpha):
         with pytest.raises(ValueError, match="alpha must be positive"):
-            counterexample_scaled_box_prob(alpha, 9, 100, RngStream(0))
-        with pytest.raises(ValueError, match="alpha must be positive"):
-            counterexample_exact_box_prob(alpha, 9)
+            CounterexampleField(alpha)
 
 
 class TestRsIdempotence:
