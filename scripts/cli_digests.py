@@ -9,7 +9,7 @@ the CLI output byte-identical:
     PYTHONPATH=src python scripts/cli_digests.py > digests.txt
 
 The 20 commands cover every subcommand, all four ``verify`` campaigns plus
-the corrupted negative control, one ``--threads 2`` run, one ``--format
+the corrupted negative control, two ``--threads 2`` runs, one ``--format
 json`` run, and the counterexample and exact-index commands at a
 non-default alpha or weights.  The whole list takes a few seconds on one
 core.
@@ -26,8 +26,8 @@ from tailfields.cli import main as cli_main
 
 COMMANDS = (
     ["mma-theta"],
-    ["mma-theta", "--empirical", "--mixture-a", "0.6,0.2,0.6,0.1", "--n", "100,100",
-     "--r", "10,10", "--replicates", "400", "--seed", "3"],
+    ["mma-empirical", "--n", "100,100", "--r", "10,10", "--replicates", "400",
+     "--seed", "3", "--threads", "2"],
     ["mma-empirical", "--n", "100,100", "--r", "10,10", "--replicates", "400",
      "--seed", "4"],
     ["br-theta", "--hurst", "0.6,0.4", "--trunc-m", "8", "--n-mc", "400",

@@ -2,14 +2,15 @@
 
 Subcommands: mma-theta, mma-empirical, br-theta, br-fig1, br-tailcdf,
 tailfield, cluster-laplace, counterexample, verify.  Each command accepts
-only the flags it reads and is a pure function of them and --seed.
---threads (default 1) is taken by mma-theta, mma-empirical, br-theta,
-br-fig1, tailfield and cluster-laplace, whose outputs are byte-identical
-at any value; BLAS runs on one thread per worker.  tailfield writes CSV
-only; the others take --format.  verify flags go after the campaign
-name; ``verify --seed 3 pareto-root`` exits 2 saying so.  Rejected input
-exits 2: a flag the command does not take with argparse's usage message,
-a bad value such as an unknown model name with one ``error: `` line.
+only the flags it reads and is a pure function of them; all but the
+closed-form mma-theta take --seed.
+--threads (default 1) is taken by mma-empirical, br-theta, br-fig1,
+tailfield and cluster-laplace, whose outputs are byte-identical at any
+value; BLAS runs on one thread per worker.  tailfield writes CSV only;
+the others take --format.  verify flags go after the campaign name;
+``verify --seed pareto-root`` exits 2 saying so.  Rejected input exits
+2: a flag the command does not take with argparse's usage message, a
+bad value such as an unknown model name with one ``error: `` line.
 """
 
 from __future__ import annotations
@@ -122,7 +123,9 @@ def resolve_model(args) -> Model:
 
 
 def _base(args, spec) -> dict:
-    return {"seed": args.seed, "model": model_digest(spec), "version": __version__}
+    # mma-theta is closed-form and takes no --seed; its seed column reads 0
+    return {"seed": getattr(args, "seed", 0), "model": model_digest(spec),
+            "version": __version__}
 
 
 # -- commands -----------------------------------------------------------------
@@ -159,13 +162,12 @@ def cmd_mma_theta(args) -> int:
         other = MaxMovingAverage(a=_parse_floats(args.mixture_a))
         mixture = Mixture(components=((0.5, spec), (0.5, other)))
         records += _index_rows("closed-mixture-", mixture.exact_indices(), base)
-    if args.empirical:
-        records += _empirical_records(args, spec)
     write_records(records, INDEX_COLUMNS, args.out, args.format)
     return 0
 
 
-def _empirical_records(args, spec) -> list[dict]:
+def cmd_mma_empirical(args) -> int:
+    spec = MaxMovingAverage(a=_parse_floats(args.a))
     rng = RngStream(args.seed)
     n = _parse_ints(args.n)
     r = _parse_ints(args.r)
@@ -183,13 +185,7 @@ def _empirical_records(args, spec) -> list[dict]:
         for i, corner in enumerate(ALL_CORNERS)
     }
     estimates = {"classical": classical, **{c: runs[c] for c in sorted(runs)}}
-    return _index_rows("", estimates, base)
-
-
-def cmd_mma_empirical(args) -> int:
-    spec = MaxMovingAverage(a=_parse_floats(args.a))
-    records = _empirical_records(args, spec)
-    write_records(records, INDEX_COLUMNS, args.out, args.format)
+    write_records(_index_rows("", estimates, base), INDEX_COLUMNS, args.out, args.format)
     return 0
 
 
@@ -383,6 +379,7 @@ TAIL_CAMPAIGNS = {
     "change-of-time": "both sides of the spectral field's shift identity",
     "rs-invariance": "re-rooting invariance of the spectral law, by per-lag KS",
 }
+VERIFY_CAMPAIGNS = (*TAIL_CAMPAIGNS, "counterexample")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -394,23 +391,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, threads=True, fmt=True):
-        sp.add_argument("--seed", type=int, default=0)
+    def common(sp, seed=True, threads=True, fmt=True):
+        if seed:
+            sp.add_argument("--seed", type=int, default=0)
         if threads:
             sp.add_argument("--threads", type=int, default=1)
         sp.add_argument("--out", default=None, help="output path (default stdout)")
         if fmt:
             sp.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    sp = sub.add_parser("mma-theta", help="exact index table, optionally with MC")
+    sp = sub.add_parser("mma-theta", help="exact index table")
     sp.add_argument("--a", default="0.1,0.7,0.6,0.1")
     sp.add_argument("--mixture-a", default=None)
-    sp.add_argument("--empirical", action="store_true")
-    sp.add_argument("--n", default="400,400")
-    sp.add_argument("--r", default="20,20")
-    sp.add_argument("--tau", type=float, default=1.0)
-    sp.add_argument("--replicates", type=_positive_int, default=2500)
-    common(sp)
+    common(sp, seed=False, threads=False)
     sp.set_defaults(func=cmd_mma_theta)
 
     sp = sub.add_parser("mma-empirical", help="empirical index report")
@@ -495,17 +488,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cp.add_argument("--alpha", type=float, default=1.0)
     common(cp, threads=False)
-    # every parse error of the verify parser itself concerns the campaign
-    # name: missing, unknown, or preceded by a flag whose value took its place
-    names = ",".join(campaigns.choices)
-    sp.error = lambda message: sp.exit(
-        2, f"error: verify flags go after the campaign name: verify {{{names}}} [flags]\n"
-    )
-
     return p
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the word after ``verify`` must name the campaign: a flag there, as in
+    # ``verify --seed pareto-root``, would otherwise reach the top parser
+    word = argv[1] if len(argv) > 1 else None
+    if argv[:1] == ["verify"] and word not in (*VERIFY_CAMPAIGNS, "-h", "--help"):
+        names = ",".join(VERIFY_CAMPAIGNS)
+        print(f"error: verify flags go after the campaign name: verify {{{names}}} [flags]",
+              file=sys.stderr)
+        return 2
     args = build_parser().parse_args(argv)
     try:
         with single_threaded_blas():

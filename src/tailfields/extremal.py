@@ -18,7 +18,6 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import brentq
 
-from .gaussian import GaussianFieldSampler
 from .lattice import (
     InvariantOrder,
     as_point,
@@ -34,7 +33,7 @@ from .simulate import (
     conditional_field_batch,
     field_batch,
 )
-from .tailfield import MCEstimate, TailBatch
+from .tailfield import MCEstimate, TailBatch, _exponent_gap
 
 
 def level_u(spec: Model, n: Sequence[int], tau: float) -> float:
@@ -231,8 +230,7 @@ class HalfSpaceRegion:
     bound: int
 
     def points(self) -> list[tuple[int, ...]]:
-        pts = _half_space_points(self.order, self.bound)
-        return [tuple(int(x) for x in p) for p in pts if p.any()]
+        return [as_point(p) for p in _half_space_points(self.order, self.bound)]
 
 
 def theta_from_tail_samples(
@@ -270,11 +268,10 @@ def mma_index_table(a) -> dict:
 # -- Brown-Resnick block index by Monte Carlo ----------------------------------
 
 def _half_space_points(order: InvariantOrder, bound: int) -> np.ndarray:
-    """The origin and the points of [-bound, bound]^dim before it, dim that
-    of the order, as an ``(n, dim)`` int array in row-major order."""
+    """The points of [-bound, bound]^dim before the origin, dim that of the
+    order, as an ``(n, dim)`` int array in row-major order."""
     pts = centered_box(bound, order.dim).point_array()
-    keep = order.before_origin_mask(pts) | np.all(pts == 0, axis=1)
-    return pts[keep]
+    return pts[order.before_origin_mask(pts)]
 
 
 def br_theta_block_profile(
@@ -290,40 +287,18 @@ def br_theta_block_profile(
 
     Per replicate and truncation M the value is
     max(V(0), max_(t<0, |t|<=M) V(t)) - max_(t<0, |t|<=M) V(t) with
-    V = exp(W - sigma2/2); all truncations share the Gaussian draw, so
-    the per-replicate value is nonincreasing in M pathwise.  Valid when
-    the Gaussian drift criterion holds (W(t) - sigma2(t)/2 diverges to
-    -infinity), as it does for additive fractional Brownian motion with
-    any Hurst parameters.
+    V = exp(W - sigma2/2), the tail field's joint CDF at level 1 on
+    ``HalfSpaceRegion(order, M)`` (see ``tailfield._exponent_gap``); all
+    truncations share the Gaussian draw, so the per-replicate value is
+    nonincreasing in M pathwise.  Valid when the Gaussian drift criterion
+    holds (W(t) - sigma2(t)/2 diverges to -infinity), as it does for
+    additive fractional Brownian motion with any Hurst parameters.
     """
     M_list = sorted(set(int(m) for m in M_list))
     if M_list[0] < 1:
         raise ValueError("truncation radii must be >= 1")
     pts = _half_space_points(order, M_list[-1])
-    not_origin = np.any(pts != 0, axis=1)
-    oix = int(np.flatnonzero(~not_origin)[0])
-    sampler = GaussianFieldSampler(variogram, pts)
-    s2 = sampler.sigma2
     radii = np.abs(pts).max(axis=1)
-    strict_masks = {m: (radii <= m) & not_origin for m in M_list}
-
-    def work(start, count, stream):
-        v = sampler.draw(count, stream.generator())
-        v -= 0.5 * s2
-        np.exp(v, out=v)
-        v0 = v[:, oix]
-        sums = {}
-        for m in M_list:
-            # v > 0, so the initial 0 changes no maximum and is the empty one
-            ms = np.max(v, axis=1, where=strict_masks[m], initial=0.0)
-            diff = np.maximum(v0, ms) - ms
-            sums[m] = (diff.sum(), (diff**2).sum())
-        return sums
-
-    parts = map_chunks(work, n_mc, chunk, rng, threads)
-    return {
-        m: MCEstimate.from_sums(
-            sum(p[m][0] for p in parts), sum(p[m][1] for p in parts), n_mc
-        )
-        for m in M_list
-    }
+    masks = [radii <= m for m in M_list]
+    estimates = _exponent_gap(variogram, pts, None, masks, n_mc, rng, chunk, threads)
+    return dict(zip(M_list, estimates))

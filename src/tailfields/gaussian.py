@@ -128,13 +128,6 @@ class GaussianFieldSampler:
             cov[np.diag_indices(len(pts))] += 1e-12  # numerical jitter
             self._chol = np.linalg.cholesky(cov)
 
-    def cov_with_origin(self) -> np.ndarray:
-        """Cov(W(p), W(0)) per point."""
-        if isinstance(self.variogram, AdditiveFBM):
-            return np.zeros(len(self.points))  # W(0) = 0
-        s2_0 = float(self.variogram.sigma2((0,) * self.points.shape[1]))
-        return 0.5 * (self.sigma2 + s2_0 - _variogram_at(self.variogram, self.points))
-
     def draw(self, count: int, gen) -> np.ndarray:
         """(count, n_points) Gaussian draw."""
         if self._chol is not None:
@@ -204,8 +197,10 @@ def br_tail_field_batch(
     if origin not in pts:
         raise ValueError("point set must contain the origin")
     sampler = GaussianFieldSampler(variogram, pts)
-    tilt = sampler.cov_with_origin()
-    w = sampler.draw(count, gen) + tilt[None, :]
+    # Cov(W(t), W(0)); exactly 0 for additive fBm, where W(0) = 0
+    s2_0 = float(variogram.sigma2(origin))
+    tilt = 0.5 * (sampler.sigma2 + s2_0 - _variogram_at(variogram, sampler.points))
+    w = sampler.draw(count, gen) + tilt
     logv = w - 0.5 * sampler.sigma2[None, :]
     logv -= logv[:, [pts.index(origin)]]
     p = 1.0 / (1.0 - gen.random(count))

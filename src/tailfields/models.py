@@ -264,33 +264,27 @@ class _StencilModel(Model):
     def conditional_fields(self, window, point, u: float, count: int, gen):
         """Fields conditioned on X(point) > u, sampled exactly.
 
-        X(point) exceeds iff one of the weighted noise sites behind it
-        exceeds; the occurring subset of those independent events is drawn
-        from its exact conditional law, then noise is filled in accordingly.
+        X(point) exceeds iff one of the independent events {w_j Z(site j) > u}
+        behind it occurs.  The first event J that occurs has P(J = j)
+        proportional to p_j prod_(i<j) (1 - p_i); sites before J are drawn
+        below their level, site J above it, and sites after J keep the
+        unconditioned noise, since {J = j} does not depend on them.
         """
         items = [((0,) * window.dim, 1.0)] + [(o, w) for o, w in self.stencil if w > 0.0]
         radius = max(max(abs(x) for x in o) for o, _ in items)
         big = window.dilate(radius)
-        sites = [tuple(p + o_l for p, o_l in zip(point, o)) for o, _ in items]
-        probs = np.array([-math.expm1(-w / u) for _, w in items])  # P(w Z > u)
-
-        # conditional law of the event-indicator vector given at least one event
-        n_ev = len(items)
-        subsets = np.arange(1, 1 << n_ev)
-        bits = (subsets[:, None] >> np.arange(n_ev)[None, :]) & 1
-        logw = bits * np.log(probs)[None, :] + (1 - bits) * np.log1p(-probs)[None, :]
-        w_subset = np.exp(logw.sum(axis=1))
-        w_subset /= w_subset.sum()
-        picks = gen.choice(len(subsets), size=count, p=w_subset)
-        occur = bits[picks].astype(bool)  # (count, n_ev)
+        w = np.array([w for _, w in items])
+        # P(w Z > u) times P(w_i Z <= u) = exp(-w_i / u) for every earlier i
+        p_first = -np.expm1(-w / u) * np.exp(-(np.cumsum(w) - w) / u)
+        first = gen.choice(len(items), size=count, p=p_first / p_first.sum())
 
         z = simulate.frechet_of(gen.random((count, *big.shape)), 1.0)
-        for j, ((_, w), s) in enumerate(zip(items, sites)):
-            c = u / w
-            idx = big.index(s)
-            col_hi = simulate.frechet_above(gen, c, count)
-            col_lo = simulate.frechet_below(gen, c, count)
-            z[(slice(None), *idx)] = np.where(occur[:, j], col_hi, col_lo)
+        for j, (o, w_j) in enumerate(items):
+            c = u / w_j
+            col = (slice(None), *big.index(tuple(p + x for p, x in zip(point, o))))
+            hi = simulate.frechet_above(gen, c, count)
+            lo = simulate.frechet_below(gen, c, count)
+            z[col] = np.where(first == j, hi, np.where(first > j, lo, z[col]))
 
         return simulate.stencil_max(self, z, radius, window.shape)
 

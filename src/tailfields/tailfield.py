@@ -210,6 +210,44 @@ def br_tail_marginal_cdf(gamma_t: float, y: float) -> float:
     )
 
 
+def _exponent_gap(
+    variogram, points, levels, masks, n_mc: int, rng: RngStream, chunk: int,
+    threads: int = 1,
+) -> list[MCEstimate]:
+    """E[max(V(0), M) - M] per boolean mask over ``points``, on one shared
+    Gaussian draw: V = exp(W - sigma2/2) on the origin and ``points`` (an
+    ``(n, dim)`` int array), M the maximum of V(t)/y_t over the masked
+    points (0 if none), y_t the ``levels`` (1 where None).  Each value is
+    P(Y(t) <= y_t on the masked points) for the Brown-Resnick tail field Y,
+    and each per-replicate difference is nonnegative.
+    """
+    origin = np.zeros((1, points.shape[1]), dtype=np.int64)
+    sampler = GaussianFieldSampler(variogram, np.vstack([origin, points]))
+    s2 = sampler.sigma2
+
+    def work(start, count, stream):
+        v = sampler.draw(count, stream.generator())
+        v -= 0.5 * s2
+        np.exp(v, out=v)
+        v0, vp = v[:, 0], v[:, 1:]
+        if levels is not None:  # a pass over the whole draw, skipped at level 1
+            vp /= levels
+        sums = []
+        for mask in masks:
+            # v > 0, so the initial 0 changes no maximum and is the empty one
+            m = np.max(vp, axis=1, where=mask, initial=0.0)
+            diff = np.maximum(v0, m) - m
+            sums.append((diff.sum(), (diff**2).sum()))
+        return sums
+
+    parts = map_chunks(work, n_mc, chunk, rng, threads)
+    # per mask, the chunks' sums and sums of squares added in chunk order
+    return [
+        MCEstimate.from_sums(*(sum(col) for col in zip(*per_mask)), n_mc)
+        for per_mask in zip(*parts)
+    ]
+
+
 def br_tail_fdd_mc(
     points,
     y,
@@ -221,30 +259,16 @@ def br_tail_fdd_mc(
     """Monte-Carlo joint CDF P(Y(t_1) <= y_1, ..., Y(t_n) <= y_n).
 
     Evaluates the difference of the two exponent expectations with common
-    random numbers, which makes the per-replicate difference nonnegative.
+    random numbers (``_exponent_gap``), which makes the per-replicate
+    difference nonnegative.
     """
-    pts = [as_point(p) for p in points]
+    pts = np.array([as_point(p) for p in points], dtype=np.int64)
     yv = np.asarray(y, dtype=float)
     if yv.ndim == 0:
         yv = np.full(len(pts), float(yv))
     if len(yv) != len(pts) or np.any(yv <= 0):
         raise ValueError("need one positive level per point")
-    dim = len(pts[0])
-    origin = (0,) * dim
-    sampler = GaussianFieldSampler(variogram, [origin] + pts)
-    s2 = sampler.sigma2
-
-    def work(start, count, stream):
-        w = sampler.draw(count, stream.generator())
-        v = np.exp(w - 0.5 * s2)
-        m_pts = (v[:, 1:] / yv[None, :]).max(axis=1)
-        diff = np.maximum(m_pts, v[:, 0]) - m_pts
-        return diff.sum(), (diff**2).sum()
-
-    parts = map_chunks(work, n_mc, chunk, rng)
-    return MCEstimate.from_sums(
-        sum(p[0] for p in parts), sum(p[1] for p in parts), n_mc
-    )
+    return _exponent_gap(variogram, pts, yv, [True], n_mc, rng, chunk)[0]
 
 
 # -- the re-rooting transform and identity checks -----------------------------

@@ -327,7 +327,7 @@ class TestCriterion11Anticluster:
 class TestCriterion12Determinism:
     def test_cli_byte_identical(self, tmp_path, capsys):
         cases = [
-            ["mma-theta", "--empirical", "--n", "100,100", "--r", "10,10",
+            ["mma-empirical", "--n", "100,100", "--r", "10,10",
              "--replicates", "600", "--seed", "12"],
             ["br-fig1", "--hurst-grid", "0.3,0.7", "--trunc-m", "8",
              "--n-mc", "600", "--seed", "12"],

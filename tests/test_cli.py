@@ -56,18 +56,20 @@ class TestMmaTheta:
         assert code == 2
 
     def test_empirical_within_tolerance(self, capsys):
-        code, out, _ = run_cli(
-            ["mma-theta", "--empirical", "--n", "200,200", "--r", "10,10",
-             "--replicates", "1500", "--seed", "5"],
-            capsys,
-        )
-        assert code == 0
-        rows = [r.split(",") for r in out.strip().splitlines()[1:]]
-        closed = {(r[0], r[1]): float(r[2]) for r in rows if r[0].startswith("closed")}
-        emp = {(r[0], r[1]): float(r[2]) for r in rows if not r[0].startswith("closed")}
-        assert abs(emp[("classical", "")] - closed[("closed-classical", "")]) <= 0.06
-        for c in ("00", "11", "01", "10"):
-            assert abs(emp[("run", c)] - closed[("closed-run", c)]) <= 0.06
+        # mma-empirical against the closed forms that mma-theta prints
+        tables = []
+        for argv in (["mma-theta"],
+                     ["mma-empirical", "--n", "200,200", "--r", "10,10",
+                      "--replicates", "1500", "--seed", "5"]):
+            code, out, _ = run_cli(argv, capsys)
+            assert code == 0
+            rows = csv.DictReader(io.StringIO(out))
+            tables.append({(r["method"].removeprefix("closed-"), r["corner"]):
+                           float(r["theta"]) for r in rows})
+        closed, emp = tables
+        assert emp.keys() == closed.keys()
+        for key, theta in closed.items():
+            assert abs(emp[key] - theta) <= 0.06, key
 
     def test_empirical_rows_schema(self, capsys):
         code, out, _ = run_cli(
@@ -92,7 +94,7 @@ class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["mma-theta", "--empirical", "--n", "100,100", "--r", "10,10",
+            ["mma-empirical", "--n", "100,100", "--r", "10,10",
              "--replicates", "400", "--seed", "3"],
             ["br-fig1", "--hurst-grid", "0.3,0.7", "--trunc-m", "8",
              "--n-mc", "500", "--seed", "3"],
@@ -272,10 +274,13 @@ class TestVerifyCommand:
         assert {r["verdict"] for r in rows} <= {"pass", "fail"}
 
     def test_flag_before_campaign_name_exits_2(self, capsys):
-        code, out, err = run_cli(["verify", "--seed", "3", "pareto-root"], capsys)
-        assert code == 2 and out == ""
-        assert err.startswith("error: verify flags go after the campaign name")
-        assert err.count("\n") == 1
+        # the flag takes the name as its value, or leaves it to be parsed
+        for argv in (["verify", "--seed", "3", "pareto-root"],
+                     ["verify", "--seed", "pareto-root"]):
+            code, out, err = run_cli(argv, capsys)
+            assert code == 2 and out == "", argv
+            assert err.startswith("error: verify flags go after the campaign name")
+            assert err.count("\n") == 1, argv
 
     def test_counterexample_campaign(self, capsys):
         code, out, err = run_cli(
@@ -357,6 +362,9 @@ class TestUnreadFlags:
             (["tailfield", "--format", "json"], "--format"),
             (["counterexample", "--threads", "2"], "--threads"),
             (["br-tailcdf", "--threads", "2"], "--threads"),
+            (["mma-theta", "--empirical"], "--empirical"),
+            (["mma-theta", "--threads", "2"], "--threads"),
+            (["mma-theta", "--seed", "3"], "--seed"),
         ],
         ids=lambda v: v if isinstance(v, str) else "-".join(v[:3]),
     )

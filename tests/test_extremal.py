@@ -27,7 +27,7 @@ from tailfields.extremal import (
     theta_from_tail_samples,
     theta_run_empirical,
 )
-from tailfields.tailfield import TailBatch
+from tailfields.tailfield import TailBatch, br_tail_fdd_mc
 
 MMA_A = (0.1, 0.7, 0.6, 0.1)
 MMA_A2 = (0.6, 0.2, 0.6, 0.1)
@@ -248,6 +248,19 @@ class TestBrBlockIndex:
                                       20_000, RngStream(310))
         vals = [prof[m].value for m in [1, 2, 4, 8]]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize(
+        "order", [LEX, InvariantOrder(dim=2, perm=(1, 0), signs=(-1, 1))],
+        ids=["lex", "permuted-signed"],
+    )
+    def test_is_the_half_space_cdf_bit_for_bit(self, order):
+        # the block index is the tail field's CDF at level 1 on the half-space;
+        # at n_mc <= 64 both estimators draw one chunk from the same substream
+        vg, M = AdditiveFBM((0.6, 0.4)), 5
+        for n in (1, 40, 64):
+            prof = br_theta_block_profile(vg, [M], order, n, RngStream(315))[M]
+            pts = HalfSpaceRegion(order, M).points()
+            assert prof == br_tail_fdd_mc(pts, 1.0, vg, n, RngStream(315))
 
     def test_near_independence_limit(self):
         vg = CustomVariogram(

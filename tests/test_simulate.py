@@ -283,10 +283,19 @@ class TestMixture:
 
 class TestConditionalSampling:
     def test_event_always_holds(self):
-        u = 1e4
-        x = conditional_field_batch(MMA, pos_block((4, 4)), (0, 0), u, 5000,
-                                    RngStream(18).generator())
-        assert (x[:, 0, 0] > u).all()
+        # the second case has all 24 offsets of [-2, 2]^2: the first-event
+        # law is linear in the stencil size, where a table of event subsets
+        # would need 2^25 rows
+        offsets = [o for o in centered_box(2, 2).points() if any(o)]
+        radius_two = GeneralMaxMovingAverage(
+            stencil=tuple((o, 0.04 * (k + 1)) for k, o in enumerate(offsets))
+        )
+        for spec, window, point, u, n, seed in (
+            (MMA, pos_block((4, 4)), (0, 0), 1e4, 5000, 18),
+            (radius_two, pos_block((5, 5)), (2, 2), 50.0, 100, 23),
+        ):
+            x = conditional_field_batch(spec, window, point, u, n, RngStream(seed).generator())
+            assert (x[:, point[0], point[1]] > u).all()
 
     def test_matches_rejection_at_moderate_level(self):
         # cross-validate the exact conditional law against plain rejection
@@ -305,6 +314,17 @@ class TestConditionalSampling:
         assert abs(p_rej - p_con) <= 4 * max(se, 1e-4)
         ks = stats.ks_2samp(rej[:, 0, 0], xc[:, 0, 0])
         assert ks.pvalue > 1e-3
+
+    def test_conditional_marginal_tail(self):
+        # X(p) is Frechet with scale 1 + s, so given X(p) > u its law is
+        # P(X(p) > y | X(p) > u) = (1 - e^-(1+s)/y) / (1 - e^-(1+s)/u)
+        u, n, scale = 20.0, 400_000, 1.0 + sum(MMA_A)
+        x = conditional_field_batch(MMA, pos_block((1, 1)), (0, 0), u, n,
+                                    RngStream(24).generator())[:, 0, 0]
+        for y in (30.0, 60.0, 200.0):
+            exact = -math.expm1(-scale / y) / -math.expm1(-scale / u)
+            p = (x > y).mean()
+            assert abs(p - exact) <= 4 * math.sqrt(exact * (1 - exact) / n)
 
     def test_iid_conditioning(self):
         u = 100.0
