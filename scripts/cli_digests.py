@@ -8,8 +8,10 @@ the CLI output byte-identical:
 
     PYTHONPATH=src python scripts/cli_digests.py > digests.txt
 
-The 20 commands cover every subcommand, all four ``verify`` campaigns plus
-the corrupted negative control, two ``--threads 2`` runs, one ``--format
+The 23 commands cover every subcommand, all four ``verify`` campaigns plus
+the corrupted negative control, ``tailfield`` on every route (IID and
+max-moving-average noise drawn from their law; Brown-Resnick, mixture and
+counterexample fields built), two ``--threads 2`` runs, one ``--format
 json`` run, and the counterexample and exact-index commands at a
 non-default alpha or weights.  The whole list takes a few seconds on one
 core.
@@ -40,6 +42,12 @@ COMMANDS = (
      "--seed", "8"],
     ["tailfield", "--model", "br-fbm", "--spectral", "--lag-radius", "1", "--q", "0.99",
      "--replicates", "5000", "--seed", "9"],
+    ["tailfield", "--model", "iid", "--lag-radius", "2", "--q", "0.99",
+     "--replicates", "20000", "--seed", "20"],
+    ["tailfield", "--model", "mixture", "--lag-radius", "2", "--q", "0.99",
+     "--replicates", "20000", "--seed", "21"],
+    ["tailfield", "--model", "counterexample", "--lag-radius", "2", "--q", "0.99",
+     "--replicates", "20000", "--seed", "22"],
     ["cluster-laplace", "--n", "40,40", "--r", "20,20", "--fields", "10",
      "--lag-radius", "2", "--q", "0.99", "--replicates", "12000", "--seed", "10"],
     ["counterexample", "--n-per-rank", "20000", "--seed", "11"],

@@ -77,11 +77,11 @@ def theta_classical_empirical(
 ) -> MCEstimate:
     """Classical extremal index via -log P(no exceedance on [0:n-1]) / tau.
 
-    Block maxima come from ``block_max_batch``: for max-moving averages the
-    maximum is max_s c_s Z(s) over the noise, c_s the largest weight through
-    which site s reaches the block, and IID noise needs only each field's
-    largest uniform; other models build the fields.  Either way the maxima
-    equal those of the built fields bit for bit.
+    Block maxima come from ``block_max_batch``: for IID noise and
+    max-moving averages one Frechet variable per replicate, scaled by the
+    exponent V of the block (``exponent``), so P(M <= u) = exp(-V u^-alpha)
+    and the exact finite-n index is V u^-alpha / tau; other models build the
+    fields.
     """
     n = as_point(n)
     u = level_u(spec, n, tau)
@@ -116,9 +116,7 @@ def theta_block_empirical(
 
     Estimates P(M_X([0:r-1]) > u) by simulation; the denominator
     (prod r) P(|X(0)| > u) uses the exact marginal.  The block maxima come
-    from ``block_max_batch`` as in ``theta_classical_empirical``
-    (max_s c_s Z(s) for max-moving averages, the fields themselves for
-    models without a noise shortcut).
+    from ``block_max_batch`` as in ``theta_classical_empirical``.
     """
     n, r = as_point(n), as_point(r)
     if any(a >= b for a, b in zip(r, n)):

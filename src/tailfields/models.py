@@ -14,7 +14,8 @@ These members have defaults in :class:`Model`:
 * ``dim`` (None: any lattice dimension) and ``radius`` (0: the sup-norm
   reach of the noise behind one site);
 * ``block_maxima(window, count, gen)`` and ``roots(window, index, count,
-  gen)``, which build the fields;
+  gen)``, which build the fields; the max-linear models (IID noise and the
+  max-moving averages) draw both from their law instead;
 * ``exact_conditioning`` (False) and ``conditional_fields(window, point,
   u, count, gen)``, which raises ``TooFewEventsError``;
 * ``limit_tail_batch(points, count, gen)``, exact draws of the limit tail
@@ -30,8 +31,10 @@ These members have defaults in :class:`Model`:
 n_draws, rng)``.
 
 The samplers are called through the ``simulate`` entry points, which check
-their arguments first.  ``block_maxima`` and ``roots`` must equal the
-built fields bit for bit and leave ``gen`` as ``fields`` leaves it.
+their arguments first.  Each draws only from ``gen``, so the same generator
+state reproduces its output.  ``block_maxima`` must have the law of the
+built fields' max |X| over the window; ``roots`` that of |X| at the site,
+and the rows it builds that of the fields given those roots.
 """
 
 from __future__ import annotations
@@ -126,48 +129,6 @@ class Model:
         raise TypeError(f"unknown model {self!r}")
 
 
-@dataclass(frozen=True)
-class IIDFrechet(Model):
-    """Independent Frechet(alpha) noise, P(Z <= z) = exp(-z^-alpha)."""
-
-    alpha: float = 1.0
-    exact_conditioning = True
-
-    def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-
-    def exceed_prob(self, u: float) -> float:
-        return -math.expm1(-(u ** -self.alpha))
-
-    def fields(self, window, count: int, gen) -> np.ndarray:
-        return simulate.frechet_batch(self.alpha, window, count, gen)
-
-    def block_maxima(self, window, count: int, gen) -> np.ndarray:
-        # Z = f(U) is increasing in U: each field needs only its largest uniform
-        u = gen.random((count, *window.shape))
-        return simulate.frechet_of(u.reshape(count, -1).max(axis=1), self.alpha)
-
-    def roots(self, window, index, count: int, gen):
-        u = gen.random((count, *window.shape))
-        roots = simulate.frechet_of(u[(slice(None), *index)], self.alpha)
-        return roots, lambda idx: simulate.frechet_of(u[idx], self.alpha)
-
-    def conditional_fields(self, window, point, u: float, count: int, gen):
-        x = simulate.frechet_batch(self.alpha, window, count, gen)
-        idx = window.index(point)
-        c = u ** self.alpha  # reduce to Frechet(1) via Z^alpha
-        x[(slice(None), *idx)] = simulate.frechet_above(gen, c, count) ** (1 / self.alpha)
-        return x
-
-    def to_config(self) -> dict:
-        return {"variant": "IIDFrechet", "alpha": self.alpha}
-
-    @classmethod
-    def from_config(cls, cfg: dict) -> "IIDFrechet":
-        return cls(alpha=float(cfg.get("alpha", 1.0)))
-
-
 def _check_weights(weights):
     for o, w in weights.items():
         if not 0.0 <= float(w) <= 1.0:
@@ -183,110 +144,111 @@ def _parse_offset(s: str) -> tuple[int, ...]:
 
 
 class _StencilModel(Model):
-    """Max-moving average X(t) = max(Z(t), max_o w_o Z(t + o)) driven by iid
-    standard Frechet(1) noise Z; ``stencil`` holds the (o, w_o) pairs."""
+    """Max-linear field X(t) = max(Z(t), max_o w_o Z(t + o)) driven by iid
+    Frechet(alpha) noise Z; ``stencil`` holds the (o, w_o) pairs.
+
+    Every sampler but ``fields`` draws from the law, by max-stability:
+    max_s c_s Z(s) has the law of (sum_s c_s^alpha)^(1/alpha) Z, and the
+    term J attaining it is independent of its value, P(J = j) ∝ c_j^alpha.
+    """
 
     alpha = 1.0
+    stencil = ()
     exact_conditioning = True
 
     @property
-    def dim(self) -> int:
-        return len(self.stencil[0][0])
+    def dim(self) -> int | None:
+        return len(self.stencil[0][0]) if self.stencil else None
 
     @property
     def radius(self) -> int:
-        return max(max(abs(x) for x in o) for o, _ in self.stencil)
+        return max((max(abs(x) for x in o) for o, _ in self.stencil), default=0)
 
     @property
     def weights(self) -> dict[tuple[int, ...], float]:
         return dict(self.stencil)
 
+    def exponent(self, window) -> float:
+        """V = sum_s c_s^alpha, so that P(max of X over ``window`` <= u) =
+        exp(-V u^-alpha); c_s, on the window dilated by the stencil radius,
+        is the largest weight through which noise site s reaches the window
+        (1 on the window itself, 0 where no positive weight reaches)."""
+        radius, shape = self.radius, window.shape
+        c = np.zeros(window.dilate(radius).shape)
+        for o, w in self.stencil:
+            sl = tuple(slice(radius + off, radius + off + s) for off, s in zip(o, shape))
+            np.maximum(c[sl], w, out=c[sl])
+        c[tuple(slice(radius, radius + s) for s in shape)] = 1.0
+        return float((c**self.alpha).sum())
+
     @property
-    def weight_sum(self) -> float:
-        return float(sum(w for _, w in self.stencil))
+    def _site_scale(self) -> float:
+        # X at one site has the law of this scale times Z
+        return (1.0 + sum(w**self.alpha for _, w in self.stencil)) ** (1 / self.alpha)
 
     def exceed_prob(self, u: float) -> float:
-        return -math.expm1(-(1.0 + self.weight_sum) / u)
+        return -math.expm1(-((self._site_scale / u) ** self.alpha))
 
     def fields(self, window, count: int, gen) -> np.ndarray:
         return simulate.mma_batch(self, window, count, gen)
 
     def block_maxima(self, window, count: int, gen) -> np.ndarray:
-        """max_s c_s Z(s) from the same uniforms that ``mma_batch`` draws.
-
-        c_s, on the window dilated by the stencil radius, is the largest
-        weight through which noise site s reaches the window: 1 on the
-        window itself and 0 where no positive weight reaches.  Rounding is
-        monotone, so max_o fl(w_o Z) = fl(max_o w_o Z), and Z = f(U) is
-        increasing, so the window itself needs only its largest uniform and
-        only the ring sites with c_s > 0 are transformed one by one.
-        """
-        radius = self.radius
-        shape = window.shape
-        c = np.zeros(window.dilate(radius).shape)
-        for o, w in self.stencil:
-            sl = tuple(slice(radius + off, radius + off + s) for off, s in zip(o, shape))
-            np.maximum(c[sl], w, out=c[sl])
-        core = tuple(slice(radius, radius + s) for s in shape)
-        c[core] = 1.0
-        u = gen.random((count, *c.shape))
-        u_max = u[(slice(None), *core)].max(axis=tuple(range(1, u.ndim)))
-        m = simulate.frechet_of(u_max, 1.0)
-        ring = c > 0.0
-        ring[core] = False
-        idx = np.flatnonzero(ring)
-        if idx.size:
-            z = simulate.frechet_of(u.reshape(count, -1)[:, idx], 1.0)
-            np.maximum(m, (c.ravel()[idx] * z).max(axis=1), out=m)
-        return m
+        scale = self.exponent(window) ** (1 / self.alpha)
+        return scale * simulate.frechet_of(gen.random(count), self.alpha)
 
     def roots(self, window, index, count: int, gen):
-        """max(Z(point), max_o w_o Z(point + o)), with the same noise values,
-        products and ``np.maximum`` steps as ``stencil_max`` at that site;
-        ``rows`` applies the Fréchet transform and the stencil to the chosen
-        rows only."""
-        radius = self.radius
-        u = gen.random((count, *window.dilate(radius).shape))
-
-        def noise(o):
-            return simulate.frechet_of(
-                u[(slice(None), *(radius + i + d for i, d in zip(index, o)))], 1.0
-            )
-
-        roots = noise((0,) * window.dim)
-        for o, w in self.stencil:
-            if w != 0.0:
-                np.maximum(roots, w * noise(o), out=roots)
-        return roots, lambda idx: simulate.stencil_max(
-            self, simulate.frechet_of(u[idx], 1.0), radius, window.shape
-        )
+        roots = self._site_scale * simulate.frechet_of(gen.random(count), self.alpha)
+        return roots, lambda idx: self._given_root(window, index, roots[idx], gen)
 
     def conditional_fields(self, window, point, u: float, count: int, gen):
-        """Fields conditioned on X(point) > u, sampled exactly.
+        """Fields given X(point) > u, sampled exactly: X(point) = s Z with s
+        the one-site scale, so given the event it is s Z with Z above u / s."""
+        scale = self._site_scale
+        roots = scale * simulate.frechet_above(gen, np.full(count, u / scale), self.alpha)
+        return self._given_root(window, window.index(point), roots, gen)
 
-        X(point) exceeds iff one of the independent events {w_j Z(site j) > u}
-        behind it occurs.  The first event J that occurs has P(J = j)
-        proportional to p_j prod_(i<j) (1 - p_i); sites before J are drawn
-        below their level, site J above it, and sites after J keep the
-        unconditioned noise, since {J = j} does not depend on them.
-        """
+    def _given_root(self, window, index, r: np.ndarray, gen) -> np.ndarray:
+        """Fields on ``window`` given X = r at the array index ``index``, where
+        X = max_j w_j Z(site j) over the point (w = 1) and its positive-weight
+        stencil sites: the term J attaining r has P(J = j) ∝ w_j^alpha and
+        Z(site J) = r / w_J, the other terms lie below r / w_i, and the rest
+        of the dilated window is unconditioned.  r is written back at the
+        point, so the field equals it there exactly."""
         items = [((0,) * window.dim, 1.0)] + [(o, w) for o, w in self.stencil if w > 0.0]
-        radius = max(max(abs(x) for x in o) for o, _ in items)
-        big = window.dilate(radius)
-        w = np.array([w for _, w in items])
-        # P(w Z > u) times P(w_i Z <= u) = exp(-w_i / u) for every earlier i
-        p_first = -np.expm1(-w / u) * np.exp(-(np.cumsum(w) - w) / u)
-        first = gen.choice(len(items), size=count, p=p_first / p_first.sum())
+        p = np.array([w for _, w in items]) ** self.alpha
+        attains = gen.choice(len(items), size=len(r), p=p / p.sum())
+        radius = self.radius
+        noise_shape = (len(r), *window.dilate(radius).shape)
+        z = simulate.frechet_of(gen.random(noise_shape), self.alpha)
+        for j, (o, w) in enumerate(items):
+            site = (slice(None), *(radius + i + d for i, d in zip(index, o)))
+            below = simulate.frechet_below(gen, r / w, self.alpha)
+            z[site] = np.where(attains == j, r / w, below)
+        x = simulate.stencil_max(self, z, radius, window.shape)
+        x[(slice(None), *index)] = r
+        return x
 
-        z = simulate.frechet_of(gen.random((count, *big.shape)), 1.0)
-        for j, (o, w_j) in enumerate(items):
-            c = u / w_j
-            col = (slice(None), *big.index(tuple(p + x for p, x in zip(point, o))))
-            hi = simulate.frechet_above(gen, c, count)
-            lo = simulate.frechet_below(gen, c, count)
-            z[col] = np.where(first == j, hi, np.where(first > j, lo, z[col]))
 
-        return simulate.stencil_max(self, z, radius, window.shape)
+@dataclass(frozen=True)
+class IIDFrechet(_StencilModel):
+    """Independent Frechet(alpha) noise, P(Z <= z) = exp(-z^-alpha): the
+    max-linear field with the empty stencil."""
+
+    alpha: float = 1.0
+
+    def __post_init__(self):
+        if self.alpha <= 0:
+            raise ValueError("alpha must be positive")
+
+    def fields(self, window, count: int, gen) -> np.ndarray:
+        return simulate.frechet_batch(self.alpha, window, count, gen)
+
+    def to_config(self) -> dict:
+        return {"variant": "IIDFrechet", "alpha": self.alpha}
+
+    @classmethod
+    def from_config(cls, cfg: dict) -> "IIDFrechet":
+        return cls(alpha=float(cfg.get("alpha", 1.0)))
 
 
 @dataclass(frozen=True)
@@ -552,10 +514,9 @@ class Mixture(Model):
         )
 
     def block_maxima(self, window, count: int, gen) -> np.ndarray:
-        def draw(comp, k):
-            return simulate.block_max_batch(comp, window, k, gen)
-
-        return self._batch(count, gen, draw, ())
+        return self._batch(
+            count, gen, lambda comp, k: simulate.block_max_batch(comp, window, k, gen), ()
+        )
 
     def conditional_fields(self, window, point, u: float, count: int, gen):
         if not self.exact_conditioning:
@@ -565,10 +526,11 @@ class Mixture(Model):
         w_cond = np.array([w * m.exceed_prob(u) for w, m in self.components])
         w_cond /= w_cond.sum()
 
-        def draw(comp, k):
-            return simulate.conditional_field_batch(comp, window, point, u, k, gen)
-
-        return self._batch(count, gen, draw, window.shape, w_cond)
+        return self._batch(
+            count, gen,
+            lambda comp, k: simulate.conditional_field_batch(comp, window, point, u, k, gen),
+            window.shape, w_cond,
+        )
 
     def to_config(self) -> dict:
         return {

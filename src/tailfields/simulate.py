@@ -9,9 +9,9 @@ generator state always reproduce the same fields.  Callers derive the
 generator from an ``RngStream``; the chunked estimators assign one stream
 per fixed-size chunk, which keeps results independent of worker count.
 ``block_max_batch`` returns only each field's maximum, and ``field_roots``
-only each field's value at one site plus the full rows asked for; both
-give the same values and generator state as building the fields.  The rest
-of the module holds the noise kernels that the models share.
+only each field's value at one site plus a builder of full rows; both have
+the law of the built fields.  The rest of the module holds the noise
+kernels that the models share.
 """
 
 from __future__ import annotations
@@ -38,18 +38,17 @@ def frechet_batch(alpha: float, window: Window, count: int, gen) -> np.ndarray:
     return frechet_of(gen.random((count, *window.shape)), alpha)
 
 
-def frechet_above(gen, c: float, shape) -> np.ndarray:
-    # Frechet(1) conditioned on Z > c: invert F on (F(c), 1)
-    f_c = math.exp(-1.0 / c)
-    u = f_c + gen.random(shape) * (1.0 - f_c)
-    return -1.0 / np.log(u)
+def frechet_above(gen, c: np.ndarray, alpha: float) -> np.ndarray:
+    # Frechet(alpha) above each level in c: E = Z^-alpha is Exp(1) below
+    # c^-alpha, by inversion; 1 - U lies in (0, 1], so every draw is finite
+    e = -np.log1p((1.0 - gen.random(c.shape)) * np.expm1(-(c**-alpha)))
+    return e ** (-1.0 / alpha)
 
 
-def frechet_below(gen, c: float, shape) -> np.ndarray:
-    # Frechet(1) conditioned on Z <= c
-    f_c = math.exp(-1.0 / c)
-    u = gen.random(shape) * f_c
-    return -1.0 / np.log(u)
+def frechet_below(gen, c: np.ndarray, alpha: float) -> np.ndarray:
+    # Frechet(alpha) at most each level in c: E = Z^-alpha is c^-alpha plus
+    # a fresh Exp(1) draw
+    return (c**-alpha + gen.standard_exponential(c.shape)) ** (-1.0 / alpha)
 
 
 def stencil_max(spec, z: np.ndarray, radius: int, shape) -> np.ndarray:
@@ -153,13 +152,9 @@ def field_batch(spec, window: Window, count: int, gen) -> np.ndarray:
 
 def block_max_batch(spec, window: Window, count: int, gen) -> np.ndarray:
     """max over the window of |X|, for ``count`` fields; a ``(count,)`` array.
-
-    Equal, bit for bit, to ``abs(field_batch(spec, window, count, gen))``
-    maximised per replicate, and it leaves ``gen`` in the same state.  IID
-    noise needs only the largest uniform of each field, and a max-moving
-    average the noise weighted by the largest weight through which each
-    site reaches the window; mixtures pick components as ``field_batch``
-    does, and every other model builds the fields.
+    Max-linear models draw it in one variable per replicate (see
+    ``models``); mixtures pick components as ``field_batch`` does, and
+    every other model builds the fields.
     """
     _check_dim(spec, window)
     return spec.block_maxima(window, count, gen)
@@ -168,15 +163,11 @@ def block_max_batch(spec, window: Window, count: int, gen) -> np.ndarray:
 def field_roots(spec, window: Window, point, count: int, gen):
     """|X(point)| for ``count`` fields, and a builder for chosen rows.
 
-    Returns ``(roots, rows)``.  ``roots`` equals, bit for bit,
-    ``abs(field_batch(spec, window, count, gen))`` at ``point``, and
-    ``rows(idx)`` equals that batch's rows ``idx``; ``gen`` is left in the
-    same state.  Both come from the uniforms ``field_batch`` draws, kept
-    until ``rows`` is released, so a caller that needs a few full rows
-    never builds the others.  IID noise needs the one uniform at the point
-    and a max-moving average the noise at the point and its stencil sites;
-    every other model (Brown-Resnick, the counterexample field, mixtures)
-    builds all the fields.
+    Returns ``(roots, rows)``: ``roots`` has the law of |X(point)|, and
+    ``rows(idx)`` that of the fields given the roots ``idx``, with the roots
+    at ``point``.  Max-linear models draw each root in one variable and
+    build only the rows asked for (see ``models``); every other model builds
+    all the fields and keeps them until ``rows`` is released.
     """
     _check_dim(spec, window)
     return spec.roots(window, window.index(as_point(point)), count, gen)

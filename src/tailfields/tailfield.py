@@ -7,11 +7,11 @@ lags x^-1 X(t) with one row per replicate and its root norm alongside.
 Dividing each row by its root norm gives the spectral batch.  Estimators
 are chunked with one substream per fixed-size chunk, so results do not
 depend on worker count and retained replicates can be regenerated
-bit-identically.  The threshold needs only |X(0)| of every replicate:
-for IID and max-moving-average noise ``field_roots`` computes it from the
-noise at the origin and its stencil sites, bit-identical to the built
-field, and full lag windows are built only for the rows a chunk keeps;
-Brown-Resnick, the counterexample field and mixtures build every field.
+deterministically.  The threshold needs only |X(0)| of every replicate:
+for IID and max-moving-average noise ``field_roots`` draws it from its
+law, and full lag windows are built, given their roots, only for the rows
+a chunk keeps; Brown-Resnick, the counterexample field and mixtures build
+every field.
 
 :class:`MCEstimate` is the package's estimate record: every Monte-Carlo
 estimator reduces its per-replicate outcomes to (value, se, n) through one
@@ -126,10 +126,9 @@ def estimate_tail_field(
     |X(0)|, so each chunk takes them from ``field_roots`` and builds full
     lag windows only for a buffer of its 3(1-q) share of largest roots; a
     chunk is regenerated from its substream only in the rare case its
-    buffer turns out too shallow.  Rows and roots are bit-identical to
-    those of the built fields (see ``field_roots``), and chunk ``c`` always
-    draws from ``rng.substream(c)``, so the result does not depend on
-    ``threads``.
+    buffer turns out too shallow.  Rows and roots have the law of the built
+    fields (see ``field_roots``), and chunk ``c`` always draws from
+    ``rng.substream(c)``, so the result does not depend on ``threads``.
     """
     origin = (0,) * lags.dim
     if not lags.contains(origin):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from tailfields.gaussian import br_tail_field_batch
-from tailfields.lattice import InvariantOrder, centered_box
+from tailfields.lattice import InvariantOrder, centered_box, pos_block
 from tailfields.models import (
     ALL_CORNERS,
     AdditiveFBM,
@@ -157,6 +157,16 @@ class TestClassicalEstimator:
         e = brute_stencil_exponent((100, 100), MMA.weights)
         expect = e / (2.5 * 100 * 100)
         assert abs(est.value - expect) <= 3 * est.se
+
+    @pytest.mark.parametrize(
+        "spec, n", [(MMA, (100, 100)), (IIDFrechet(2.0), (50, 50))], ids=["mma", "iid-2"]
+    )
+    def test_exact_finite_n(self, spec, n):
+        # P(M <= u) = exp(-V u^-alpha), so theta_n = V u^-alpha / tau exactly
+        tau = 1.0
+        est = theta_classical_empirical(spec, n, tau, 20_000, RngStream(309), chunk=2048)
+        exact = spec.exponent(pos_block(n)) * level_u(spec, n, tau) ** -spec.alpha / tau
+        assert abs(est.value - exact) <= 4 * est.se
 
     def test_degenerate_level(self):
         with pytest.raises(DegenerateEstimateError):

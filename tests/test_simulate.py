@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from tailfields.extremal import level_u
 from tailfields.lattice import Window, centered_box, pos_block, sym_block
 from tailfields.models import (
     AdditiveFBM,
@@ -14,6 +15,7 @@ from tailfields.models import (
     IIDFrechet,
     MaxMovingAverage,
     Mixture,
+    Model,
 )
 from tailfields.rng import RngStream
 from tailfields.simulate import (
@@ -67,15 +69,30 @@ class TestFrechet:
         assert (z <= 2.0).mean() == pytest.approx(math.exp(-0.25), abs=3e-3)
 
 
-def brute_stencil_exponent(r, weights):
-    """Sum over noise sites of the largest weight through which the site
-    can reach the block [0:r-1]; independent oracle for the block-max law."""
+def brute_stencil_exponent(r, weights, alpha=1.0):
+    """Sum over noise sites of the alpha-th power of the largest weight
+    through which the site can reach the block [0:r-1]; independent oracle
+    for the block-max law P(M <= u) = exp(-E u^-alpha)."""
     kappa = {}
     for t in pos_block(r).points():
         for o, w in [((0,) * len(r), 1.0)] + list(weights.items()):
             s = tuple(a + b for a, b in zip(t, o))
             kappa[s] = max(kappa.get(s, 0.0), w)
-    return sum(kappa.values())
+    return sum(c**alpha for c in kappa.values())
+
+
+def exact_block_cdf(spec, shape, u):
+    """P(max over [0:shape-1] of X <= u) for a max-linear model or a mixture
+    of them, from the enumeration oracle."""
+    if isinstance(spec, Mixture):
+        return sum(w * exact_block_cdf(m, shape, u) for w, m in spec.components)
+    e = brute_stencil_exponent(shape, spec.weights, spec.alpha)
+    return math.exp(-e * u**-spec.alpha)
+
+
+def assert_proportion(hits, n, exact):
+    """The share hits/n lies within 4 binomial se of ``exact``."""
+    assert abs(hits / n - exact) <= 4 * math.sqrt(exact * (1 - exact) / n)
 
 
 def paper_exponent(r, a):
@@ -128,8 +145,10 @@ class TestMaxMovingAverage:
 
 
 class TestBlockMaxBatch:
-    """Block maxima drawn straight from the noise equal those of the built
-    fields bit for bit, and leave the generator in the same state."""
+    """Block maxima have the law of the built fields' maxima: at the level u
+    with |window| P(X(0) > u) = 1/2, P(M <= u) matches the exact
+    exp(-V u^-alpha) at 4 se (a weighted sum of such terms for mixtures).
+    A model without a block-max law builds the fields, bit for bit."""
 
     MMA2 = MaxMovingAverage(a=(0.6, 0.2, 0.6, 0.1))
     GMMA3 = GeneralMaxMovingAverage(
@@ -137,14 +156,13 @@ class TestBlockMaxBatch:
     )
 
     @staticmethod
-    def assert_exact(spec, shape, count, seed):
-        w = pos_block(shape)
-        g_max, g_field = RngStream(seed).generator(), RngStream(seed).generator()
-        m = block_max_batch(spec, w, count, g_max)
-        x = field_batch(spec, w, count, g_field)
-        assert m.shape == (count,)
-        assert np.array_equal(m, np.abs(x.reshape(count, -1)).max(axis=1))
-        assert g_max.random() == g_field.random()
+    def assert_law(spec, shape, seeds, count=20_000):
+        u = level_u(spec, shape, 0.5)
+        exact = exact_block_cdf(spec, shape, u)
+        for seed in seeds:
+            m = block_max_batch(spec, pos_block(shape), count, RngStream(seed).generator())
+            assert m.shape == (count,)
+            assert_proportion(int((m <= u).sum()), count, exact)
 
     @pytest.mark.parametrize("shape", [(1, 1), (7, 13), (200, 200)])
     @pytest.mark.parametrize(
@@ -156,14 +174,27 @@ class TestBlockMaxBatch:
              "counterexample"],
     )
     def test_equals_field_maxima(self, spec, shape):
-        count = 4 if shape == (200, 200) else 300
-        for seed in (0, 1):
-            self.assert_exact(spec, shape, count, seed)
+        if type(spec).block_maxima is Model.block_maxima:
+            count, w = (4 if shape == (200, 200) else 300), pos_block(shape)
+            m = block_max_batch(spec, w, count, RngStream(0).generator())
+            x = field_batch(spec, w, count, RngStream(0).generator())
+            assert np.array_equal(m, np.abs(x.reshape(count, -1)).max(axis=1))
+            return
+        self.assert_law(spec, shape, (0, 1))
 
     @pytest.mark.parametrize("shape", [(1, 1, 1), (7, 13, 3), (40, 40, 40)])
     def test_equals_field_maxima_3d(self, shape):
-        count = 4 if shape == (40, 40, 40) else 300
-        self.assert_exact(self.GMMA3, shape, count, 2)
+        self.assert_law(self.GMMA3, shape, (2,))
+
+    @pytest.mark.parametrize(
+        "spec, shape",
+        [(MMA, (4, 4)), (MaxMovingAverage(a=(1.0, 0.3, 0.0, 0.5)), (5, 7)),
+         (GMMA3, (3, 4, 2)), (IIDFrechet(2.0), (6, 5))],
+        ids=["mma-default", "weight-one", "gmma3", "iid-2"],
+    )
+    def test_exponent_matches_enumeration(self, spec, shape):
+        e = brute_stencil_exponent(shape, spec.weights, spec.alpha)
+        assert spec.exponent(pos_block(shape)) == pytest.approx(e, rel=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -171,24 +202,26 @@ class TestBlockMaxBatch:
 
 
 class TestFieldRoots:
-    """Roots and chosen rows drawn straight from the noise equal those of
-    the built fields bit for bit, and leave the generator in the same state."""
+    """Roots and the rows built for them have the law of the built fields:
+    at the level u with P(|X(point)| > u) = 1/2, the roots exceed u at that
+    rate, and per lag t, P(|X(t)| > u | |X(point)| > u) over the rows built
+    for the exceeding roots matches the built fields at 4 se."""
 
     OFF_CENTRE = Window((-1, -3), (2, 1))
 
     @pytest.mark.parametrize(
         "spec, window, point, count",
         [
-            (MMA, centered_box(4, 2), (0, 0), 500),
-            (MMA, OFF_CENTRE, (0, 0), 500),
-            (MMA, OFF_CENTRE, (2, -3), 500),
-            (TestBlockMaxBatch.MMA2, OFF_CENTRE, (0, 0), 500),
-            (MaxMovingAverage(a=(0.0, 0.0, 0.0, 0.0)), OFF_CENTRE, (-1, 1), 500),
-            (TestBlockMaxBatch.GMMA3, Window((-2, -1, 0), (1, 3, 2)), (0, 0, 1), 500),
-            (IIDFrechet(2.0), OFF_CENTRE, (0, 0), 500),
+            (MMA, centered_box(4, 2), (0, 0), 20_000),
+            (MMA, OFF_CENTRE, (0, 0), 20_000),
+            (MMA, OFF_CENTRE, (2, -3), 20_000),
+            (TestBlockMaxBatch.MMA2, OFF_CENTRE, (0, 0), 20_000),
+            (MaxMovingAverage(a=(0.0, 0.0, 0.0, 0.0)), OFF_CENTRE, (-1, 1), 20_000),
+            (TestBlockMaxBatch.GMMA3, Window((-2, -1, 0), (1, 3, 2)), (0, 0, 1), 10_000),
+            (IIDFrechet(2.0), OFF_CENTRE, (0, 0), 20_000),
             (Mixture(components=((0.5, MMA), (0.5, TestBlockMaxBatch.MMA2))),
-             OFF_CENTRE, (0, 0), 500),
-            (CounterexampleField(1.0), OFF_CENTRE, (0, 0), 500),
+             OFF_CENTRE, (0, 0), 20_000),
+            (CounterexampleField(1.0), OFF_CENTRE, (0, 0), 20_000),
             (BrownResnick(variogram=AdditiveFBM(hurst=(0.5, 0.5))), centered_box(1, 2),
              (0, 0), 60),
         ],
@@ -196,14 +229,21 @@ class TestFieldRoots:
              "gmma3-radius-2", "iid-2", "mixture", "counterexample", "brown-resnick"],
     )
     def test_equals_built_fields(self, spec, window, point, count):
-        for seed in (0, 1):
-            g_roots, g_field = RngStream(seed).generator(), RngStream(seed).generator()
-            roots, rows = field_roots(spec, window, point, count, g_roots)
-            x = field_batch(spec, window, count, g_field)
-            assert np.array_equal(roots, np.abs(x[(slice(None), *window.index(point))]))
-            idx = np.array([0, 3, 4, 17, count // 2, count - 1])
-            assert np.array_equal(rows(idx), x[idx])
-            assert g_roots.random() == g_field.random()
+        u = level_u(spec, (2,), 1.0)
+        at = (slice(None), *window.index(point))
+        roots, rows = field_roots(spec, window, point, count, RngStream(0).generator())
+        assert_proportion(int((roots > u).sum()), count, 0.5)
+        kept = np.flatnonzero(roots > u)
+        x_roots = rows(kept)
+        assert np.array_equal(np.abs(x_roots[at]), roots[kept])
+        x = field_batch(spec, window, count, RngStream(1).generator())
+        x_built = x[np.abs(x[at]) > u]
+        p_roots, p_built = (
+            (np.abs(y) > u).reshape(len(y), -1).mean(axis=0) for y in (x_roots, x_built)
+        )
+        se = np.sqrt(p_roots * (1 - p_roots) / len(x_roots)
+                     + p_built * (1 - p_built) / len(x_built))
+        assert np.all(np.abs(p_roots - p_built) <= 4 * se)
 
     def test_point_outside_window(self):
         with pytest.raises(ValueError):
@@ -281,21 +321,27 @@ class TestMixture:
         assert (x <= 10.0).mean() == pytest.approx(math.exp(-0.25), abs=3e-3)
 
 
+# all 24 offsets of [-2, 2]^2: the given-the-root law is linear in the
+# stencil size, where a table of event subsets would need 2^25 rows
+RADIUS_TWO = GeneralMaxMovingAverage(
+    stencil=tuple(
+        (o, 0.04 * (k + 1))
+        for k, o in enumerate(o for o in centered_box(2, 2).points() if any(o))
+    )
+)
+
+
 class TestConditionalSampling:
-    def test_event_always_holds(self):
-        # the second case has all 24 offsets of [-2, 2]^2: the first-event
-        # law is linear in the stencil size, where a table of event subsets
-        # would need 2^25 rows
-        offsets = [o for o in centered_box(2, 2).points() if any(o)]
-        radius_two = GeneralMaxMovingAverage(
-            stencil=tuple((o, 0.04 * (k + 1)) for k, o in enumerate(offsets))
-        )
-        for spec, window, point, u, n, seed in (
-            (MMA, pos_block((4, 4)), (0, 0), 1e4, 5000, 18),
-            (radius_two, pos_block((5, 5)), (2, 2), 50.0, 100, 23),
-        ):
-            x = conditional_field_batch(spec, window, point, u, n, RngStream(seed).generator())
-            assert (x[:, point[0], point[1]] > u).all()
+    @pytest.mark.parametrize(
+        "spec, window, point, u, n, seed",
+        [(MMA, pos_block((4, 4)), (0, 0), 1e4, 5000, 18),
+         (RADIUS_TWO, pos_block((5, 5)), (2, 2), 50.0, 100, 23),
+         (IIDFrechet(2.0), pos_block((3, 3)), (1, 1), 1e3, 5000, 25)],
+        ids=["mma", "radius-two", "iid-2"],
+    )
+    def test_event_always_holds(self, spec, window, point, u, n, seed):
+        x = conditional_field_batch(spec, window, point, u, n, RngStream(seed).generator())
+        assert (x[:, point[0], point[1]] > u).all()
 
     def test_matches_rejection_at_moderate_level(self):
         # cross-validate the exact conditional law against plain rejection

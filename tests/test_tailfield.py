@@ -12,9 +12,11 @@ from tailfields.models import (
     CounterexampleField,
     IIDFrechet,
     MaxMovingAverage,
+    Mixture,
+    Model,
 )
 from tailfields.rng import RngStream
-from tailfields.simulate import field_batch
+from tailfields.simulate import field_batch, field_roots
 from tailfields.tailfield import (
     TailBatch,
     TooFewExceedancesError,
@@ -104,23 +106,30 @@ class TestEstimateTailField:
         assert np.array_equal(a.root_norm, b.root_norm)
 
     @pytest.mark.parametrize(
-        "spec", [IIDFrechet(1.0), MaxMovingAverage(a=MMA_A)], ids=["iid", "mma-default"]
+        "spec",
+        [IIDFrechet(1.0), MaxMovingAverage(a=MMA_A),
+         Mixture(components=((0.5, MaxMovingAverage(a=MMA_A)), (0.5, IIDFrechet(1.0)))),
+         CounterexampleField(1.0)],
+        ids=["iid", "mma-default", "mixture", "counterexample"],
     )
     def test_regenerated_chunks_match_brute_force(self, spec):
         # 16-row chunks at q = 0.9 buffer ceil(3 * 0.1 * 16) = 5 rows, so a
-        # chunk with 6 or more exceedances is regenerated from its substream
+        # chunk with 6 or more exceedances is regenerated from its substream.
+        # Every model draws its roots first, so they are kept bit for bit;
+        # rows are bit-exact where the model builds its fields, and the
+        # max-linear models redraw them given their roots.
         lags, chunk, n, q, rng = centered_box(1, 2), 16, 16_000, 0.9, RngStream(73)
-        x = np.concatenate([
-            field_batch(spec, lags, chunk, rng.substream(c).generator())
-            for c in range(n // chunk)
-        ])
-        roots = np.abs(x[:, 1, 1])
+        gens = [rng.substream(c).generator for c in range(n // chunk)]
+        roots = np.concatenate([field_roots(spec, lags, (0, 0), chunk, g())[0] for g in gens])
         thresh = float(np.quantile(roots, q))
         exceed = roots > thresh
         assert exceed.reshape(-1, chunk).sum(axis=1).max() > 5
         got = estimate_tail_field(spec, lags, n, rng, q=q, chunk=chunk)
-        assert np.array_equal(got.values, x[exceed] / thresh)
         assert np.array_equal(got.root_norm, roots[exceed] / thresh)
+        assert np.array_equal(got.values[:, 1, 1], got.root_norm)
+        if type(spec).roots is Model.roots:
+            x = np.concatenate([field_batch(spec, lags, chunk, g()) for g in gens])
+            assert np.array_equal(got.values, x[exceed] / thresh)
 
 
 class TestSpectral:
