@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .lattice import (
     InvariantOrder,
@@ -37,13 +36,11 @@ from .tailfield import MCEstimate, TailBatch, _exponent_gap
 
 
 def level_u(spec: Model, n: Sequence[int], tau: float) -> float:
-    """Threshold u with (prod n) P(|X(0)| > u) = tau, via the exact marginal."""
+    """Threshold u with (prod n) P(|X(0)| > u) = tau, by bisecting the exact marginal."""
     n = as_point(n)
     npts = math.prod(n)
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    if tau >= npts:
-        raise ValueError(f"tau={tau} >= window cardinality {npts}: no valid level")
+    if not 0 < tau < npts:
+        raise ValueError(f"tau={tau} must lie in (0, {npts}), the window cardinality")
     target = tau / npts
 
     def f(u):
@@ -59,7 +56,12 @@ def level_u(spec: Model, n: Sequence[int], tau: float) -> float:
         lo /= 4.0
         if lo < 1e-300:
             raise RuntimeError("failed to bracket the level")
-    return float(brentq(f, lo, hi, xtol=1e-12, rtol=1e-14))
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if f(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 class DegenerateEstimateError(RuntimeError):

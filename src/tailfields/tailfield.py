@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .gaussian import GaussianFieldSampler
 from .lattice import Window, as_point
@@ -204,9 +203,12 @@ def br_tail_marginal_cdf(gamma_t: float, y: float) -> float:
         return max(0.0, 1.0 - 1.0 / y)
     sg = math.sqrt(gamma_t)
     ly = math.log(y)
-    return float(
-        ndtr((2 * ly + gamma_t) / (2 * sg)) - ndtr((2 * ly - gamma_t) / (2 * sg)) / y
-    )
+    return _ndtr((2 * ly + gamma_t) / (2 * sg)) - _ndtr((2 * ly - gamma_t) / (2 * sg)) / y
+
+
+def _ndtr(x: float) -> float:
+    """Standard normal CDF."""
+    return 0.5 * math.erfc(-x / math.sqrt(2))
 
 
 def _exponent_gap(

@@ -3,10 +3,14 @@ import importlib.util
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import tailfields
 from tailfields.cli import main
 from tailfields.models import MaxMovingAverage
 
@@ -332,6 +336,8 @@ class TestRejectedInputs:
             ["tailfield", "--model-json", "{tmp}/missing.json"],
             ["tailfield", "--model-json", "{tmp}/no-variant.json"],
             ["tailfield", "--model-json", "{tmp}/no-weights.json"],
+            ["mma-empirical", "--tau", "nan", "--n", "40,40", "--r", "20,20"],
+            ["cluster-laplace", "--tau", "nan"],
         ],
         ids="-".join,
     )
@@ -348,6 +354,27 @@ class TestRejectedInputs:
         code, out, err = run_cli(argv, capsys)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestImportPath:
+    def test_scipy_stays_unloaded(self, tmp_path):
+        # only `verify rs-invariance` needs SciPy; the import and the other
+        # commands must not load it
+        code = (
+            "import sys, tailfields.cli as cli\n"
+            "for argv in (['mma-empirical', '--n', '20,20', '--r', '5,5'],"
+            " ['br-tailcdf', '--point', '1,0', '--n-mc', '200']):\n"
+            "    assert cli.main([*argv, '--out', sys.argv[1]]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = str(Path(tailfields.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "out.csv")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
 
 class TestUnreadFlags:

@@ -8,6 +8,8 @@ from tailfields.lattice import InvariantOrder, centered_box, pos_block
 from tailfields.models import (
     ALL_CORNERS,
     AdditiveFBM,
+    BrownResnick,
+    CounterexampleField,
     CustomVariogram,
     GeneralMaxMovingAverage,
     IIDFrechet,
@@ -36,6 +38,12 @@ MMA2 = MaxMovingAverage(a=MMA_A2)
 LEX = InvariantOrder(dim=2)
 
 
+def _stencil_inverse(spec, p):
+    # X(0) has the law of s Z with s^alpha = 1 + sum of w^alpha over the stencil
+    s = (1.0 + sum(w**spec.alpha for _, w in spec.stencil)) ** (1 / spec.alpha)
+    return s * (-math.log1p(-p)) ** (-1 / spec.alpha)
+
+
 class TestLevelU:
     def test_iid_example(self):
         # root of 10^4 (1 - e^(-1/u)) = 1
@@ -55,6 +63,35 @@ class TestLevelU:
     def test_no_valid_level(self):
         with pytest.raises(ValueError):
             level_u(IIDFrechet(1.0), (3, 3), 10.0)
+
+    @pytest.mark.parametrize("tau", [float("nan"), 0.0, -1.0, 9.0, float("inf")])
+    def test_rejects_tau_outside_the_window(self, tau):
+        with pytest.raises(ValueError, match="tau"):
+            level_u(MMA, (3, 3), tau)
+
+    @pytest.mark.parametrize("n, tau", [((100, 100), 1.0), ((40, 40), 0.5), ((5, 4), 3.0)])
+    @pytest.mark.parametrize(
+        "spec, inverse",
+        [
+            (IIDFrechet(1.0), _stencil_inverse),
+            (IIDFrechet(2.0), _stencil_inverse),
+            (MMA, _stencil_inverse),
+            (GeneralMaxMovingAverage(stencil=(((1, 0), 0.5), ((0, 2), 0.25))),
+             _stencil_inverse),
+            (BrownResnick(variogram=AdditiveFBM((0.5, 0.5))),
+             lambda spec, p: -1.0 / math.log1p(-p)),
+            (CounterexampleField(0.5), lambda spec, p: p ** (-1.0 / spec.alpha)),
+            (Mixture(components=((0.3, MMA), (0.7, GeneralMaxMovingAverage(
+                stencil=(((1, 0), 0.5),))))), None),
+        ],
+        ids=["iid-1", "iid-2", "mma", "general-mma", "br-fbm", "counterexample", "mixture"],
+    )
+    def test_inverts_the_marginal(self, spec, inverse, n, tau):
+        p = tau / math.prod(n)
+        u = level_u(spec, n, tau)
+        assert spec.exceed_prob(u) == pytest.approx(p, rel=1e-13, abs=0)
+        if inverse is not None:
+            assert u == pytest.approx(inverse(spec, p), rel=1e-14, abs=0)
 
 
 class TestClosedForms:

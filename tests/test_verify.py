@@ -1,8 +1,11 @@
 import math
 
+import numpy as np
 import pytest
+from scipy import stats
 from scipy.integrate import quad
 
+from tailfields.lattice import centered_box
 from tailfields.models import (
     CounterexampleField,
     GeneralMaxMovingAverage,
@@ -10,7 +13,9 @@ from tailfields.models import (
     MaxMovingAverage,
 )
 from tailfields.rng import RngStream
+from tailfields.tailfield import estimate_tail_field
 from tailfields.verify import (
+    PARETO_ROOT_Q,
     THRESHOLDS,
     run_change_of_time_check,
     run_counterexample_check,
@@ -48,6 +53,21 @@ class TestParetoRoot:
         ks = next(c for c in run.checks if c.check_id == "root-ks")
         assert not run.passed
         assert ks.statistic > 2 * ks.threshold
+
+    @pytest.mark.parametrize(
+        "spec, alpha, seed",
+        [(IIDFrechet(2.0), None, 611), (MMA, None, 612), (MMA, 1.5, 608)],
+        ids=["iid-2", "mma", "mma-negative-control"],
+    )
+    def test_ks_statistic_matches_scipy(self, spec, alpha, seed):
+        run = run_pareto_root_check(spec, RngStream(seed), alpha=alpha,
+                                    n_replicates=50_000, min_retained=250)
+        roots = estimate_tail_field(spec, centered_box(1, 2), 50_000, RngStream(seed),
+                                    q=PARETO_ROOT_Q, min_retained=250).root_norm
+        a = spec.alpha if alpha is None else alpha
+        oracle = stats.kstest(roots, lambda y: 1.0 - np.maximum(y, 1.0) ** -a).statistic
+        ks = next(c for c in run.checks if c.check_id == "root-ks")
+        assert ks.statistic == pytest.approx(oracle, rel=0, abs=1e-15)
 
     def test_reproducible(self):
         a = run_pareto_root_check(IIDFrechet(1.0), RngStream(603),
