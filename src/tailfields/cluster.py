@@ -127,13 +127,10 @@ def check_anticluster(
     given an exceedance at the origin), as a proportion keyed by M.
 
     A decreasing-to-zero profile is the anti-clustering diagnostic.  The
-    excluded region is the centered box of sup-norm radius M.  Models
-    with tractable noise (``spec.exact_conditioning``) are conditioned
-    exactly at a level derived from n (default n_l = r_l^2); the others,
-    such as Brown-Resnick fields, are evaluated in the limit via exact
-    tail-field draws from ``limit_tail_batch`` (a ``TypeError`` where
-    there are none), where the event becomes sup over the region of
-    |Y| > 1.
+    excluded region is the centered box of sup-norm radius M.  Fields are
+    drawn given the exceedance by ``conditional_field_batch`` (a
+    ``TypeError`` for a model without an exact conditional sampler), at a
+    level derived from n (default n_l = r_l^2).
     """
     r = as_point(r)
     M_list = [int(m) for m in M_list]
@@ -142,26 +139,15 @@ def check_anticluster(
     if M_list and M_list[-1] >= min(r):
         raise ValueError("max(M_list) must stay below min(r)")
     window = sym_block(r)
-    pts = window.point_array()
-    radius = np.abs(pts).max(axis=1)
+    radius = np.abs(window.point_array()).max(axis=1)
     masks = {m: radius > m for m in M_list}
-
-    if spec.exact_conditioning:
-        n = as_point(n) if n is not None else tuple(x * x for x in r)
-        u = level_u(spec, n, tau)
-        origin = (0,) * window.dim
-
-        def exceeds(count, gen):
-            x = conditional_field_batch(spec, window, origin, u, count, gen)
-            return np.abs(x.reshape(count, -1)) > u
-    else:
-        plist = [tuple(int(v) for v in p) for p in pts]
-
-        def exceeds(count, gen):
-            return np.abs(spec.limit_tail_batch(plist, count, gen)) > 1.0
+    n = as_point(n) if n is not None else tuple(x * x for x in r)
+    u = level_u(spec, n, tau)
+    origin = (0,) * window.dim
 
     def work(start, count, stream):
-        hit = exceeds(count, stream.generator())
+        x = conditional_field_batch(spec, window, origin, u, count, stream.generator())
+        hit = np.abs(x.reshape(count, -1)) > u
         return [int(hit[:, masks[m]].any(axis=1).sum()) for m in M_list]
 
     parts = map_chunks(work, n_replicates, chunk, rng)

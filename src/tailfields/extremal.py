@@ -26,12 +26,7 @@ from .lattice import (
 )
 from .models import MaxMovingAverage, Model
 from .rng import RngStream, map_chunks
-from .simulate import (
-    TooFewEventsError,
-    block_max_batch,
-    conditional_field_batch,
-    field_batch,
-)
+from .simulate import block_max_batch, conditional_field_batch
 from .tailfield import MCEstimate, TailBatch, _exponent_gap
 
 
@@ -149,15 +144,14 @@ def theta_run_empirical(
     rng: RngStream,
     chunk: int = 2048,
     threads: int = 1,
-    min_events: int = 100,
 ) -> MCEstimate:
     """Run extremal index at a hypercube corner.
 
     Conditions on an exceedance at the corner vertex of the block
     [0:r-1] and estimates the probability of no other exceedance inside
-    the block.  Models with tractable noise are conditioned exactly; for
-    the rest, plain rejection is attempted and aborts if too few
-    conditioning events occur.
+    the block, over ``n_replicates`` fields drawn given that exceedance by
+    ``conditional_field_batch`` (a ``TypeError`` for a model without an
+    exact conditional sampler).
     """
     corner, r, n = as_point(corner), as_point(r), as_point(n)
     if any(x < 2 for x in r):
@@ -165,37 +159,16 @@ def theta_run_empirical(
     u = level_u(spec, n, tau)
     window = pos_block(r)
     cpt = corner_point(corner, r)
-    cidx = window.index(cpt)
-    flat_cidx = int(np.ravel_multi_index(cidx, window.shape))
+    flat_cidx = int(np.ravel_multi_index(window.index(cpt), window.shape))
 
-    if spec.exact_conditioning:
-        def work(start, count, stream):
-            x = conditional_field_batch(
-                spec, window, cpt, u, count, stream.generator()
-            )
-            flat = np.abs(x.reshape(count, -1))
-            flat[:, flat_cidx] = 0.0
-            return (int((flat.max(axis=1) <= u).sum()), count)
-    else:
-        def work(start, count, stream):
-            x = field_batch(spec, window, count, stream.generator())
-            flat = np.abs(x.reshape(count, -1))
-            cond = flat[:, flat_cidx] > u
-            flat = flat[cond]
-            if not len(flat):
-                return (0, 0)
-            flat[:, flat_cidx] = 0.0
-            return (int((flat.max(axis=1) <= u).sum()), int(cond.sum()))
+    def work(start, count, stream):
+        x = conditional_field_batch(spec, window, cpt, u, count, stream.generator())
+        flat = np.abs(x.reshape(count, -1))
+        flat[:, flat_cidx] = 0.0
+        return int((flat.max(axis=1) <= u).sum())
 
-    parts = map_chunks(work, n_replicates, chunk, rng, threads)
-    hits = sum(h for h, _ in parts)
-    events = sum(e for _, e in parts)
-    if events < min_events:
-        raise TooFewEventsError(
-            f"only {events} conditioning events; increase n_replicates or "
-            "use a model with exact conditioning"
-        )
-    return MCEstimate.proportion(hits, events)
+    hits = sum(map_chunks(work, n_replicates, chunk, rng, threads))
+    return MCEstimate.proportion(hits, n_replicates)
 
 
 # -- tail-field based indices --------------------------------------------------

@@ -5,7 +5,10 @@ fBm is sampled exactly (Cholesky factor of the stationary increment
 covariance), not through spectral approximations, because the extremal
 quantities downstream are sensitive to the exact Gaussian law.  Brown-
 Resnick fields are sampled exactly too, by extremal functions, with no
-truncation of the Poisson series.
+truncation of the Poisson series; the walk takes the first arrival at its
+first site as an argument, which is how ``BrownResnick.conditional_fields``
+draws fields given the value at one site.  ``br_tail_field_batch`` draws
+the limit tail field.
 """
 
 from __future__ import annotations
@@ -146,10 +149,10 @@ class GaussianFieldSampler:
         return out
 
 
-def brown_resnick_batch(
-    variogram: VariogramSpec, window: Window, count: int, gen
+def _extremal_walk(
+    variogram: VariogramSpec, pts: np.ndarray, e: np.ndarray, gen
 ) -> np.ndarray:
-    """Exact batch of Brown-Resnick fields on a window, by extremal functions.
+    """Brown-Resnick fields on the ordered rows of ``pts``, by extremal functions.
 
     The algorithm of Dombry, Engelke & Oesting (Biometrika 2016) visits the
     sites x_1..x_N in turn.  At x_n it walks the Poisson points
@@ -160,14 +163,18 @@ def brown_resnick_batch(
     already counted there).  The result is exact, with no truncation, and
     costs about one spectral draw per site per replicate.  Replicates that
     are still walking at x_n share one vectorised draw per round.
+
+    ``e`` holds each replicate's first arrival Gamma_1 at x_1, so Z(x_1) is
+    1/e (``e`` is advanced in place); later sites draw their own.  Returns
+    a ``(len(e), len(pts))`` array.
     """
-    pts = window.point_array()
-    npts = len(pts)
+    count, npts = len(e), len(pts)
     sampler = GaussianFieldSampler(variogram, pts)
     half = 0.5 * _variogram_matrix(variogram, pts)  # gamma is even
     z = np.zeros((count, npts))
     for n in range(npts):
-        e = gen.standard_exponential(count)  # zeta = 1/e
+        if n:
+            e = gen.standard_exponential(count)  # zeta = 1/e
         idx = np.flatnonzero(e * z[:, n] < 1.0)
         while idx.size:
             w = sampler.draw(idx.size, gen)
@@ -177,6 +184,16 @@ def brown_resnick_batch(
             z[idx[new]] = np.maximum(zi[new], y[new])
             e[idx] += gen.standard_exponential(idx.size)
             idx = idx[e[idx] * z[idx, n] < 1.0]
+    return z
+
+
+def brown_resnick_batch(
+    variogram: VariogramSpec, window: Window, count: int, gen
+) -> np.ndarray:
+    """Exact batch of Brown-Resnick fields on a window: the extremal-function
+    walk of ``_extremal_walk`` over the sites in row-major order."""
+    e = gen.standard_exponential(count)
+    z = _extremal_walk(variogram, window.point_array(), e, gen)
     return z.reshape(count, *window.shape)
 
 

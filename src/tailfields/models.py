@@ -16,10 +16,9 @@ These members have defaults in :class:`Model`:
 * ``block_maxima(window, count, gen)`` and ``roots(window, index, count,
   gen)``, which build the fields; the max-linear models (IID noise and the
   max-moving averages) draw both from their law instead;
-* ``exact_conditioning`` (False) and ``conditional_fields(window, point,
-  u, count, gen)``, which raises ``TooFewEventsError``;
-* ``limit_tail_batch(points, count, gen)``, exact draws of the limit tail
-  field, which raises ``TypeError``;
+* ``conditional_fields(window, point, u, count, gen)``, exact draws of the
+  fields given |X(point)| > u, which raises ``TypeError``; every model but
+  ``CounterexampleField`` (not jointly regularly varying) defines it;
 * ``exact_indices()``, the exact classical index and run index at each of
   ``ALL_CORNERS`` as ``Fraction``s keyed by "classical" and the corner,
   which raises ``TypeError``; ``MaxMovingAverage`` and ``Mixture`` define it;
@@ -103,7 +102,6 @@ class Model:
 
     dim: int | None = None
     radius = 0
-    exact_conditioning = False
 
     def block_maxima(self, window, count: int, gen) -> np.ndarray:
         x = simulate.field_batch(self, window, count, gen)
@@ -114,13 +112,7 @@ class Model:
         return np.abs(x[(slice(None), *index)]), lambda idx: x[idx]
 
     def conditional_fields(self, window, point, u: float, count: int, gen):
-        raise simulate.TooFewEventsError(
-            f"exact conditional sampling not available for {type(self).__name__}; "
-            "direct simulation would collect too few exceedances"
-        )
-
-    def limit_tail_batch(self, points, count: int, gen) -> np.ndarray:
-        raise TypeError(f"no exact limit tail field for {type(self).__name__}")
+        raise TypeError(f"no exact conditional sampler for {type(self).__name__}")
 
     def exact_indices(self) -> dict:
         raise TypeError(f"no exact extremal indices for {type(self).__name__}")
@@ -154,7 +146,6 @@ class _StencilModel(Model):
 
     alpha = 1.0
     stencil = ()
-    exact_conditioning = True
 
     @property
     def dim(self) -> int | None:
@@ -239,9 +230,6 @@ class IIDFrechet(_StencilModel):
     def __post_init__(self):
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
-
-    def fields(self, window, count: int, gen) -> np.ndarray:
-        return simulate.frechet_batch(self.alpha, window, count, gen)
 
     def to_config(self) -> dict:
         return {"variant": "IIDFrechet", "alpha": self.alpha}
@@ -343,8 +331,7 @@ class BrownResnick(Model):
     U_i are the points of a Poisson process with intensity du/u^2 and the
     W_i are iid Gaussian fields described by ``variogram``.  Margins are
     standard Frechet(1).  Simulation is exact, by extremal functions (see
-    ``gaussian.brown_resnick_batch``), and so are the tail-field draws
-    (``gaussian.br_tail_field_batch``).
+    ``gaussian.brown_resnick_batch``), unconditioned or given X at one site.
     """
 
     variogram: VariogramSpec
@@ -362,10 +349,21 @@ class BrownResnick(Model):
 
         return gaussian.brown_resnick_batch(self.variogram, window, count, gen)
 
-    def limit_tail_batch(self, points, count: int, gen) -> np.ndarray:
+    def conditional_fields(self, window, point, u: float, count: int, gen):
+        """Fields given X(point) > u, sampled exactly: X(point) is Frechet(1),
+        so it is drawn above u as r, and the extremal-function walk starts
+        at ``point`` with first arrival 1/r there.  r is written back at the
+        point, since 1/(1/r) can miss it by an ulp."""
         from . import gaussian
 
-        return gaussian.br_tail_field_batch(self.variogram, points, count, gen)
+        r = simulate.frechet_above(gen, np.full(count, u), self.alpha)
+        pts = window.point_array()
+        k = int(np.ravel_multi_index(window.index(point), window.shape))
+        order = np.r_[k, 0:k, k + 1 : len(pts)]  # the point first
+        x = np.empty((count, len(pts)))
+        x[:, order] = gaussian._extremal_walk(self.variogram, pts[order], 1.0 / r, gen)
+        x[:, k] = r
+        return x.reshape(count, *window.shape)
 
     def to_config(self) -> dict:
         if not isinstance(self.variogram, AdditiveFBM):
@@ -472,10 +470,6 @@ class Mixture(Model):
     def radius(self) -> int:
         return max(m.radius for _, m in self.components)
 
-    @property
-    def exact_conditioning(self) -> bool:
-        return all(m.exact_conditioning for _, m in self.components)
-
     def exceed_prob(self, u: float) -> float:
         return sum(w * m.exceed_prob(u) for w, m in self.components)
 
@@ -519,10 +513,6 @@ class Mixture(Model):
         )
 
     def conditional_fields(self, window, point, u: float, count: int, gen):
-        if not self.exact_conditioning:
-            raise simulate.TooFewEventsError(
-                "conditional sampling unsupported for a mixture component"
-            )
         w_cond = np.array([w * m.exceed_prob(u) for w, m in self.components])
         w_cond /= w_cond.sum()
 

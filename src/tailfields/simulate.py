@@ -10,8 +10,10 @@ generator from an ``RngStream``; the chunked estimators assign one stream
 per fixed-size chunk, which keeps results independent of worker count.
 ``block_max_batch`` returns only each field's maximum, and ``field_roots``
 only each field's value at one site plus a builder of full rows; both have
-the law of the built fields.  The rest of the module holds the noise
-kernels that the models share.
+the law of the built fields.  ``conditional_field_batch`` draws fields
+given an exceedance at one site from that law directly, with no
+rejection; a model without such a sampler raises ``TypeError``.  The rest
+of the module holds the noise kernels that the models share.
 """
 
 from __future__ import annotations
@@ -23,19 +25,9 @@ import numpy as np
 from .lattice import Window, as_point
 
 
-class TooFewEventsError(RuntimeError):
-    """Raised when a conditional estimator collects too few exceedances."""
-
-
 def frechet_of(u: np.ndarray, alpha: float) -> np.ndarray:
     # inverse transform: Z = (-ln U)^(-1/alpha), increasing in U
     return (-np.log(u)) ** (-1.0 / alpha)
-
-
-def frechet_batch(alpha: float, window: Window, count: int, gen) -> np.ndarray:
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    return frechet_of(gen.random((count, *window.shape)), alpha)
 
 
 def frechet_above(gen, c: np.ndarray, alpha: float) -> np.ndarray:
@@ -66,9 +58,10 @@ def stencil_max(spec, z: np.ndarray, radius: int, shape) -> np.ndarray:
 
 
 def mma_batch(spec, window: Window, count: int, gen) -> np.ndarray:
-    """Batch of max-moving-average fields; noise drawn on the dilated window."""
+    """Batch of max-moving-average fields, IID noise among them (the empty
+    stencil); Frechet(``spec.alpha``) noise drawn on the dilated window."""
     radius = spec.radius
-    z = frechet_of(gen.random((count, *window.dilate(radius).shape)), 1.0)
+    z = frechet_of(gen.random((count, *window.dilate(radius).shape)), spec.alpha)
     return stencil_max(spec, z, radius, window.shape)
 
 
@@ -176,7 +169,8 @@ def field_roots(spec, window: Window, point, count: int, gen):
 def conditional_field_batch(
     spec, window: Window, point, u: float, count: int, gen
 ) -> np.ndarray:
-    """Batch of fields conditioned on |X(point)| > u (exact, no rejection)."""
+    """Batch of fields conditioned on |X(point)| > u (exact, no rejection);
+    a ``TypeError`` for a model with no such sampler."""
     point = as_point(point)
     if not window.contains(point):
         raise ValueError("conditioning point must lie in the window")

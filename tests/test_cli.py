@@ -109,9 +109,12 @@ class TestDeterminism:
             # more field chunks than workers, each filling its own rows
             ["cluster-laplace", "--n", "40,40", "--r", "20,20", "--fields", "12",
              "--lag-radius", "2", "--q", "0.99", "--replicates", "12000", "--seed", "5"],
+            # Brown-Resnick fields from the extremal-function walk
+            ["tailfield", "--model", "br-fbm", "--lag-radius", "1", "--q", "0.99",
+             "--replicates", "6000", "--seed", "3"],
         ],
         ids=["mma", "fig1", "tailfield-spectral", "cluster-laplace",
-             "cluster-laplace-12-fields"],
+             "cluster-laplace-12-fields", "tailfield-br-fbm"],
     )
     def test_bytes_identical_across_threads(self, argv, capsys, tmp_path):
         outs = []

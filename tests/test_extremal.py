@@ -17,7 +17,7 @@ from tailfields.models import (
     Mixture,
 )
 from tailfields.rng import RngStream
-from tailfields.simulate import TooFewEventsError
+from tailfields.simulate import field_batch
 from tailfields.extremal import (
     DegenerateEstimateError,
     HalfSpaceRegion,
@@ -29,7 +29,7 @@ from tailfields.extremal import (
     theta_from_tail_samples,
     theta_run_empirical,
 )
-from tailfields.tailfield import TailBatch, br_tail_fdd_mc
+from tailfields.tailfield import MCEstimate, TailBatch, br_tail_fdd_mc
 
 MMA_A = (0.1, 0.7, 0.6, 0.1)
 MMA_A2 = (0.6, 0.2, 0.6, 0.1)
@@ -169,12 +169,23 @@ class TestRunEstimator:
         with pytest.raises(ValueError):
             theta_run_empirical(MMA, (0, 0), (1, 5), (50, 50), 1.0, 100, RngStream(0))
 
-    def test_rejection_path_starves(self):
-        # no exact conditioning for the parity field; rejection at a high
-        # level must report the event shortage
-        from tailfields.models import CounterexampleField
+    def test_brown_resnick_matches_rejection(self):
+        # the exact conditional route against rejection from built fields
+        spec = BrownResnick(variogram=AdditiveFBM((0.5, 0.5)))
+        r, n = (3, 3), (6, 6)
+        est = theta_run_empirical(spec, (0, 0), r, n, 1.0, 20_000, RngStream(321))
+        u = level_u(spec, n, 1.0)
+        x = field_batch(spec, pos_block(r), 300_000, RngStream(322).generator())
+        x = x[x[:, 0, 0] > u].reshape(-1, 9)[:, 1:]
+        rej = MCEstimate.proportion(int((x.max(axis=1) <= u).sum()), len(x))
+        assert abs(est.value - rej.value) <= 4 * math.hypot(est.se, rej.se)
+        two = theta_run_empirical(spec, (0, 0), r, n, 1.0, 20_000, RngStream(321),
+                                  threads=2)
+        assert two == est
 
-        with pytest.raises(TooFewEventsError):
+    def test_model_without_sampler_raises(self):
+        # the parity field has no exact conditional sampler
+        with pytest.raises(TypeError, match="CounterexampleField"):
             theta_run_empirical(CounterexampleField(1.0), (0, 0), (4, 4),
                                 (200, 200), 1.0, 2000, RngStream(303))
 

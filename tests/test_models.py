@@ -24,12 +24,11 @@ from tailfields.models import (
 )
 from tailfields.rng import RngStream
 from tailfields.simulate import (
-    TooFewEventsError,
     block_max_batch,
     conditional_field_batch,
     field_batch,
     field_roots,
-    frechet_batch,
+    frechet_of,
 )
 from tailfields.tailfield import estimate_tail_field
 
@@ -139,7 +138,7 @@ class ScaledFrechet(Model):
         return -math.expm1(-2.0 / u)
 
     def fields(self, window, count, gen):
-        return 2.0 * frechet_batch(1.0, window, count, gen)
+        return 2.0 * frechet_of(gen.random((count, *window.shape)), 1.0)
 
 
 def test_minimal_model_runs_through_the_package():
@@ -150,12 +149,12 @@ def test_minimal_model_runs_through_the_package():
         return RngStream(3).generator()
 
     x = field_batch(spec, window, 50, gen())
-    assert np.array_equal(x, 2.0 * frechet_batch(1.0, window, 50, gen()))
+    assert np.array_equal(x, 2.0 * field_batch(IIDFrechet(1.0), window, 50, gen()))
     assert np.array_equal(block_max_batch(spec, window, 50, gen()), x.reshape(50, -1).max(axis=1))
     roots, rows = field_roots(spec, window, (1, -1), 50, gen())
     assert np.array_equal(roots, x[:, 3, 1])
     assert np.array_equal(rows([4, 7]), x[[4, 7]])
-    with pytest.raises(TooFewEventsError):
+    with pytest.raises(TypeError, match="ScaledFrechet"):
         conditional_field_batch(spec, window, (0, 0), 1.0, 5, gen())
     u = level_u(spec, (10, 10), 1.0)
     assert 100 * spec.exceed_prob(u) == pytest.approx(1.0)

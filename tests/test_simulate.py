@@ -19,14 +19,13 @@ from tailfields.models import (
 )
 from tailfields.rng import RngStream
 from tailfields.simulate import (
-    TooFewEventsError,
     block_max_batch,
     conditional_field_batch,
     counterexample_pairs,
     factorial_rank,
     field_batch,
     field_roots,
-    frechet_batch,
+    frechet_above,
 )
 
 MMA_A = (0.1, 0.7, 0.6, 0.1)
@@ -52,20 +51,22 @@ class TestDeterminism:
 class TestFrechet:
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
-            frechet_batch(0.0, pos_block((2, 2)), 1, RngStream(0).generator())
+            IIDFrechet(0.0)
 
     def test_cdf_at_one(self):
-        z = frechet_batch(1.0, pos_block((1, 1)), 1_000_000, RngStream(1).generator())
+        z = field_batch(IIDFrechet(1.0), pos_block((1, 1)), 1_000_000,
+                        RngStream(1).generator())
         assert (z <= 1.0).mean() == pytest.approx(math.exp(-1), abs=2e-3)
 
     def test_tail_scaling(self):
         # exact value of z^alpha P(Z > z) at z=100: 100 * (1 - e^(-1/100))
-        z = frechet_batch(1.0, pos_block((1, 1)), 4_000_000, RngStream(2).generator())
+        z = field_batch(IIDFrechet(1.0), pos_block((1, 1)), 4_000_000,
+                        RngStream(2).generator())
         target = 100 * (1 - math.exp(-0.01))
         assert 100 * (z > 100).mean() == pytest.approx(target, abs=0.01)
 
     def test_alpha_two_margin(self):
-        z = frechet_batch(2.0, pos_block((1, 1)), 500_000, RngStream(3).generator())
+        z = field_batch(IIDFrechet(2.0), pos_block((1, 1)), 500_000, RngStream(3).generator())
         assert (z <= 2.0).mean() == pytest.approx(math.exp(-0.25), abs=3e-3)
 
 
@@ -111,7 +112,7 @@ class TestMaxMovingAverage:
         spec = MaxMovingAverage(a=(0.0, 0.0, 0.0, 0.0))
         w = pos_block((5, 5))
         x = field_batch(spec, w, 1, RngStream(4, 2).generator())[0]
-        z = frechet_batch(1.0, w.dilate(1), 1, RngStream(4, 2).generator())[0]
+        z = field_batch(IIDFrechet(1.0), w.dilate(1), 1, RngStream(4, 2).generator())[0]
         assert np.array_equal(x, z[1:-1, 1:-1])
 
     def test_marginal_closed_form(self):
@@ -383,7 +384,24 @@ class TestConditionalSampling:
             (1 - math.exp(-(200.0) ** -2)) / (1 - math.exp(-(100.0) ** -2)), abs=5e-3
         )
 
+    def test_brown_resnick_matches_rejection(self):
+        # additive-fBm Brown-Resnick given X(p) > u against rejection from
+        # built fields: per lag P(X(t) > u | X(p) > u), and the root law
+        # P(X(p) > 2u | X(p) > u); p is not the first site in row-major order
+        spec = BrownResnick(variogram=AdditiveFBM((0.5, 0.5)))
+        w, p, u, n = pos_block((3, 3)), (1, 0), 3.0, 30_000
+        x = field_batch(spec, w, 100_000, RngStream(40).generator())
+        rej = x[x[:, 1, 0] > u]
+        xc = conditional_field_batch(spec, w, p, u, n, RngStream(41).generator())
+        r = frechet_above(RngStream(41).generator(), np.full(n, u), 1.0)
+        assert np.array_equal(xc[:, 1, 0], r) and (r > u).all()
+        for a, b in [(rej > u, xc > u), (rej[:, 1, 0] > 2 * u, xc[:, 1, 0] > 2 * u)]:
+            pa = a.reshape(len(a), -1).mean(axis=0)
+            pb = b.reshape(len(b), -1).mean(axis=0)
+            se = np.sqrt(pa * (1 - pa) / len(a) + pb * (1 - pb) / len(b))
+            assert (np.abs(pa - pb) <= 4 * se).all(), (pa, pb)
+
     def test_unsupported_model_raises(self):
-        with pytest.raises(TooFewEventsError):
+        with pytest.raises(TypeError, match="CounterexampleField"):
             conditional_field_batch(CounterexampleField(1.0), pos_block((3, 3)),
                                     (0, 0), 10.0, 10, RngStream(22).generator())
