@@ -8,13 +8,13 @@ the CLI output byte-identical:
 
     PYTHONPATH=src python scripts/cli_digests.py > digests.txt
 
-The 23 commands cover every subcommand, all four ``verify`` campaigns plus
-the corrupted negative control, ``tailfield`` on every route (IID and
-max-moving-average noise drawn from their law; Brown-Resnick, mixture and
-counterexample fields built), two ``--threads 2`` runs, one ``--format
-json`` run, and the counterexample and exact-index commands at a
-non-default alpha or weights.  The whole list takes a few seconds on one
-core.
+The 24 commands cover every subcommand, all four ``verify`` campaigns plus
+the corrupted negative control, ``tailfield`` on every route (IID,
+max-moving-average and Brown-Resnick roots drawn from their law and rows
+drawn given their roots; mixture and counterexample fields built), three
+``--threads 2`` runs, one ``--format json`` run, and the counterexample
+and exact-index commands at a non-default alpha or weights.  The whole
+list takes a few seconds on one core.
 """
 
 import contextlib
@@ -66,6 +66,8 @@ COMMANDS = (
      "--seed", "18"],
     ["verify", "counterexample", "--alpha", "2.0", "--seed", "19"],
     ["mma-theta", "--a", "0.6,0.2,0.6,0.1", "--mixture-a", "0.1,0.7,0.6,0.1"],
+    ["tailfield", "--model", "br-fbm", "--lag-radius", "1", "--q", "0.99",
+     "--replicates", "6000", "--seed", "23", "--threads", "2"],
 )
 
 

@@ -6,7 +6,7 @@ covariance), not through spectral approximations, because the extremal
 quantities downstream are sensitive to the exact Gaussian law.  Brown-
 Resnick fields are sampled exactly too, by extremal functions, with no
 truncation of the Poisson series; the walk takes the first arrival at its
-first site as an argument, which is how ``BrownResnick.conditional_fields``
+first site as an argument, which is how ``BrownResnick._given_root``
 draws fields given the value at one site.  ``br_tail_field_batch`` draws
 the limit tail field.
 """

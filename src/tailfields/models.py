@@ -14,8 +14,7 @@ These members have defaults in :class:`Model`:
 * ``dim`` (None: any lattice dimension) and ``radius`` (0: the sup-norm
   reach of the noise behind one site);
 * ``block_maxima(window, count, gen)`` and ``roots(window, index, count,
-  gen)``, which build the fields; the max-linear models (IID noise and the
-  max-moving averages) draw both from their law instead;
+  gen)``, which build the fields;
 * ``conditional_fields(window, point, u, count, gen)``, exact draws of the
   fields given |X(point)| > u, which raises ``TypeError``; every model but
   ``CounterexampleField`` (not jointly regularly varying) defines it;
@@ -24,6 +23,10 @@ These members have defaults in :class:`Model`:
   which raises ``TypeError``; ``MaxMovingAverage`` and ``Mixture`` define it;
 * ``to_config()``, which raises ``TypeError``.  A class listed in
   ``MODEL_VARIANTS`` also defines the classmethod ``from_config(cfg)``.
+
+The max-stable models (IID noise, the max-moving averages, Brown-Resnick)
+share the private ``_MaxStable``: roots, ``exceed_prob`` and conditional
+fields from the one-site law, rows from the model's ``_given_root``.
 
 ``CounterexampleField`` also states its rank-parity box law:
 ``exact_box_prob(rank)`` and the importance sampler ``scaled_box_prob(rank,
@@ -105,7 +108,7 @@ class Model:
 
     def block_maxima(self, window, count: int, gen) -> np.ndarray:
         x = simulate.field_batch(self, window, count, gen)
-        return np.abs(x.reshape(count, -1)).max(axis=1)
+        return np.abs(x).max(axis=tuple(range(1, x.ndim)))
 
     def roots(self, window, index, count: int, gen):
         x = simulate.field_batch(self, window, count, gen)
@@ -135,7 +138,31 @@ def _parse_offset(s: str) -> tuple[int, ...]:
     return tuple(int(x) for x in s.split(","))
 
 
-class _StencilModel(Model):
+class _MaxStable(Model):
+    """X at one site is ``_site_scale`` times a Frechet(alpha) variable Z.
+    Roots are drawn from that law, and rows by the subclass's
+    ``_given_root(window, index, r, gen)``: fields on ``window`` given
+    X = r at the array index ``index``, with r written back there."""
+
+    alpha = 1.0
+    _site_scale = 1.0
+
+    def exceed_prob(self, u: float) -> float:
+        return -math.expm1(-((self._site_scale / u) ** self.alpha))
+
+    def roots(self, window, index, count: int, gen):
+        roots = self._site_scale * simulate.frechet_of(gen.random(count), self.alpha)
+        return roots, lambda idx: self._given_root(window, index, roots[idx], gen)
+
+    def conditional_fields(self, window, point, u: float, count: int, gen):
+        """Fields given X(point) > u, sampled exactly: X(point) = s Z with s
+        the one-site scale, so given the event it is s Z with Z above u / s."""
+        scale = self._site_scale
+        roots = scale * simulate.frechet_above(gen, np.full(count, u / scale), self.alpha)
+        return self._given_root(window, window.index(point), roots, gen)
+
+
+class _StencilModel(_MaxStable):
     """Max-linear field X(t) = max(Z(t), max_o w_o Z(t + o)) driven by iid
     Frechet(alpha) noise Z; ``stencil`` holds the (o, w_o) pairs.
 
@@ -144,7 +171,6 @@ class _StencilModel(Model):
     term J attaining it is independent of its value, P(J = j) ∝ c_j^alpha.
     """
 
-    alpha = 1.0
     stencil = ()
 
     @property
@@ -174,11 +200,7 @@ class _StencilModel(Model):
 
     @property
     def _site_scale(self) -> float:
-        # X at one site has the law of this scale times Z
         return (1.0 + sum(w**self.alpha for _, w in self.stencil)) ** (1 / self.alpha)
-
-    def exceed_prob(self, u: float) -> float:
-        return -math.expm1(-((self._site_scale / u) ** self.alpha))
 
     def fields(self, window, count: int, gen) -> np.ndarray:
         return simulate.mma_batch(self, window, count, gen)
@@ -187,24 +209,11 @@ class _StencilModel(Model):
         scale = self.exponent(window) ** (1 / self.alpha)
         return scale * simulate.frechet_of(gen.random(count), self.alpha)
 
-    def roots(self, window, index, count: int, gen):
-        roots = self._site_scale * simulate.frechet_of(gen.random(count), self.alpha)
-        return roots, lambda idx: self._given_root(window, index, roots[idx], gen)
-
-    def conditional_fields(self, window, point, u: float, count: int, gen):
-        """Fields given X(point) > u, sampled exactly: X(point) = s Z with s
-        the one-site scale, so given the event it is s Z with Z above u / s."""
-        scale = self._site_scale
-        roots = scale * simulate.frechet_above(gen, np.full(count, u / scale), self.alpha)
-        return self._given_root(window, window.index(point), roots, gen)
-
     def _given_root(self, window, index, r: np.ndarray, gen) -> np.ndarray:
-        """Fields on ``window`` given X = r at the array index ``index``, where
-        X = max_j w_j Z(site j) over the point (w = 1) and its positive-weight
-        stencil sites: the term J attaining r has P(J = j) ∝ w_j^alpha and
-        Z(site J) = r / w_J, the other terms lie below r / w_i, and the rest
-        of the dilated window is unconditioned.  r is written back at the
-        point, so the field equals it there exactly."""
+        """X = max_j w_j Z(site j) over the point (w = 1) and its
+        positive-weight stencil sites: the term J attaining r has
+        P(J = j) ∝ w_j^alpha and Z(site J) = r / w_J, the other terms lie
+        below r / w_i, and the rest of the dilated window is unconditioned."""
         items = [((0,) * window.dim, 1.0)] + [(o, w) for o, w in self.stencil if w > 0.0]
         p = np.array([w for _, w in items]) ** self.alpha
         attains = gen.choice(len(items), size=len(r), p=p / p.sum())
@@ -325,7 +334,7 @@ class GeneralMaxMovingAverage(_StencilModel):
 
 
 @dataclass(frozen=True)
-class BrownResnick(Model):
+class BrownResnick(_MaxStable):
     """Max-stable field X(t) = max_i U_i exp(W_i(t) - sigma2(t)/2).
 
     U_i are the points of a Poisson process with intensity du/u^2 and the
@@ -335,35 +344,29 @@ class BrownResnick(Model):
     """
 
     variogram: VariogramSpec
-    alpha = 1.0
 
     @property
     def dim(self) -> int:
         return self.variogram.dim
-
-    def exceed_prob(self, u: float) -> float:
-        return -math.expm1(-1.0 / u)
 
     def fields(self, window, count: int, gen) -> np.ndarray:
         from . import gaussian  # gaussian imports this module
 
         return gaussian.brown_resnick_batch(self.variogram, window, count, gen)
 
-    def conditional_fields(self, window, point, u: float, count: int, gen):
-        """Fields given X(point) > u, sampled exactly: X(point) is Frechet(1),
-        so it is drawn above u as r, and the extremal-function walk starts
-        at ``point`` with first arrival 1/r there.  r is written back at the
-        point, since 1/(1/r) can miss it by an ulp."""
+    def _given_root(self, window, index, r: np.ndarray, gen) -> np.ndarray:
+        """The extremal-function walk starts at the point, with first
+        arrival 1/r there (given Z(point) = r, the other functions form the
+        Poisson process below r); 1/(1/r) can miss r by an ulp."""
         from . import gaussian
 
-        r = simulate.frechet_above(gen, np.full(count, u), self.alpha)
         pts = window.point_array()
-        k = int(np.ravel_multi_index(window.index(point), window.shape))
+        k = int(np.ravel_multi_index(index, window.shape))
         order = np.r_[k, 0:k, k + 1 : len(pts)]  # the point first
-        x = np.empty((count, len(pts)))
+        x = np.empty((len(r), len(pts)))
         x[:, order] = gaussian._extremal_walk(self.variogram, pts[order], 1.0 / r, gen)
         x[:, k] = r
-        return x.reshape(count, *window.shape)
+        return x.reshape(len(r), *window.shape)
 
     def to_config(self) -> dict:
         if not isinstance(self.variogram, AdditiveFBM):
@@ -497,8 +500,7 @@ class Mixture(Model):
         # component draws consume the generator in component order
         for ci, (_, comp) in enumerate(self.components):
             idx = np.nonzero(picks == ci)[0]
-            if len(idx):
-                out[idx] = draw(comp, len(idx))
+            out[idx] = draw(comp, len(idx))
         return out
 
     def fields(self, window, count: int, gen) -> np.ndarray:

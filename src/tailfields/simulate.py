@@ -10,10 +10,11 @@ generator from an ``RngStream``; the chunked estimators assign one stream
 per fixed-size chunk, which keeps results independent of worker count.
 ``block_max_batch`` returns only each field's maximum, and ``field_roots``
 only each field's value at one site plus a builder of full rows; both have
-the law of the built fields.  ``conditional_field_batch`` draws fields
-given an exceedance at one site from that law directly, with no
-rejection; a model without such a sampler raises ``TypeError``.  The rest
-of the module holds the noise kernels that the models share.
+the law of the built fields, and max-stable models draw them from it.
+``conditional_field_batch`` draws fields given an exceedance at one site
+from that law directly, with no rejection; a model without such a sampler
+raises ``TypeError``.  The rest of the module holds the noise kernels that
+the models share.
 """
 
 from __future__ import annotations
@@ -158,9 +159,9 @@ def field_roots(spec, window: Window, point, count: int, gen):
 
     Returns ``(roots, rows)``: ``roots`` has the law of |X(point)|, and
     ``rows(idx)`` that of the fields given the roots ``idx``, with the roots
-    at ``point``.  Max-linear models draw each root in one variable and
-    build only the rows asked for (see ``models``); every other model builds
-    all the fields and keeps them until ``rows`` is released.
+    at ``point``.  Max-stable models draw each root in one variable and
+    build only the rows asked for, given their roots (see ``models``); the
+    other models build all the fields and keep them until ``rows`` goes.
     """
     _check_dim(spec, window)
     return spec.roots(window, window.index(as_point(point)), count, gen)

@@ -6,12 +6,12 @@ retained replicates form one :class:`TailBatch`, an array of the rescaled
 lags x^-1 X(t) with one row per replicate and its root norm alongside.
 Dividing each row by its root norm gives the spectral batch.  Estimators
 are chunked with one substream per fixed-size chunk, so results do not
-depend on worker count and retained replicates can be regenerated
+depend on worker count and a chunk's roots can be drawn again
 deterministically.  The threshold needs only |X(0)| of every replicate:
-for IID and max-moving-average noise ``field_roots`` draws it from its
-law, and full lag windows are built, given their roots, only for the rows
-a chunk keeps; Brown-Resnick, the counterexample field and mixtures build
-every field.
+for the max-stable models (IID, max-moving-average and Brown-Resnick)
+``field_roots`` draws it from its law, and full lag windows are built,
+given their roots, only for the rows above the threshold; the
+counterexample field and mixtures build every field, in both passes.
 
 :class:`MCEstimate` is the package's estimate record: every Monte-Carlo
 estimator reduces its per-replicate outcomes to (value, se, n) through one
@@ -121,13 +121,13 @@ def estimate_tail_field(
 
     Simulates ``n_replicates`` fields, sets the threshold x to the
     empirical q-quantile of |X(0)|, and returns the rows with |X(0)| > x,
-    rescaled by x, in replicate order.  The threshold needs only the roots
-    |X(0)|, so each chunk takes them from ``field_roots`` and builds full
-    lag windows only for a buffer of its 3(1-q) share of largest roots; a
-    chunk is regenerated from its substream only in the rare case its
-    buffer turns out too shallow.  Rows and roots have the law of the built
-    fields (see ``field_roots``), and chunk ``c`` always draws from
-    ``rng.substream(c)``, so the result does not depend on ``threads``.
+    rescaled by x, in replicate order.  Two passes run over the same
+    chunks: the first keeps only the roots |X(0)| from ``field_roots`` and
+    sets x; the second draws each chunk's roots again from the same
+    substream and builds full lag windows only for the rows above x.  Rows
+    and roots have the law of the built fields (see ``field_roots``), and
+    chunk ``c`` always draws from ``rng.substream(c)``, so the result does
+    not depend on ``threads``.
     """
     origin = (0,) * lags.dim
     if not lags.contains(origin):
@@ -135,46 +135,30 @@ def estimate_tail_field(
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie in (0,1)")
 
-    keep_frac = min(1.0, 3.0 * (1.0 - q))
+    def roots_of(start, count, stream):
+        return field_roots(spec, lags, origin, count, stream.generator())[0]
 
-    def first_pass(start, count, stream):
-        roots, build = field_roots(spec, lags, origin, count, stream.generator())
-        n_keep = max(1, int(math.ceil(keep_frac * count)))
-        if n_keep >= count:
-            return roots, np.arange(count), build(np.arange(count)), -np.inf
-        order = np.argpartition(roots, count - n_keep)
-        kept = np.sort(order[count - n_keep :])
-        floor = float(roots[order[: count - n_keep]].max())
-        return roots, kept, build(kept), floor
-
-    parts = map_chunks(first_pass, n_replicates, chunk, rng, threads)
-    x_thresh = float(np.quantile(np.concatenate([p[0] for p in parts]), q))
+    roots = np.concatenate(map_chunks(roots_of, n_replicates, chunk, rng, threads))
+    x_thresh = float(np.quantile(roots, q))
     if x_thresh <= 0:
         raise TooFewExceedancesError("threshold is not positive")
-
-    rows, row_roots = [], []
-    for c, (chunk_roots, kept, kept_vals, floor) in enumerate(parts):
-        retained = np.nonzero(chunk_roots > x_thresh)[0]
-        if len(retained) == 0:
-            continue
-        if floor >= x_thresh:
-            # buffer may miss rows; regenerate this chunk deterministically
-            gen = rng.substream(c).generator()
-            _, build = field_roots(spec, lags, origin, len(chunk_roots), gen)
-            rows.append(build(retained))
-        else:
-            rows.append(kept_vals[np.searchsorted(kept, retained)])
-        row_roots.append(chunk_roots[retained])
-    n, need = sum(len(r) for r in rows), max(min_retained, 1)
+    n, need = int((roots > x_thresh).sum()), max(min_retained, 1)
     if n < need:
         raise TooFewExceedancesError(
             f"only {n} exceedances retained; increase n_replicates "
             f"(need at least {need})"
         )
+
+    def rows_of(start, count, stream):
+        chunk_roots, build = field_roots(spec, lags, origin, count, stream.generator())
+        kept = np.flatnonzero(chunk_roots > x_thresh)
+        return build(kept), chunk_roots[kept]
+
+    parts = map_chunks(rows_of, n_replicates, chunk, rng, threads)
     return TailBatch(
         lags=lags,
-        values=np.concatenate(rows) / x_thresh,
-        root_norm=np.concatenate(row_roots) / x_thresh,
+        values=np.concatenate([v for v, _ in parts]) / x_thresh,
+        root_norm=np.concatenate([r for _, r in parts]) / x_thresh,
         alpha=spec.alpha,
     )
 

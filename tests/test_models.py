@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tailfields.extremal import level_u
-from tailfields.lattice import centered_box
+from tailfields.lattice import centered_box, pos_block
 
 from tailfields.models import (
     AdditiveFBM,
@@ -151,6 +151,7 @@ def test_minimal_model_runs_through_the_package():
     x = field_batch(spec, window, 50, gen())
     assert np.array_equal(x, 2.0 * field_batch(IIDFrechet(1.0), window, 50, gen()))
     assert np.array_equal(block_max_batch(spec, window, 50, gen()), x.reshape(50, -1).max(axis=1))
+    assert block_max_batch(spec, window, 0, gen()).shape == (0,)
     roots, rows = field_roots(spec, window, (1, -1), 50, gen())
     assert np.array_equal(roots, x[:, 3, 1])
     assert np.array_equal(rows([4, 7]), x[[4, 7]])
@@ -162,3 +163,13 @@ def test_minimal_model_runs_through_the_package():
     assert tails.alpha == 1.0 and 150 <= len(tails) <= 250
     # the root norm of x^-1 X given X(0) > x is Pareto(1): half of it above 2
     assert np.mean(tails.root_norm > 2.0) == pytest.approx(0.5, abs=0.15)
+
+
+@pytest.mark.parametrize("count", [5, 5000])
+def test_mixture_asks_every_component_for_conditional_fields(count):
+    # at count 5 no replicate picks the counterexample component; it is
+    # asked for its 0 rows all the same, so the call fails at any count
+    spec = Mixture(((0.999, IIDFrechet(1.0)), (0.001, CounterexampleField(1.0))))
+    with pytest.raises(TypeError, match="CounterexampleField"):
+        conditional_field_batch(spec, pos_block((3, 3)), (0, 0), 10.0, count,
+                                RngStream(1).generator())

@@ -223,11 +223,15 @@ class TestFieldRoots:
             (Mixture(components=((0.5, MMA), (0.5, TestBlockMaxBatch.MMA2))),
              OFF_CENTRE, (0, 0), 20_000),
             (CounterexampleField(1.0), OFF_CENTRE, (0, 0), 20_000),
-            (BrownResnick(variogram=AdditiveFBM(hurst=(0.5, 0.5))), centered_box(1, 2),
-             (0, 0), 60),
+            (BrownResnick(variogram=AdditiveFBM(hurst=(0.5, 0.5))), OFF_CENTRE,
+             (0, 0), 20_000),
+            # the walk starts at a corner of the window, then visits the rest
+            (BrownResnick(variogram=AdditiveFBM(hurst=(0.5, 0.5))), OFF_CENTRE,
+             (2, -3), 20_000),
         ],
         ids=["mma-default", "mma-off-centre", "mma-corner", "mma2", "zero-weights",
-             "gmma3-radius-2", "iid-2", "mixture", "counterexample", "brown-resnick"],
+             "gmma3-radius-2", "iid-2", "mixture", "counterexample", "brown-resnick",
+             "brown-resnick-corner"],
     )
     def test_equals_built_fields(self, spec, window, point, count):
         u = level_u(spec, (2,), 1.0)

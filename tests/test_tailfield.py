@@ -9,6 +9,7 @@ from tailfields.lattice import Window, centered_box
 from tailfields.models import (
     MMA_OFFSETS,
     AdditiveFBM,
+    BrownResnick,
     CounterexampleField,
     IIDFrechet,
     MaxMovingAverage,
@@ -96,7 +97,7 @@ class TestEstimateTailField:
                 IIDFrechet(1.0), Window((1, 1), (3, 3)), 1000, RngStream(0)
             )
 
-    def test_deterministic_across_chunk_regeneration(self):
+    def test_deterministic(self):
         a = estimate_tail_field(IIDFrechet(1.0), centered_box(1, 2), 30_000,
                                 RngStream(72), q=0.99, chunk=1024)
         b = estimate_tail_field(IIDFrechet(1.0), centered_box(1, 2), 30_000,
@@ -109,27 +110,40 @@ class TestEstimateTailField:
         "spec",
         [IIDFrechet(1.0), MaxMovingAverage(a=MMA_A),
          Mixture(components=((0.5, MaxMovingAverage(a=MMA_A)), (0.5, IIDFrechet(1.0)))),
-         CounterexampleField(1.0)],
-        ids=["iid", "mma-default", "mixture", "counterexample"],
+         CounterexampleField(1.0), BrownResnick(variogram=AdditiveFBM(hurst=(0.5, 0.5)))],
+        ids=["iid", "mma-default", "mixture", "counterexample", "brown-resnick"],
     )
-    def test_regenerated_chunks_match_brute_force(self, spec):
-        # 16-row chunks at q = 0.9 buffer ceil(3 * 0.1 * 16) = 5 rows, so a
-        # chunk with 6 or more exceedances is regenerated from its substream.
+    def test_rows_match_brute_force(self, spec):
         # Every model draws its roots first, so they are kept bit for bit;
         # rows are bit-exact where the model builds its fields, and the
-        # max-linear models redraw them given their roots.
+        # max-stable models draw them given their roots.
         lags, chunk, n, q, rng = centered_box(1, 2), 16, 16_000, 0.9, RngStream(73)
         gens = [rng.substream(c).generator for c in range(n // chunk)]
         roots = np.concatenate([field_roots(spec, lags, (0, 0), chunk, g())[0] for g in gens])
         thresh = float(np.quantile(roots, q))
         exceed = roots > thresh
-        assert exceed.reshape(-1, chunk).sum(axis=1).max() > 5
         got = estimate_tail_field(spec, lags, n, rng, q=q, chunk=chunk)
         assert np.array_equal(got.root_norm, roots[exceed] / thresh)
         assert np.array_equal(got.values[:, 1, 1], got.root_norm)
         if type(spec).roots is Model.roots:
             x = np.concatenate([field_batch(spec, lags, chunk, g()) for g in gens])
             assert np.array_equal(got.values, x[exceed] / thresh)
+
+    def test_builds_rows_only_for_kept_replicates(self):
+        class CountingMMA(MaxMovingAverage):
+            def roots(self, window, index, count, gen):
+                roots, build = super().roots(window, index, count, gen)
+
+                def counted(idx):
+                    built.append(len(idx))
+                    return build(idx)
+
+                return roots, counted
+
+        built = []
+        got = estimate_tail_field(CountingMMA(a=MMA_A), centered_box(1, 2), 20_000,
+                                  RngStream(74), q=0.99, chunk=1024)
+        assert sum(built) == len(got)
 
 
 class TestSpectral:
