@@ -57,7 +57,6 @@ def limit_cluster_laplace_mc(
     spectral: TailBatch,
     f: PointFunction,
     order: InvariantOrder,
-    theta_half: float | None = None,
     quad_points: int = 256,
 ) -> MCEstimate:
     """Laplace functional of the limiting cluster from spectral-field draws.
@@ -66,10 +65,10 @@ def limit_cluster_laplace_mc(
     batch, is split into the two indicator pieces and each is reduced by
     the substitution w = (y m)^-alpha to a smooth integral over (0, 1],
     handled by a midpoint rule; the indicator jumps are thereby integrated
-    exactly, so the zero function evaluates to exactly
-    theta_half / theta_half = 1.  ``order`` must have the lags' dimension.
-    When ``theta_half`` is omitted it is estimated from the same draws
-    (the mean of max_(t>=0)|field|^alpha - max_(t>0)|field|^alpha).
+    exactly, so the zero function evaluates to exactly 1: the result is
+    divided by the half-space index estimated from the same draws (the mean
+    of max_(t>=0)|field|^alpha - max_(t>0)|field|^alpha).  ``order`` must
+    have the lags' dimension.
     The quadrature runs one draw at a time, which keeps its memory at
     ``quad_points`` by the number of lags.
     """
@@ -99,17 +98,12 @@ def limit_cluster_laplace_mc(
         s_of_y = f(y[:, None] * sub[None, :]).sum(axis=1)
         return (m**alpha) * float(np.exp(-s_of_y).mean())
 
-    vals = np.empty(n)
-    theta_vals = np.empty(n)
-    for k, (row, m1, m2) in enumerate(zip(norms, m1s, m2s)):
-        theta_vals[k] = m1**alpha - m2**alpha
-        vals[k] = piece(row, succeq, m1) - piece(row, succ, m2)
-
-    if theta_half is None:
-        theta_half = float(theta_vals.mean())
+    theta_half = float(np.mean([m1**alpha - m2**alpha for m1, m2 in zip(m1s, m2s)]))
     if theta_half <= 0:
         raise ValueError("half-space index must be positive")
-    est = MCEstimate.sample_mean(vals)
+    vals = [piece(row, succeq, m1) - piece(row, succ, m2)
+            for row, m1, m2 in zip(norms, m1s, m2s)]
+    est = MCEstimate.sample_mean(np.array(vals))
     return MCEstimate(est.value / theta_half, est.se / theta_half, n)
 
 

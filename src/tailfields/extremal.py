@@ -2,25 +2,24 @@
 
 The five notions (classical, block, run per corner, tail-field per
 corner, half-space) agree only under extra conditions, so each gets its
-own estimator.  For the diagonal max-moving-average family the classical
-and run indices have exact rational closed forms,
-``MaxMovingAverage.exact_indices`` (and ``Mixture.exact_indices`` for
-mixtures of them), which the empirical estimators are tested against.
+own estimator.  They are tested against the models' ``exact_indices``:
+the stencil models (IID noise, the max-moving averages) and their mixtures
+read them off their spectral atoms, on the ``lattice`` regions that
+``theta_from_tail_samples`` reads too.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .lattice import (
+    HalfSpaceRegion,
     InvariantOrder,
+    OrthantRegion,
     as_point,
-    centered_box,
     corner_point,
     pos_block,
 )
@@ -173,39 +172,6 @@ def theta_run_empirical(
 
 # -- tail-field based indices --------------------------------------------------
 
-@dataclass(frozen=True)
-class OrthantRegion:
-    """Truncated closed orthant pointing away from a corner, origin removed:
-    {t : t_l (1 - 2 corner_l) >= 0 for all l, t != 0, |t|_inf <= bound}."""
-
-    corner: tuple[int, ...]
-    bound: int
-
-    def points(self) -> list[tuple[int, ...]]:
-        """The region's points, in lexicographic order; the corner fixes the
-        dimension."""
-        corner = as_point(self.corner)
-        if any(b not in (0, 1) for b in corner):
-            raise ValueError("corner entries must be 0 or 1")
-        if self.bound < 1:
-            raise ValueError("bound must be >= 1")
-        b = self.bound
-        axes = [range(0, b + 1) if c == 0 else range(-b, 1) for c in corner]
-        # a product of increasing ranges comes out in lexicographic order
-        return [t for t in itertools.product(*axes) if any(t)]
-
-
-@dataclass(frozen=True)
-class HalfSpaceRegion:
-    """Points strictly preceding the origin, truncated to a box."""
-
-    order: InvariantOrder
-    bound: int
-
-    def points(self) -> list[tuple[int, ...]]:
-        return [as_point(p) for p in _half_space_points(self.order, self.bound)]
-
-
 def theta_from_tail_samples(
     samples: TailBatch, region: OrthantRegion | HalfSpaceRegion
 ) -> tuple[MCEstimate, MCEstimate]:
@@ -223,9 +189,7 @@ def theta_from_tail_samples(
     for p in pts:
         if not samples.lags.contains(p):
             raise ValueError(f"region point {p} outside the lag window")
-    shell = np.array(
-        [max(abs(x) for x in p) == region.bound for p in pts], dtype=bool
-    )
+    shell = np.array([max(map(abs, p)) == region.bound for p in pts], dtype=bool)
     norms = samples.norms_at(pts)
     ok = int((norms.max(axis=1) <= 1.0).sum())
     on_shell = int((norms[:, shell] > 1.0).any(axis=1).sum())
@@ -233,19 +197,11 @@ def theta_from_tail_samples(
 
 
 def mma_index_table(a) -> dict:
-    """``MaxMovingAverage(a=a).exact_indices()``, under the name that
-    ``perfbench/test_checks.py`` imports."""
+    """``MaxMovingAverage(a=a).exact_indices()``, as ``perfbench/test_checks.py`` names it."""
     return MaxMovingAverage(a=a).exact_indices()
 
 
 # -- Brown-Resnick block index by Monte Carlo ----------------------------------
-
-def _half_space_points(order: InvariantOrder, bound: int) -> np.ndarray:
-    """The points of [-bound, bound]^dim before the origin, dim that of the
-    order, as an ``(n, dim)`` int array in row-major order."""
-    pts = centered_box(bound, order.dim).point_array()
-    return pts[order.before_origin_mask(pts)]
-
 
 def br_theta_block_profile(
     variogram,
@@ -270,7 +226,7 @@ def br_theta_block_profile(
     M_list = sorted(set(int(m) for m in M_list))
     if M_list[0] < 1:
         raise ValueError("truncation radii must be >= 1")
-    pts = _half_space_points(order, M_list[-1])
+    pts = HalfSpaceRegion(order, M_list[-1]).point_array()
     radii = np.abs(pts).max(axis=1)
     masks = [radii <= m for m in M_list]
     estimates = _exponent_gap(variogram, pts, None, masks, n_mc, rng, chunk, threads)

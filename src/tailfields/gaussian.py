@@ -29,6 +29,9 @@ _FGN_LOCK = threading.Lock()
 # columns per gathered block in GaussianFieldSampler.draw
 _DRAW_BLOCK = 512
 
+# most sites the walk takes: one 60x60 additive-fBm field took 0.7 s on one core
+MAX_WALK_SITES = 3600
+
 
 @functools.lru_cache(maxsize=128)
 def fgn_cholesky(hurst: float, n: int) -> np.ndarray:
@@ -86,13 +89,6 @@ def _variogram_at(variogram: VariogramSpec, lags: np.ndarray) -> np.ndarray:
     return vals[inverse.ravel()]
 
 
-def _variogram_matrix(variogram: VariogramSpec, pts: np.ndarray) -> np.ndarray:
-    """gamma(p_i - p_j) for every pair of rows of an ``(n, dim)`` int array."""
-    n, dim = pts.shape
-    diffs = (pts[:, None, :] - pts[None, :, :]).reshape(-1, dim)
-    return _variogram_at(variogram, diffs).reshape(n, n)
-
-
 class GaussianFieldSampler:
     """Batch sampler for W on a fixed finite point set of Z^k.
 
@@ -126,7 +122,8 @@ class GaussianFieldSampler:
         else:
             s2 = variogram.sigma2
             self.sigma2 = np.array([float(s2(tuple(int(x) for x in p))) for p in pts])
-            g = _variogram_matrix(variogram, pts)
+            diffs = (pts[:, None] - pts[None]).reshape(-1, variogram.dim)
+            g = _variogram_at(variogram, diffs).reshape(len(pts), -1)
             cov = 0.5 * (self.sigma2[:, None] + self.sigma2[None, :] - g)
             cov[np.diag_indices(len(pts))] += 1e-12  # numerical jitter
             self._chol = np.linalg.cholesky(cov)
@@ -166,19 +163,23 @@ def _extremal_walk(
 
     ``e`` holds each replicate's first arrival Gamma_1 at x_1, so Z(x_1) is
     1/e (``e`` is advanced in place); later sites draw their own.  Returns
-    a ``(len(e), len(pts))`` array.
+    a ``(len(e), len(pts))`` array, in memory linear in the sites; more than
+    ``MAX_WALK_SITES`` sites raise ``ValueError``.
     """
     count, npts = len(e), len(pts)
+    if npts > MAX_WALK_SITES:
+        raise ValueError(f"Brown-Resnick window of {npts} sites: exact sampling "
+                         f"takes at most {MAX_WALK_SITES}")
     sampler = GaussianFieldSampler(variogram, pts)
-    half = 0.5 * _variogram_matrix(variogram, pts)  # gamma is even
     z = np.zeros((count, npts))
     for n in range(npts):
         if n:
             e = gen.standard_exponential(count)  # zeta = 1/e
+        half = 0.5 * _variogram_at(variogram, pts[n] - pts)
         idx = np.flatnonzero(e * z[:, n] < 1.0)
         while idx.size:
             w = sampler.draw(idx.size, gen)
-            y = np.exp(w - w[:, n : n + 1] - half[n]) / e[idx, None]
+            y = np.exp(w - w[:, n : n + 1] - half) / e[idx, None]
             zi = z[idx]
             new = np.all(y[:, :n] < zi[:, :n], axis=1)
             z[idx[new]] = np.maximum(zi[new], y[new])

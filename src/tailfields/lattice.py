@@ -3,7 +3,9 @@
 Points of Z^k are plain tuples of ints.  Windows are inclusive
 hyperrectangles ``[lo, hi]``; the two block shapes used throughout are
 ``sym_block(n) = [-n+1, n-1]^k`` and ``pos_block(r) = [0, r-1]^k``.
-Field values over a window live in a dense row-major array.
+Field values over a window live in a dense row-major array.  The index
+regions, ``OrthantRegion`` (run index) and ``HalfSpaceRegion`` (classical
+and block), serve the estimators and the exact indices alike.
 """
 
 from __future__ import annotations
@@ -162,3 +164,42 @@ def corner_point(i: Sequence[int], r: Sequence[int]) -> Point:
     if any(x < 1 for x in r):
         raise ValueError("need r >= 1 componentwise")
     return tuple(rl - 1 if bl == 1 else 0 for bl, rl in zip(i, r))
+
+
+@dataclass(frozen=True)
+class OrthantRegion:
+    """Truncated closed orthant pointing away from a corner, origin removed:
+    {t : t_l (1 - 2 corner_l) >= 0 for all l, t != 0, |t|_inf <= bound}."""
+
+    corner: tuple[int, ...]
+    bound: int
+
+    def points(self) -> list[Point]:
+        """The region's points, in lexicographic order; the corner fixes the
+        dimension."""
+        corner = as_point(self.corner)
+        if any(b not in (0, 1) for b in corner):
+            raise ValueError("corner entries must be 0 or 1")
+        if self.bound < 1:
+            raise ValueError("bound must be >= 1")
+        b = self.bound
+        axes = [range(0, b + 1) if c == 0 else range(-b, 1) for c in corner]
+        # a product of increasing ranges comes out in lexicographic order
+        return [t for t in itertools.product(*axes) if any(t)]
+
+
+@dataclass(frozen=True)
+class HalfSpaceRegion:
+    """Points strictly preceding the origin, truncated to a box."""
+
+    order: InvariantOrder
+    bound: int
+
+    def point_array(self) -> np.ndarray:
+        """The points of [-bound, bound]^dim before the origin, dim that of the
+        order, as an ``(n, dim)`` int array in row-major order."""
+        pts = centered_box(self.bound, self.order.dim).point_array()
+        return pts[self.order.before_origin_mask(pts)]
+
+    def points(self) -> list[Point]:
+        return [as_point(p) for p in self.point_array()]

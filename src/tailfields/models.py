@@ -18,9 +18,9 @@ These members have defaults in :class:`Model`:
 * ``conditional_fields(window, point, u, count, gen)``, exact draws of the
   fields given |X(point)| > u, which raises ``TypeError``; every model but
   ``CounterexampleField`` (not jointly regularly varying) defines it;
-* ``exact_indices()``, the exact classical index and run index at each of
-  ``ALL_CORNERS`` as ``Fraction``s keyed by "classical" and the corner,
-  which raises ``TypeError``; ``MaxMovingAverage`` and ``Mixture`` define it;
+* ``exact_indices()``, the exact classical and per-corner run indices
+  keyed by "classical" and the corner, which raises ``TypeError``; the
+  stencil models read them off their spectral atoms, mixtures weight them;
 * ``to_config()``, which raises ``TypeError``.  A class listed in
   ``MODEL_VARIANTS`` also defines the classmethod ``from_config(cfg)``.
 
@@ -51,6 +51,7 @@ from typing import Callable, Union
 import numpy as np
 
 from . import simulate
+from .lattice import HalfSpaceRegion, InvariantOrder, OrthantRegion
 
 MMA_OFFSETS = ((-1, -1), (-1, 1), (1, 1), (1, -1))
 # the corners of {0,1}^2 in the key order of ``exact_indices``
@@ -185,6 +186,11 @@ class _StencilModel(_MaxStable):
     def weights(self) -> dict[tuple[int, ...], float]:
         return dict(self.stencil)
 
+    def _atoms(self, dim: int) -> list[tuple[tuple[int, ...], float]]:
+        """(offset, w) of the noise sites that reach the point: itself, w = 1,
+        then the positive-weight stencil offsets."""
+        return [((0,) * dim, 1.0)] + [(o, w) for o, w in self.stencil if w > 0.0]
+
     def exponent(self, window) -> float:
         """V = sum_s c_s^alpha, so that P(max of X over ``window`` <= u) =
         exp(-V u^-alpha); c_s, on the window dilated by the stencil radius,
@@ -200,7 +206,32 @@ class _StencilModel(_MaxStable):
 
     @property
     def _site_scale(self) -> float:
-        return (1.0 + sum(w**self.alpha for _, w in self.stencil)) ** (1 / self.alpha)
+        rest = self._atoms(0)[1:]  # offsets unread; 1.0 is added last, as always
+        return (1.0 + sum(w**self.alpha for _, w in rest)) ** (1 / self.alpha)
+
+    def exact_indices(self) -> dict:
+        """The spectral field at the point is atom k of ``_atoms`` (weight w_k),
+        Theta(t) = w(k - t) / w_k, with P(K = k) = w_k^alpha / S, S the sum of
+        the w_k^alpha.  So P(sup of |Y| over R <= 1) = sum_k (w_k^alpha -
+        m_k^alpha)^+ / S, m_k the largest w(k - t) on R: the half-space before
+        the origin for "classical" (1/S), ``OrthantRegion(c, max(1, 2 radius))``
+        for corner c (``ALL_CORNERS`` order in 2-D); ``Fraction``s at integer alpha."""
+        dim, a = self.dim or 2, self.alpha
+        integer = float(a).is_integer()  # then Fractions of the decimal weights
+        atoms = [(o, Fraction(str(w)) ** int(a) if integer else w**a)
+                 for o, w in self._atoms(dim)]
+        total, b = sum(p for _, p in atoms), max(1, 2 * self.radius)
+
+        def value(region):
+            pts, mass = set(region.points()), 0
+            for k, pk in atoms:  # w(k - t) > 0 only at t = k - o, o an atom
+                m = [p for o, p in atoms if tuple(x - y for x, y in zip(k, o)) in pts]
+                mass += max(pk - max(m, default=0), 0)
+            return mass / total
+
+        corners = ALL_CORNERS if dim == 2 else np.ndindex((2,) * dim)
+        out = {"classical": value(HalfSpaceRegion(InvariantOrder(dim), b))}
+        return out | {c: value(OrthantRegion(c, b)) for c in corners}
 
     def fields(self, window, count: int, gen) -> np.ndarray:
         return simulate.mma_batch(self, window, count, gen)
@@ -210,16 +241,14 @@ class _StencilModel(_MaxStable):
         return scale * simulate.frechet_of(gen.random(count), self.alpha)
 
     def _given_root(self, window, index, r: np.ndarray, gen) -> np.ndarray:
-        """X = max_j w_j Z(site j) over the point (w = 1) and its
-        positive-weight stencil sites: the term J attaining r has
-        P(J = j) ∝ w_j^alpha and Z(site J) = r / w_J, the other terms lie
+        """X = max_j w_j Z(site j) over the ``_atoms``: the term J attaining r
+        has P(J = j) ∝ w_j^alpha and Z(site J) = r / w_J, the other terms lie
         below r / w_i, and the rest of the dilated window is unconditioned."""
-        items = [((0,) * window.dim, 1.0)] + [(o, w) for o, w in self.stencil if w > 0.0]
+        items = self._atoms(window.dim)
         p = np.array([w for _, w in items]) ** self.alpha
         attains = gen.choice(len(items), size=len(r), p=p / p.sum())
         radius = self.radius
-        noise_shape = (len(r), *window.dilate(radius).shape)
-        z = simulate.frechet_of(gen.random(noise_shape), self.alpha)
+        z = simulate.frechet_of(gen.random((len(r), *window.dilate(radius).shape)), self.alpha)
         for j, (o, w) in enumerate(items):
             site = (slice(None), *(radius + i + d for i, d in zip(index, o)))
             below = simulate.frechet_below(gen, r / w, self.alpha)
@@ -268,23 +297,6 @@ class MaxMovingAverage(_StencilModel):
     @property
     def stencil(self) -> tuple[tuple[tuple[int, int], float], ...]:
         return tuple(zip(MMA_OFFSETS, self.a))
-
-    def exact_indices(self) -> dict:
-        """Classical (= block) index 1/(1+s), s the weight sum, then the run
-        index at each corner: the stencil is reflected through the axes
-        where the corner bit is 1 and the corner-0 exceedance mass is
-        evaluated on the reflected weights."""
-        w = {o: Fraction(str(x)) for o, x in self.stencil}
-        s = sum(w.values())
-        out = {"classical": 1 / (1 + s)}
-        for corner in ALL_CORNERS:
-            r = {tuple(-v if b else v for v, b in zip(o, corner)): x for o, x in w.items()}
-            mass = (
-                r[(-1, -1)] + min(r[(-1, 1)], r[(-1, -1)])
-                + r[(1, 1)] + min(r[(1, -1)], r[(-1, -1)])
-            )
-            out[corner] = 1 - mass / (1 + s)
-        return out
 
     def to_config(self) -> dict:
         return {
@@ -477,17 +489,13 @@ class Mixture(Model):
         return sum(w * m.exceed_prob(u) for w, m in self.components)
 
     def exact_indices(self) -> dict:
-        """Weighted average of the components' exact index tables, valid only
-        when they share one classical index (for max-moving averages, equal
-        weight sums); a ``ValueError`` otherwise."""
-        tables = [(Fraction(str(w)), m.exact_indices()) for w, m in self.components]
-        if len({t["classical"] for _, t in tables}) != 1:
-            raise ValueError(
-                "components have unequal classical indices; the averaging rule "
-                "for run indices is not justified in that case"
-            )
-        total = sum(w for w, _ in tables)
-        return {k: sum(w * t[k] for w, t in tables) / total for k in tables[0][1]}
+        """The components' tables weighted by pi_i ∝ w_i / theta_i, theta_i
+        the classical index of component i: theta_i s_i^alpha = 1 for max-linear
+        components, s_i the one-site scale, so pi is the law of the component
+        given an exceedance at a site (the mixture weights if scales agree)."""
+        tables = [m.exact_indices() for _, m in self.components]
+        pi = [Fraction(str(w)) / t["classical"] for (w, _), t in zip(self.components, tables)]
+        return {k: sum(p * t[k] for p, t in zip(pi, tables)) / sum(pi) for k in tables[0]}
 
     def _batch(self, count: int, gen, draw, shape, p=None) -> np.ndarray:
         """Pick a component per replicate with probabilities ``p`` (default:

@@ -55,6 +55,20 @@ class TestMmaTheta:
         assert vals[("closed-mixture-run", "10")] == "0.7"
         assert vals[("closed-mixture-classical", "")] == "0.4"
 
+    def test_unequal_scale_mixture_values(self, capsys):
+        # components of classical index 2/5 and 5/7, weighted 5/4 : 7/10
+        code, out, _ = run_cli(["mma-theta", "--mixture-a", "0.1,0.1,0.1,0.1"], capsys)
+        assert code == 0
+        vals = {
+            (r["method"], r["corner"]): float(r["theta"])
+            for r in csv.DictReader(io.StringIO(out))
+        }
+        assert vals[("closed-mixture-classical", "")] == 20 / 39
+        assert vals[("closed-mixture-run", "00")] == 2 / 3
+        assert vals[("closed-mixture-run", "11")] == 7 / 13
+        assert vals[("closed-mixture-run", "01")] == 20 / 39
+        assert vals[("closed-mixture-run", "10")] == 25 / 39
+
     def test_malformed_weight_exits_2(self, capsys):
         code, _, err = run_cli(["mma-theta", "--a", "1.3,0,0,0"], capsys)
         assert code == 2
@@ -334,13 +348,14 @@ class TestRejectedInputs:
             ["tailfield", "--model", "nope"],
             ["mma-theta", "--a", "1.3,0,0,0"],
             ["mma-theta", "--mixture-a", "1.3,0,0,0"],
-            ["mma-theta", "--mixture-a", "0.1,0.1,0.1,0.1"],
             ["tailfield", "--model-json", "{tmp}/mixed-alpha.json"],
             ["tailfield", "--model-json", "{tmp}/missing.json"],
             ["tailfield", "--model-json", "{tmp}/no-variant.json"],
             ["tailfield", "--model-json", "{tmp}/no-weights.json"],
             ["mma-empirical", "--tau", "nan", "--n", "40,40", "--r", "20,20"],
             ["cluster-laplace", "--tau", "nan"],
+            # 40,000-site Brown-Resnick fields at the default --n 200,200
+            ["cluster-laplace", "--model", "br-fbm"],
         ],
         ids="-".join,
     )

@@ -168,10 +168,6 @@ class TestLimitLaplace:
         b = limit_cluster_laplace_mc(first, STEP1, LEX, quad_points=4096)
         assert abs(a.value - b.value) <= 2e-4
 
-    def test_external_theta_half(self, mma_spectral):
-        res = limit_cluster_laplace_mc(mma_spectral, ZERO, LEX, theta_half=0.4)
-        assert res.value != 1.0  # normalization no longer self-consistent
-
     def test_order_of_another_dimension_rejected(self):
         vals = np.zeros((4, 3, 3, 3))
         vals[:, 1, 1, 1] = 1.0

@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tailfields.gaussian import br_tail_field_batch
 from tailfields.lattice import InvariantOrder, centered_box, pos_block
@@ -36,6 +38,11 @@ MMA_A2 = (0.6, 0.2, 0.6, 0.1)
 MMA = MaxMovingAverage(a=MMA_A)
 MMA2 = MaxMovingAverage(a=MMA_A2)
 LEX = InvariantOrder(dim=2)
+# a radius-2 stencil off the diagonal family: exact classical index 2/5 and
+# run indices 7/10, 7/10, 1/2, 2/5 at ALL_CORNERS
+GENERAL = GeneralMaxMovingAverage(stencil=(((1, 0), 0.5), ((0, 2), 0.25), ((-1, 1), 0.75)))
+# components of unequal classical index, 2/5 and 5/7
+UNEQUAL = Mixture(components=((0.3, MMA), (0.7, MaxMovingAverage(a=(0.1, 0.1, 0.1, 0.1)))))
 
 
 def _stencil_inverse(spec, p):
@@ -134,21 +141,107 @@ class TestClosedForms:
         t = MMA.exact_indices()
         assert all(m[k] == t[k] for k in m)
 
-    def test_mixture_unequal_scale_rejected(self):
-        other = MaxMovingAverage(a=(0.1, 0.1, 0.1, 0.1))
-        with pytest.raises(ValueError, match="unequal classical indices"):
-            Mixture(components=((0.5, MMA), (0.5, other))).exact_indices()
+    def test_unequal_scale_mixture_table(self):
+        # component weights pi ∝ w / theta: 3/4 and 49/50, over 173/100
+        m = UNEQUAL.exact_indices()
+        assert list(m) == ["classical", *ALL_CORNERS]
+        assert m["classical"] == Fraction(100, 173)
+        assert m[(0, 0)] == Fraction(118, 173)
+        assert m[(1, 1)] == Fraction(103, 173)
+        assert m[(0, 1)] == Fraction(100, 173)
+        assert m[(1, 0)] == Fraction(115, 173)
+
+    def test_general_stencil_table(self):
+        t = GENERAL.exact_indices()
+        assert list(t) == ["classical", *ALL_CORNERS]
+        assert [t[k] for k in t] == [
+            Fraction(2, 5), Fraction(7, 10), Fraction(7, 10), Fraction(1, 2), Fraction(2, 5)
+        ]
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.0])
+    def test_iid_reads_all_ones(self, alpha):
+        t = IIDFrechet(alpha).exact_indices()
+        assert list(t) == ["classical", *ALL_CORNERS]
+        assert all(v == 1 and isinstance(v, Fraction) for v in t.values())
+
+    def test_three_dimensional_stencil_has_eight_corners(self):
+        t = GeneralMaxMovingAverage(stencil=(((1, 0, -1), 0.5), ((0, 1, 1), 0.25))).exact_indices()
+        assert list(t)[1:] == [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1),
+                               (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1)]
+        assert t["classical"] == Fraction(4, 7)
+
+    def test_non_integer_alpha_gives_floats(self):
+        class Alpha15(MaxMovingAverage):  # driven by Frechet(1.5) noise
+            alpha = 1.5
+
+        table = Alpha15(a=MMA_A).exact_indices()
+        s = 1 + sum(w**1.5 for w in MMA_A)
+        assert table["classical"] == pytest.approx(1 / s, rel=1e-14)
+        assert all(isinstance(v, float) for v in table.values())
+
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda dim: st.dictionaries(
+                st.tuples(*[st.integers(-2, 2)] * dim).filter(any),
+                st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.7, 1.0]),
+                min_size=1, max_size=6,
+            )
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_half_space_value_is_one_over_the_weight_sum(self, stencil):
+        spec = GeneralMaxMovingAverage(stencil=tuple(stencil.items()))
+        t = spec.exact_indices()
+        s = 1 + sum(Fraction(str(w)) for w in stencil.values())
+        assert t["classical"] == 1 / s
+        assert len(t) == 1 + 2**spec.dim
+
+    @pytest.mark.parametrize("a", [MMA_A, MMA_A2, (0.3, 0.2, 0.9, 0.5), (0, 1, 0, 0.4)])
+    def test_every_order_gives_the_classical_index(self, a):
+        spec = MaxMovingAverage(a=a)
+        t = spec.exact_indices()
+        for order in (LEX, InvariantOrder(2, perm=(1, 0)), InvariantOrder(2, signs=(1, -1))):
+            # the atom law on HalfSpaceRegion(order, 2), written out
+            pts = set(HalfSpaceRegion(order, 2).points())
+            atoms = [((0, 0), Fraction(1))] + [
+                (o, Fraction(str(w))) for o, w in spec.stencil if w > 0
+            ]
+            w = dict(atoms)
+            mass = sum(
+                max(wk - max([w.get((k[0] - t0, k[1] - t1), 0) for t0, t1 in pts]), 0)
+                for k, wk in atoms
+            )
+            assert mass / sum(w.values()) == t["classical"]
 
     def test_weight_validation(self):
         with pytest.raises(ValueError):
             MaxMovingAverage(a=(1.5, 0, 0, 0))
 
     def test_models_without_a_closed_form_raise_type_error(self):
-        with pytest.raises(TypeError, match="IIDFrechet"):
-            IIDFrechet(1.0).exact_indices()
-        general = GeneralMaxMovingAverage(stencil=(((1, 0), 0.5),))
-        with pytest.raises(TypeError, match="GeneralMaxMovingAverage"):
-            Mixture(components=((0.5, MMA), (0.5, general))).exact_indices()
+        br = BrownResnick(variogram=AdditiveFBM((0.5, 0.5)))
+        with pytest.raises(TypeError, match="BrownResnick"):
+            br.exact_indices()
+        with pytest.raises(TypeError, match="CounterexampleField"):
+            CounterexampleField(1.0).exact_indices()
+        with pytest.raises(TypeError, match="BrownResnick"):
+            Mixture(components=((0.5, MMA), (0.5, br))).exact_indices()
+
+
+class TestAtomLaw:
+    @pytest.mark.parametrize("spec", [GENERAL, UNEQUAL], ids=["general-stencil", "unequal-mixture"])
+    def test_estimators_match_exact(self, spec):
+        # classical and run estimates at n = 400^2, r = 20^2, tau = 1, each
+        # within 4 se of the exact atom-law value
+        exact = spec.exact_indices()
+        rng = RngStream(331)
+        n, r = (400, 400), (20, 20)
+        ests = {"classical": theta_classical_empirical(spec, n, 1.0, 20_000, rng.lane(0),
+                                                      chunk=2048)}
+        for i, corner in enumerate(ALL_CORNERS):
+            ests[corner] = theta_run_empirical(spec, corner, r, n, 1.0, 20_000,
+                                               rng.lane(1 + i))
+        for key, est in ests.items():
+            assert abs(est.value - float(exact[key])) <= 4 * est.se, key
 
 
 class TestRunEstimator:

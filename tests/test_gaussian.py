@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -9,6 +10,7 @@ from scipy import stats
 from scipy.special import ndtr
 
 from tailfields.gaussian import (
+    MAX_WALK_SITES,
     GaussianFieldSampler,
     br_tail_field_batch,
     brown_resnick_batch,
@@ -226,6 +228,27 @@ class TestBrownResnick:
         )
         assert x.shape == (64, 20, 20)
         assert np.all(np.isfinite(x)) and np.all(x > 0)
+
+    def test_memory_is_linear_in_the_sites(self):
+        # O(sites) memory: a 1600 x 1600 variogram matrix alone would be 20 MB
+        vg, window, gen = AdditiveFBM((0.5, 0.5)), pos_block((40, 40)), RngStream(4).generator()
+        fgn_cholesky(0.5, 40)  # cached factors are not the walk's memory
+        tracemalloc.start()
+        try:
+            x = brown_resnick_batch(vg, window, 2, gen)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert x.shape == (2, 40, 40) and np.all(x > 0)
+        assert peak < 2_000_000
+
+    def test_window_above_the_site_limit_raises(self):
+        assert MAX_WALK_SITES >= 121  # the 11 x 11 windows that tests walk
+        side = math.isqrt(MAX_WALK_SITES) + 1
+        with pytest.raises(ValueError, match=f"{side * side} sites"):
+            brown_resnick_batch(
+                AdditiveFBM((0.5, 0.5)), pos_block((side, side)), 1, RngStream(5).generator()
+            )
 
     def test_sampler_api_deterministic(self):
         a, b = (

@@ -4,13 +4,13 @@ from hypothesis import strategies as st
 
 from tailfields.lattice import (
     InvariantOrder,
+    OrthantRegion,
     Window,
     centered_box,
     corner_point,
     pos_block,
     sym_block,
 )
-from tailfields.extremal import OrthantRegion
 
 DEFAULT2 = InvariantOrder(dim=2)
 
