@@ -8,14 +8,15 @@ the CLI output byte-identical:
 
     PYTHONPATH=src python scripts/cli_digests.py > digests.txt
 
-The 26 commands cover every subcommand, all four ``verify`` campaigns plus
+The 27 commands cover every subcommand, all four ``verify`` campaigns plus
 the corrupted negative control, ``tailfield`` on every route (IID,
 max-moving-average and Brown-Resnick roots drawn from their law and rows
 drawn given their roots, one Brown-Resnick run on an 81-site window;
 mixture and counterexample fields built), three ``--threads 2`` runs, one
 ``--format json`` run, and the counterexample and exact-index commands at
 a non-default alpha or weights, the latter also for a mixture of unequal
-classical indices.  The whole list takes a few seconds on one core.
+classical indices, and one ``br-theta`` at a paper-scale truncation
+(``--trunc-m 200``).  The whole list takes a few seconds on one core.
 """
 
 import contextlib
@@ -72,6 +73,8 @@ COMMANDS = (
     ["mma-theta", "--a", "0.1,0.1,0.1,0.1", "--mixture-a", "0.1,0.7,0.6,0.1"],
     ["tailfield", "--model", "br-fbm", "--lag-radius", "4", "--q", "0.99",
      "--replicates", "5000", "--seed", "24"],
+    ["br-theta", "--hurst", "0.1,0.1", "--trunc-m", "200", "--n-mc", "2000",
+     "--seed", "25"],
 )
 
 

@@ -11,11 +11,17 @@ the others take --format.  verify flags go after the campaign name;
 ``verify --seed pareto-root`` exits 2 saying so.  Rejected input exits
 2: a flag the command does not take with argparse's usage message, a
 bad value such as an unknown model name with one ``error: `` line.
+br-theta and br-fig1 print, after theta_b and its se, the truncation
+profile from the same draw: theta_b_m4 and theta_b_m2 at max(1, M//4)
+and max(1, M//2) for M = --trunc-m, and truncated = 1 when theta_b_m2
+exceeds theta_b by more than 2 se, i.e. the index still moves at M.
+The parser is built on the first ``main`` call and reused by later ones.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -189,7 +195,23 @@ def cmd_mma_empirical(args) -> int:
     return 0
 
 
-BR_COLUMNS = ["h1", "h2", "trunc_m", "n_mc", "theta_b", "se"] + BASE_COLUMNS
+BR_COLUMNS = ["h1", "h2", "trunc_m", "n_mc", "theta_b", "se",
+              "theta_b_m4", "theta_b_m2", "truncated"] + BASE_COLUMNS
+
+
+def _br_block_fields(variogram, order, args, rng) -> dict:
+    """The block index at ``--trunc-m`` M with its truncation profile: the
+    index at max(1, M//4) and max(1, M//2) from the same draw, and
+    ``truncated`` 1 when the M//2 value exceeds the M value by more than
+    2 se (the shell between them still carries mass)."""
+    m = args.trunc_m
+    m4, m2 = max(1, m // 4), max(1, m // 2)
+    prof = br_theta_block_profile(variogram, [m4, m2, m], order, args.n_mc, rng,
+                                  threads=args.threads)
+    est = prof[m]
+    return {"trunc_m": m, "n_mc": args.n_mc, "theta_b": est.value, "se": est.se,
+            "theta_b_m4": prof[m4].value, "theta_b_m2": prof[m2].value,
+            "truncated": int(prof[m2].value - est.value > 2 * est.se)}
 
 
 def cmd_br_theta(args) -> int:
@@ -197,14 +219,10 @@ def cmd_br_theta(args) -> int:
     if len(hurst) > 2:
         raise ValueError(f"--hurst takes one or two values, got {args.hurst}")
     spec = BrownResnick(variogram=AdditiveFBM(hurst=hurst))
-    order = InvariantOrder(dim=len(hurst))
-    est = br_theta_block_profile(
-        spec.variogram, [args.trunc_m], order, args.n_mc, RngStream(args.seed),
-        threads=args.threads,
-    )[args.trunc_m]
-    rec = {"h1": hurst[0], "h2": hurst[1] if len(hurst) > 1 else "",
-           "trunc_m": args.trunc_m, "n_mc": args.n_mc,
-           "theta_b": est.value, "se": est.se, **_base(args, spec)}
+    fields = _br_block_fields(spec.variogram, InvariantOrder(dim=len(hurst)), args,
+                              RngStream(args.seed))
+    rec = {"h1": hurst[0], "h2": hurst[1] if len(hurst) > 1 else "", **fields,
+           **_base(args, spec)}
     write_records([rec], BR_COLUMNS, args.out, args.format)
     return 0
 
@@ -217,15 +235,10 @@ def cmd_br_fig1(args) -> int:
     for h1 in grid:
         for h2 in grid:
             spec = BrownResnick(variogram=AdditiveFBM(hurst=(h1, h2)))
-            est = br_theta_block_profile(
-                spec.variogram, [args.trunc_m], InvariantOrder(dim=2), args.n_mc,
-                rng.lane(lane), threads=args.threads,
-            )[args.trunc_m]
+            fields = _br_block_fields(spec.variogram, InvariantOrder(dim=2), args,
+                                      rng.lane(lane))
             lane += 1
-            records.append(
-                {"h1": h1, "h2": h2, "trunc_m": args.trunc_m, "n_mc": args.n_mc,
-                 "theta_b": est.value, "se": est.se, **_base(args, spec)}
-            )
+            records.append({"h1": h1, "h2": h2, **fields, **_base(args, spec)})
     write_records(records, BR_COLUMNS, args.out, args.format)
     return 0
 
@@ -491,6 +504,13 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built on the first call: it holds no state that
+    parsing changes, and ops that call ``main`` several times build it once."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # the word after ``verify`` must name the campaign: a flag there, as in
@@ -501,7 +521,7 @@ def main(argv=None) -> int:
         print(f"error: verify flags go after the campaign name: verify {{{names}}} [flags]",
               file=sys.stderr)
         return 2
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         with single_threaded_blas():
             return args.func(args)

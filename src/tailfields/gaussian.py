@@ -69,20 +69,25 @@ def fbm_grid_batch(hurst: float, lo: int, hi: int, count: int, gen) -> np.ndarra
     return s[:, lo - lo2 : hi - lo2 + 1]
 
 
+def fbm_variance_table(hurst: float, lo: int, hi: int) -> np.ndarray:
+    """``|c|^(2 H)`` for c = lo..hi, with the float operations of
+    ``AdditiveFBM.gamma``."""
+    return np.array([abs(c) ** (2 * hurst) for c in range(lo, hi + 1)])
+
+
 def _variogram_at(variogram: VariogramSpec, lags: np.ndarray) -> np.ndarray:
     """gamma at each row of an ``(n, dim)`` int array of lags.
 
-    For additive fBm the sum is built from per-axis tables of
-    ``|c|^(2 H)`` with the same float operations as ``AdditiveFBM.gamma``;
-    otherwise gamma is called once per distinct lag.
+    For additive fBm the sum is built from per-axis ``fbm_variance_table``s,
+    added from 0.0 in axis order; otherwise gamma is called once per
+    distinct lag.
     """
     if isinstance(variogram, AdditiveFBM):
         out = np.zeros(len(lags))
         for axis, h in enumerate(variogram.hurst):
             col = lags[:, axis]
             lo, hi = int(col.min()), int(col.max())
-            table = np.array([abs(c) ** (2 * h) for c in range(lo, hi + 1)])
-            out += table[col - lo]
+            out += fbm_variance_table(h, lo, hi)[col - lo]
         return out
     uniq, inverse = np.unique(lags, axis=0, return_inverse=True)
     vals = np.array([float(variogram.gamma(tuple(int(x) for x in d))) for d in uniq])

@@ -190,10 +190,31 @@ class OrthantRegion:
 
 @dataclass(frozen=True)
 class HalfSpaceRegion:
-    """Points strictly preceding the origin, truncated to a box."""
+    """Points strictly preceding the origin, truncated to a box.
+
+    The region is the disjoint union of the ``dim`` boxes of ``boxes()``,
+    one per position of the order's ``perm``, so a maximum over it of a
+    function that factorises along the axes is a product of per-axis
+    maxima.
+    """
 
     order: InvariantOrder
     bound: int
+
+    def boxes(self) -> list[Window]:
+        """Box j (j = 0..dim-1) holds the points whose first nonzero axis, in
+        ``perm`` order, is ``perm[j]``: the axes before it are 0, ``perm[j]``
+        lies on its signed-negative side [1, bound] and the later axes range
+        over [-bound, bound]."""
+        b, order = self.bound, self.order
+        out = []
+        for j, axis in enumerate(order.perm):
+            lo, hi = [0] * order.dim, [0] * order.dim
+            lo[axis], hi[axis] = (-b, -1) if order.signs[axis] == 1 else (1, b)
+            for later in order.perm[j + 1 :]:
+                lo[later], hi[later] = -b, b
+            out.append(Window(tuple(lo), tuple(hi)))
+        return out
 
     def point_array(self) -> np.ndarray:
         """The points of [-bound, bound]^dim before the origin, dim that of the

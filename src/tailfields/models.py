@@ -20,7 +20,9 @@ These members have defaults in :class:`Model`:
   ``CounterexampleField`` (not jointly regularly varying) defines it;
 * ``exact_indices()``, the exact classical and per-corner run indices
   keyed by "classical" and the corner, which raises ``TypeError``; the
-  stencil models read them off their spectral atoms, mixtures weight them;
+  stencil models read them off their spectral atoms in the private
+  ``_exact_indices(dim)``, and mixtures weight their components' tables
+  in the mixture's dimension;
 * ``to_config()``, which raises ``TypeError``.  A class listed in
   ``MODEL_VARIANTS`` also defines the classmethod ``from_config(cfg)``.
 
@@ -119,6 +121,10 @@ class Model:
         raise TypeError(f"no exact conditional sampler for {type(self).__name__}")
 
     def exact_indices(self) -> dict:
+        return self._exact_indices(self.dim or 2)
+
+    def _exact_indices(self, dim: int) -> dict:
+        """``exact_indices`` on Z^dim (dim fixed by the model where it has one)."""
         raise TypeError(f"no exact extremal indices for {type(self).__name__}")
 
     def to_config(self) -> dict:
@@ -209,14 +215,14 @@ class _StencilModel(_MaxStable):
         rest = self._atoms(0)[1:]  # offsets unread; 1.0 is added last, as always
         return (1.0 + sum(w**self.alpha for _, w in rest)) ** (1 / self.alpha)
 
-    def exact_indices(self) -> dict:
+    def _exact_indices(self, dim: int) -> dict:
         """The spectral field at the point is atom k of ``_atoms`` (weight w_k),
         Theta(t) = w(k - t) / w_k, with P(K = k) = w_k^alpha / S, S the sum of
         the w_k^alpha.  So P(sup of |Y| over R <= 1) = sum_k (w_k^alpha -
         m_k^alpha)^+ / S, m_k the largest w(k - t) on R: the half-space before
         the origin for "classical" (1/S), ``OrthantRegion(c, max(1, 2 radius))``
         for corner c (``ALL_CORNERS`` order in 2-D); ``Fraction``s at integer alpha."""
-        dim, a = self.dim or 2, self.alpha
+        a = self.alpha
         integer = float(a).is_integer()  # then Fractions of the decimal weights
         atoms = [(o, Fraction(str(w)) ** int(a) if integer else w**a)
                  for o, w in self._atoms(dim)]
@@ -488,12 +494,14 @@ class Mixture(Model):
     def exceed_prob(self, u: float) -> float:
         return sum(w * m.exceed_prob(u) for w, m in self.components)
 
-    def exact_indices(self) -> dict:
-        """The components' tables weighted by pi_i ∝ w_i / theta_i, theta_i
-        the classical index of component i: theta_i s_i^alpha = 1 for max-linear
-        components, s_i the one-site scale, so pi is the law of the component
-        given an exceedance at a site (the mixture weights if scales agree)."""
-        tables = [m.exact_indices() for _, m in self.components]
+    def _exact_indices(self, dim: int) -> dict:
+        """The components' tables on Z^dim (the mixture's dimension, which a
+        dimensionless IID component takes on) weighted by pi_i ∝ w_i / theta_i,
+        theta_i the classical index of component i: theta_i s_i^alpha = 1 for
+        max-linear components, s_i the one-site scale, so pi is the law of the
+        component given an exceedance at a site (the mixture weights if
+        scales agree)."""
+        tables = [m._exact_indices(dim) for _, m in self.components]
         pi = [Fraction(str(w)) / t["classical"] for (w, _), t in zip(self.components, tables)]
         return {k: sum(p * t[k] for p, t in zip(pi, tables)) / sum(pi) for k in tables[0]}
 

@@ -225,8 +225,12 @@ def _exponent_gap(
             sums.append((diff.sum(), (diff**2).sum()))
         return sums
 
-    parts = map_chunks(work, n_mc, chunk, rng, threads)
-    # per mask, the chunks' sums and sums of squares added in chunk order
+    return _gap_estimates(map_chunks(work, n_mc, chunk, rng, threads), n_mc)
+
+
+def _gap_estimates(parts: list, n_mc: int) -> list[MCEstimate]:
+    """One estimate per mask from ``parts``, which holds per chunk and per
+    mask the sum and sum of squares of the gaps; chunks add in chunk order."""
     return [
         MCEstimate.from_sums(*(sum(col) for col in zip(*per_mask)), n_mc)
         for per_mask in zip(*parts)

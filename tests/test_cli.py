@@ -160,6 +160,25 @@ class TestBrCommands:
         theta = {(float(r[0]), float(r[1])): float(r[4]) for r in rows}
         assert theta[(0.7, 0.7)] > theta[(0.3, 0.3)]
 
+    @pytest.mark.parametrize("hurst, flagged", [("0.1,0.1", 1), ("0.5,0.5", 0)])
+    def test_truncation_profile(self, capsys, hurst, flagged):
+        # at M = 50, h = 0.1 loses about 8 se of mass between M/2 and M, and
+        # h = 0.5 about 0.1 se
+        code, out, _ = run_cli(
+            ["br-theta", "--hurst", hurst, "--trunc-m", "50", "--n-mc", "4000",
+             "--seed", "5"],
+            capsys,
+        )
+        assert code == 0
+        header, line = out.strip().splitlines()
+        assert header.split(",")[4:9] == [
+            "theta_b", "se", "theta_b_m4", "theta_b_m2", "truncated"]
+        (row,) = csv.DictReader(io.StringIO(out))
+        theta, se = float(row["theta_b"]), float(row["se"])
+        m4, m2 = float(row["theta_b_m4"]), float(row["theta_b_m2"])
+        assert m4 >= m2 >= theta  # antitone in the truncation pathwise
+        assert int(row["truncated"]) == flagged == int(m2 - theta > 2 * se)
+
     def test_tailcdf_consistency(self, capsys):
         code, out, _ = run_cli(
             ["br-tailcdf", "--hurst", "0.5,0.5", "--point", "2,2", "--y",

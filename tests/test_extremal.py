@@ -1,6 +1,8 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,7 +33,7 @@ from tailfields.extremal import (
     theta_from_tail_samples,
     theta_run_empirical,
 )
-from tailfields.tailfield import MCEstimate, TailBatch, br_tail_fdd_mc
+from tailfields.tailfield import MCEstimate, TailBatch, _exponent_gap, br_tail_fdd_mc
 
 MMA_A = (0.1, 0.7, 0.6, 0.1)
 MMA_A2 = (0.6, 0.2, 0.6, 0.1)
@@ -212,6 +214,19 @@ class TestClosedForms:
                 for k, wk in atoms
             )
             assert mass / sum(w.values()) == t["classical"]
+
+    @pytest.mark.parametrize("iid_first", [False, True], ids=["stencil-first", "iid-first"])
+    def test_mixture_takes_the_dimension_of_its_stencil(self, iid_first):
+        # the IID table is built in 3-D: classical plus 8 corners, IID all ones
+        stencil = GeneralMaxMovingAverage(stencil=(((1, 0, 0), 0.5),))
+        comps = ((0.5, stencil), (0.5, IIDFrechet(1.0)))
+        t = Mixture(components=comps[::-1] if iid_first else comps).exact_indices()
+        own = stencil.exact_indices()
+        # pi ∝ w_i / theta_i = (1/2) / (2/3) and (1/2) / 1
+        pi_s, pi_iid = Fraction(3, 4), Fraction(1, 2)
+        assert len(t) == 9 and list(t) == list(own)
+        assert t == {k: (pi_s * v + pi_iid) / (pi_s + pi_iid) for k, v in own.items()}
+        assert t["classical"] == Fraction(4, 5)
 
     def test_weight_validation(self):
         with pytest.raises(ValueError):
@@ -401,17 +416,49 @@ class TestBrBlockIndex:
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
     @pytest.mark.parametrize(
-        "order", [LEX, InvariantOrder(dim=2, perm=(1, 0), signs=(-1, 1))],
-        ids=["lex", "permuted-signed"],
+        "order",
+        [LEX, InvariantOrder(dim=2, perm=(1, 0), signs=(-1, 1)),
+         InvariantOrder(dim=1, signs=(-1,)),
+         InvariantOrder(dim=3, perm=(2, 0, 1), signs=(1, -1, -1))],
+        ids=["lex", "permuted-signed", "1d-signed", "3d-permuted-signed"],
     )
     def test_is_the_half_space_cdf_bit_for_bit(self, order):
         # the block index is the tail field's CDF at level 1 on the half-space;
         # at n_mc <= 64 both estimators draw one chunk from the same substream
-        vg, M = AdditiveFBM((0.6, 0.4)), 5
+        vg, M = AdditiveFBM((0.6, 0.4, 0.7)[: order.dim]), 5
         for n in (1, 40, 64):
             prof = br_theta_block_profile(vg, [M], order, n, RngStream(315))[M]
             pts = HalfSpaceRegion(order, M).points()
             assert prof == br_tail_fdd_mc(pts, 1.0, vg, n, RngStream(315))
+
+    @pytest.mark.parametrize(
+        "hurst, order, M_list",
+        [((0.6, 0.4), LEX, [1, 2, 4, 8]),
+         ((0.3, 0.5, 0.7), InvariantOrder(dim=3, perm=(2, 0, 1), signs=(1, -1, -1)), [3, 6])],
+        ids=["2d", "3d"],
+    )
+    def test_profile_is_the_dense_route_bit_for_bit(self, hurst, order, M_list):
+        # per-axis maxima against V on every site of the half-space, over
+        # several chunks and a ragged last one
+        vg = AdditiveFBM(hurst)
+        prof = br_theta_block_profile(vg, M_list, order, 300, RngStream(316))
+        pts = HalfSpaceRegion(order, M_list[-1]).point_array()
+        radii = np.abs(pts).max(axis=1)
+        masks = [radii <= m for m in M_list]
+        dense = _exponent_gap(vg, pts, None, masks, 300, RngStream(316), 64)
+        assert prof == dict(zip(M_list, dense))
+
+    def test_memory_is_linear_in_the_radius(self):
+        # the dense route held (64, 2 M^2) arrays: a traced peak of about 48 MB
+        vg = AdditiveFBM((0.5, 0.5))
+        br_theta_block_profile(vg, [200], LEX, 1, RngStream(317))  # fGn factors cached
+        tracemalloc.start()
+        try:
+            br_theta_block_profile(vg, [200], LEX, 200, RngStream(317))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
 
     def test_near_independence_limit(self):
         vg = CustomVariogram(

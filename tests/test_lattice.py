@@ -1,8 +1,10 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tailfields.lattice import (
+    HalfSpaceRegion,
     InvariantOrder,
     OrthantRegion,
     Window,
@@ -124,6 +126,20 @@ class TestOrthantRegion:
         a = set(OrthantRegion(i, bound).points())
         b = {tuple(-x for x in p) for p in OrthantRegion(flipped, bound).points()}
         assert a == b
+
+
+class TestHalfSpaceBoxes:
+    @given(st.integers(1, 3).flatmap(orders), st.integers(1, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_boxes_tile_the_region(self, order, bound):
+        region = HalfSpaceRegion(order, bound)
+        boxes = region.boxes()
+        assert len(boxes) == order.dim
+        rows = np.concatenate([b.point_array() for b in boxes])
+        tiles = {tuple(p) for p in rows}
+        assert len(tiles) == len(rows)  # disjoint
+        assert tiles == {tuple(p) for p in region.point_array()}
+        assert len(rows) == len(region.point_array())
 
 
 class TestWindow:
