@@ -395,12 +395,14 @@ class TestRejectedInputs:
 
 class TestImportPath:
     def test_scipy_stays_unloaded(self, tmp_path):
-        # only `verify rs-invariance` needs SciPy; the import and the other
-        # commands must not load it
+        # the package runs on NumPy alone: neither the import nor any
+        # command, the KS campaigns included, loads SciPy
         code = (
             "import sys, tailfields.cli as cli\n"
             "for argv in (['mma-empirical', '--n', '20,20', '--r', '5,5'],"
-            " ['br-tailcdf', '--point', '1,0', '--n-mc', '200']):\n"
+            " ['br-tailcdf', '--point', '1,0', '--n-mc', '200'],"
+            " ['verify', 'rs-invariance', '--q', '0.99', '--replicates', '5000'],"
+            " ['verify', 'pareto-root', '--q', '0.99', '--replicates', '20000']):\n"
             "    assert cli.main([*argv, '--out', sys.argv[1]]) == 0\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )

@@ -1,4 +1,7 @@
+import itertools
 import math
+import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from tailfields.tailfield import estimate_tail_field
 from tailfields.verify import (
     PARETO_ROOT_Q,
     THRESHOLDS,
+    _ks_equal_size,
     run_change_of_time_check,
     run_counterexample_check,
     run_pareto_root_check,
@@ -109,6 +113,47 @@ class TestRsInvariance:
                                       n_replicates=600_000, corrupt=True)
         assert not run.passed
         assert run.name.endswith("corrupted")
+
+
+class TestKsEqualSizeLaw:
+    @pytest.mark.parametrize("ties", [False, True], ids=["distinct", "tied-zeros"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 50, 400, 1000])
+    def test_matches_scipy_exact(self, n, ties):
+        gen = np.random.default_rng(n)
+        for shift in (0.0, 0.3, 1.0):
+            a = gen.pareto(2.0, n)
+            b = gen.pareto(2.0, n) + shift
+            if ties:  # the censored zeros of rs_invariance_ks
+                a[gen.random(n) < 0.3] = 0.0
+                b[gen.random(n) < 0.3] = 0.0
+            h, p = _ks_equal_size(a, b)
+            ref = stats.ks_2samp(a, b, method="exact")
+            assert p == ref.pvalue
+            assert h == round(ref.statistic * n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_brute_force_split_count(self, n):
+        # every split of 2n distinct values into two halves is equally
+        # likely; h of a split is the largest |partial sum| of its +1 (a)
+        # and -1 (b) steps in pooled order, and P(D >= h/n) is the share
+        # of splits whose h is at least that
+        hs = []
+        for idx in itertools.combinations(range(2 * n), n):
+            steps = [1 if i in idx else -1 for i in range(2 * n)]
+            hs.append(max(abs(x) for x in itertools.accumulate(steps)))
+        for h in sorted(set(hs)):
+            exact = Fraction(sum(x >= h for x in hs), math.comb(2 * n, n))
+            a = np.arange(n, dtype=float)
+            got_h, p = _ks_equal_size(a, a + h - 0.5)
+            assert got_h == h
+            assert p == pytest.approx(float(exact), rel=1e-12)
+
+    def test_large_size_is_linear(self):
+        a = np.arange(10_000, dtype=float)
+        start = time.perf_counter()
+        h, p = _ks_equal_size(a, a + 0.5)
+        assert time.perf_counter() - start < 0.5
+        assert (h, p) == (1, 1.0)
 
 
 class TestCounterexample:
