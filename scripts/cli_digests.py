@@ -8,15 +8,18 @@ the CLI output byte-identical:
 
     PYTHONPATH=src python scripts/cli_digests.py > digests.txt
 
-The 27 commands cover every subcommand, all four ``verify`` campaigns plus
+The 29 commands cover every subcommand, all four ``verify`` campaigns plus
 the corrupted negative control, ``tailfield`` on every route (IID,
 max-moving-average and Brown-Resnick roots drawn from their law and rows
 drawn given their roots, one Brown-Resnick run on an 81-site window;
 mixture and counterexample fields built), three ``--threads 2`` runs, one
-``--format json`` run, and the counterexample and exact-index commands at
-a non-default alpha or weights, the latter also for a mixture of unequal
-classical indices, and one ``br-theta`` at a paper-scale truncation
-(``--trunc-m 200``).  The whole list takes a few seconds on one core.
+``--format json`` run, the counterexample command at a non-default alpha,
+the exact-index command on three more models (``mma2``, ``mixture`` and a
+mixture of unequal classical indices read from ``mixture-unequal.json``),
+one empirical-index run on the 1-D stencil of ``stencil-1d.json``, and
+one ``br-theta`` at a paper-scale truncation (``--trunc-m 200``).  The
+config paths print relative to the repository root.  The whole list
+takes a few seconds on one core.
 """
 
 import contextlib
@@ -27,6 +30,8 @@ import sys
 import tempfile
 
 from tailfields.cli import main as cli_main
+
+HERE = os.path.dirname(os.path.abspath(__file__))
 
 COMMANDS = (
     ["mma-theta"],
@@ -67,10 +72,13 @@ COMMANDS = (
     ["counterexample", "--alpha", "0.5", "--ranks", "1,2,9", "--n-per-rank", "20000",
      "--seed", "18"],
     ["verify", "counterexample", "--alpha", "2.0", "--seed", "19"],
-    ["mma-theta", "--a", "0.6,0.2,0.6,0.1", "--mixture-a", "0.1,0.7,0.6,0.1"],
+    ["mma-theta", "--model", "mma2"],
+    ["mma-theta", "--model", "mixture"],
     ["tailfield", "--model", "br-fbm", "--lag-radius", "1", "--q", "0.99",
      "--replicates", "6000", "--seed", "23", "--threads", "2"],
-    ["mma-theta", "--a", "0.1,0.1,0.1,0.1", "--mixture-a", "0.1,0.7,0.6,0.1"],
+    ["mma-theta", "--model", os.path.join(HERE, "mixture-unequal.json")],
+    ["mma-empirical", "--model", os.path.join(HERE, "stencil-1d.json"), "--n", "400",
+     "--r", "20", "--replicates", "400", "--seed", "26"],
     ["tailfield", "--model", "br-fbm", "--lag-radius", "4", "--q", "0.99",
      "--replicates", "5000", "--seed", "24"],
     ["br-theta", "--hurst", "0.1,0.1", "--trunc-m", "200", "--n-mc", "2000",
@@ -92,7 +100,7 @@ def digest(argv: list[str]) -> str:
 
 def main() -> int:
     for argv in COMMANDS:
-        print(f"{digest(argv)}  {' '.join(argv)}", flush=True)
+        print(f"{digest(argv)}  {' '.join(argv).replace(HERE, 'scripts')}", flush=True)
     return 0
 
 

@@ -3,14 +3,19 @@
 Subcommands: mma-theta, mma-empirical, br-theta, br-fig1, br-tailcdf,
 tailfield, cluster-laplace, counterexample, verify.  Each command accepts
 only the flags it reads and is a pure function of them; all but the
-closed-form mma-theta take --seed.
+closed-form mma-theta take --seed.  One flag, --model, picks the model:
+a ``NAMED_MODELS`` name first, else the path of a JSON model config.  The
+index commands serve any model (the benchmark's workloads fix their mma-
+names): mma-theta prints its exact indices, mma-empirical estimates them
+at each corner of the --n window's dimension.
 --threads (default 1) is taken by mma-empirical, br-theta, br-fig1,
 tailfield and cluster-laplace, whose outputs are byte-identical at any
 value; BLAS runs on one thread per worker.  tailfield writes CSV only;
 the others take --format.  verify flags go after the campaign name;
 ``verify --seed pareto-root`` exits 2 saying so.  Rejected input exits
 2: a flag the command does not take with argparse's usage message, a
-bad value such as an unknown model name with one ``error: `` line.
+bad value, such as an unknown model or one with no exact indices or
+conditional sampler where the command needs them, with one ``error: `` line.
 br-theta and br-fig1 print, after theta_b and its se, the truncation
 profile from the same draw: theta_b_m4 and theta_b_m2 at max(1, M//4)
 and max(1, M//2) for M = --trunc-m, and truncated = 1 when theta_b_m2
@@ -24,6 +29,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -43,21 +49,21 @@ from .extremal import (
 from .io import write_records, write_table
 from .lattice import InvariantOrder, centered_box, pos_block
 from .models import (
-    ALL_CORNERS,
     AdditiveFBM,
     BrownResnick,
+    CapabilityError,
     CounterexampleField,
     IIDFrechet,
     MaxMovingAverage,
     Mixture,
     Model,
+    corners,
     model_digest,
     model_from_config,
 )
 from .rng import RngStream, map_chunks, single_threaded_blas
 from .simulate import field_batch
 from .tailfield import (
-    MCEstimate,
     br_tail_fdd_mc,
     br_tail_marginal_cdf,
     estimate_tail_field,
@@ -96,36 +102,35 @@ def _positive_int(text: str) -> int:
     return value
 
 
+MMA_WEIGHTS = {"mma-default": (0.1, 0.7, 0.6, 0.1), "mma2": (0.6, 0.2, 0.6, 0.1)}
 NAMED_MODELS = {
     "iid": lambda: IIDFrechet(1.0),
-    "mma-default": lambda: MaxMovingAverage(a=(0.1, 0.7, 0.6, 0.1)),
-    "mma2": lambda: MaxMovingAverage(a=(0.6, 0.2, 0.6, 0.1)),
+    "mma-default": lambda: MaxMovingAverage(a=MMA_WEIGHTS["mma-default"]),
+    "mma2": lambda: MaxMovingAverage(a=MMA_WEIGHTS["mma2"]),
     "mixture": lambda: Mixture(
-        components=(
-            (0.5, MaxMovingAverage(a=(0.1, 0.7, 0.6, 0.1))),
-            (0.5, MaxMovingAverage(a=(0.6, 0.2, 0.6, 0.1))),
-        )
+        components=tuple((0.5, MaxMovingAverage(a=a)) for a in MMA_WEIGHTS.values())
     ),
     "br-fbm": lambda: BrownResnick(variogram=AdditiveFBM(hurst=(0.5, 0.5))),
     "counterexample": lambda: CounterexampleField(alpha=1.0),
 }
+MODEL_HELP = f"one of {sorted(NAMED_MODELS)}, else the path of a JSON model config"
 
 
-def resolve_model(args) -> Model:
-    """The model of ``--model-json`` if given, else the one ``--model`` names;
-    a ``ValueError`` for an unreadable config or an unknown name."""
-    if getattr(args, "model_json", None):
-        try:
-            with open(args.model_json) as fh:
-                return model_from_config(json.load(fh))
-        except (OSError, KeyError, TypeError) as exc:
-            raise ValueError(
-                f"cannot load a model from {args.model_json}: "
-                f"{type(exc).__name__}: {exc}"
-            ) from None
-    if args.model not in NAMED_MODELS:
-        raise ValueError(f"unknown model {args.model!r}; one of {sorted(NAMED_MODELS)}")
-    return NAMED_MODELS[args.model]()
+def resolve_model(value: str) -> Model:
+    """The model ``--model`` names: a key of ``NAMED_MODELS``, else the path
+    of a JSON config; a ``ValueError`` for neither or a config that does
+    not load."""
+    if value in NAMED_MODELS:
+        return NAMED_MODELS[value]()
+    if not os.path.exists(value):
+        raise ValueError(f"unknown model {value!r}; {MODEL_HELP}")
+    try:
+        with open(value) as fh:
+            return model_from_config(json.load(fh))
+    except (OSError, KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(
+            f"cannot load a model from {value}: {type(exc).__name__}: {exc}"
+        ) from None
 
 
 def _base(args, spec) -> dict:
@@ -140,58 +145,45 @@ INDEX_COLUMNS = ["method", "corner", "theta", "se", "tau", "u", "r", "n"] + BASE
 
 
 def _index_rows(prefix: str, estimates: dict, base: dict) -> list[dict]:
-    """Rows of index estimates keyed by "classical" or a corner.
-
-    An estimate is an exact closed form (se 0) or an ``MCEstimate``; the
-    method is the prefix followed by "classical" or "run".
-    """
-    rows = []
-    for key, est in estimates.items():
-        if isinstance(est, MCEstimate):
-            theta, se = est.value, est.se
-        else:
-            theta, se = float(est), 0.0
-        classical = key == "classical"
-        rows.append(
-            {"method": prefix + ("classical" if classical else "run"),
-             "corner": "" if classical else "".join(map(str, key)),
+    """Rows of (theta, se) pairs keyed by "classical" or a corner; the
+    method is the prefix followed by "classical" or "run"."""
+    return [{"method": prefix + ("classical" if key == "classical" else "run"),
+             "corner": "" if key == "classical" else "".join(map(str, key)),
              "theta": theta, "se": se, **base}
-        )
-    return rows
+            for key, (theta, se) in estimates.items()]
 
 
 def cmd_mma_theta(args) -> int:
-    spec = MaxMovingAverage(a=_parse_floats(args.a))
-    base = _base(args, spec)
-    records = _index_rows("closed-", spec.exact_indices(), base)
-    if args.mixture_a:
-        other = MaxMovingAverage(a=_parse_floats(args.mixture_a))
-        mixture = Mixture(components=((0.5, spec), (0.5, other)))
-        records += _index_rows("closed-mixture-", mixture.exact_indices(), base)
-    write_records(records, INDEX_COLUMNS, args.out, args.format)
+    spec = resolve_model(args.model)
+    exact = {k: (float(v), 0.0) for k, v in spec.exact_indices().items()}
+    write_records(_index_rows("closed-", exact, _base(args, spec)), INDEX_COLUMNS,
+                  args.out, args.format)
     return 0
 
 
 def cmd_mma_empirical(args) -> int:
-    spec = MaxMovingAverage(a=_parse_floats(args.a))
+    spec = resolve_model(args.model)
     rng = RngStream(args.seed)
     n = _parse_ints(args.n)
     r = _parse_ints(args.r)
     base = {"tau": args.tau, "u": level_u(spec, n, args.tau),
             "r": "x".join(map(str, r)), "n": "x".join(map(str, n)),
             **_base(args, spec)}
-    classical = theta_classical_empirical(
-        spec, n, args.tau, args.replicates, rng.lane(1), threads=args.threads
-    )
+    # corner i on lane 2 + i and the classical index on lane 1; the run rows
+    # are estimated first, so a model with no conditional sampler fails at once
     runs = {
         corner: theta_run_empirical(
             spec, corner, r, n, args.tau, args.replicates, rng.lane(2 + i),
             threads=args.threads,
         )
-        for i, corner in enumerate(ALL_CORNERS)
+        for i, corner in enumerate(corners(len(n)))
     }
+    classical = theta_classical_empirical(
+        spec, n, args.tau, args.replicates, rng.lane(1), threads=args.threads
+    )
     estimates = {"classical": classical, **{c: runs[c] for c in sorted(runs)}}
-    write_records(_index_rows("", estimates, base), INDEX_COLUMNS, args.out, args.format)
+    rows = _index_rows("", {k: (e.value, e.se) for k, e in estimates.items()}, base)
+    write_records(rows, INDEX_COLUMNS, args.out, args.format)
     return 0
 
 
@@ -267,17 +259,15 @@ def cmd_br_tailcdf(args) -> int:
 
 
 def cmd_tailfield(args) -> int:
-    spec = resolve_model(args)
-    dim = spec.dim or 2
-    lags = centered_box(args.lag_radius, dim)
+    spec = resolve_model(args.model)
+    lags = centered_box(args.lag_radius, spec.lattice_dim)
     samples = estimate_tail_field(
         spec, lags, args.replicates, RngStream(args.seed), q=args.q,
         min_retained=args.min_retained, threads=args.threads,
     )
     if args.spectral:
         samples = spectral_from_tail(samples)
-    header, rows = samples_to_rows(samples)
-    write_table(header, rows, args.out)
+    write_table(*samples_to_rows(samples), args.out)
     return 0
 
 
@@ -285,8 +275,8 @@ LAPLACE_COLUMNS = ["function", "empirical", "empirical_se", "limit", "limit_se"]
 
 
 def cmd_cluster_laplace(args) -> int:
-    spec = resolve_model(args)
-    dim = spec.dim or 2
+    spec = resolve_model(args.model)
+    dim = spec.lattice_dim
     rng = RngStream(args.seed)
     n = _parse_ints(args.n)
     r = _parse_ints(args.r)
@@ -367,9 +357,9 @@ def cmd_verify(args) -> int:
 
 
 def _tail_campaign(args, rng: RngStream) -> VerificationRun:
-    """One of the three campaigns on tail-field draws of a named model."""
+    """One of the three campaigns on tail-field draws of the ``--model`` model."""
     corrupt = args.campaign == "rs-invariance" and args.model == "corrupted"
-    spec = NAMED_MODELS["mma-default"]() if corrupt else resolve_model(args)
+    spec = NAMED_MODELS["mma-default"]() if corrupt else resolve_model(args.model)
     # without --q each campaign keeps its own default level
     opts = {"q": args.q} if args.q is not None else {}
     if args.replicates is not None:
@@ -404,7 +394,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, seed=True, threads=True, fmt=True):
+    def common(sp, seed=True, threads=True, fmt=True, model=None):
+        if model:  # the help text of --model
+            sp.add_argument("--model", default="mma-default", help=model)
         if seed:
             sp.add_argument("--seed", type=int, default=0)
         if threads:
@@ -413,19 +405,16 @@ def build_parser() -> argparse.ArgumentParser:
         if fmt:
             sp.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    sp = sub.add_parser("mma-theta", help="exact index table")
-    sp.add_argument("--a", default="0.1,0.7,0.6,0.1")
-    sp.add_argument("--mixture-a", default=None)
-    common(sp, seed=False, threads=False)
+    sp = sub.add_parser("mma-theta", help="exact index table of any model that has one")
+    common(sp, seed=False, threads=False, model=MODEL_HELP)
     sp.set_defaults(func=cmd_mma_theta)
 
-    sp = sub.add_parser("mma-empirical", help="empirical index report")
-    sp.add_argument("--a", default="0.1,0.7,0.6,0.1")
+    sp = sub.add_parser("mma-empirical", help="empirical index report of any model")
     sp.add_argument("--n", default="400,400")
     sp.add_argument("--r", default="20,20")
     sp.add_argument("--tau", type=float, default=1.0)
     sp.add_argument("--replicates", type=_positive_int, default=2500)
-    common(sp)
+    common(sp, model=MODEL_HELP)
     sp.set_defaults(func=cmd_mma_empirical)
 
     sp = sub.add_parser("br-theta", help="block index of a Brown-Resnick field")
@@ -451,19 +440,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_br_tailcdf)
 
     sp = sub.add_parser("tailfield", help="columnar CSV batch of tail-field draws")
-    sp.add_argument("--model", default="mma-default", help=f"one of {sorted(NAMED_MODELS)}")
-    sp.add_argument("--model-json", default=None)
     sp.add_argument("--lag-radius", type=int, default=4)
     sp.add_argument("--q", type=float, default=0.999)
     sp.add_argument("--replicates", type=_positive_int, default=200000)
     sp.add_argument("--min-retained", type=int, default=50)
     sp.add_argument("--spectral", action="store_true")
-    common(sp, fmt=False)
+    common(sp, fmt=False, model=MODEL_HELP)
     sp.set_defaults(func=cmd_tailfield)
 
     sp = sub.add_parser("cluster-laplace", help="empirical vs limiting Laplace functional")
-    sp.add_argument("--model", default="mma-default", help=f"one of {sorted(NAMED_MODELS)}")
-    sp.add_argument("--model-json", default=None)
     sp.add_argument("--n", default="200,200")
     sp.add_argument("--r", default="20,20")
     sp.add_argument("--tau", type=float, default=1.0)
@@ -471,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lag-radius", type=int, default=5)
     sp.add_argument("--q", type=float, default=0.995)
     sp.add_argument("--replicates", type=_positive_int, default=400000)
-    common(sp)
+    common(sp, model=MODEL_HELP)
     sp.set_defaults(func=cmd_cluster_laplace)
 
     sp = sub.add_parser("counterexample", help="scaled box probabilities by rank")
@@ -488,14 +473,11 @@ def build_parser() -> argparse.ArgumentParser:
     campaigns = sp.add_subparsers(dest="campaign", required=True)
     for name, text in TAIL_CAMPAIGNS.items():
         cp = campaigns.add_parser(name, help=text)
-        models = f"one of {sorted(NAMED_MODELS)}"
-        if name == "rs-invariance":
-            models += " or 'corrupted', the negative control"
-        cp.add_argument("--model", default="mma-default", help=models)
+        negative = "; or 'corrupted', the negative control" if name == "rs-invariance" else ""
         cp.add_argument("--q", type=float, default=None,
                         help="exceedance level (default: the campaign's own)")
         cp.add_argument("--replicates", type=_positive_int, default=None)
-        common(cp, threads=False)
+        common(cp, threads=False, model=MODEL_HELP + negative)
     cp = campaigns.add_parser(
         "counterexample", help="box probabilities of the counterexample pair by rank parity"
     )
@@ -525,7 +507,7 @@ def main(argv=None) -> int:
     try:
         with single_threaded_blas():
             return args.func(args)
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, CapabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,15 +11,18 @@ trip and its samplers.  A new model must define
 
 These members have defaults in :class:`Model`:
 
-* ``dim`` (None: any lattice dimension) and ``radius`` (0: the sup-norm
-  reach of the noise behind one site);
+* ``dim`` (None: any lattice dimension), ``lattice_dim`` (``dim``, or 2
+  where the model fits any) and ``radius`` (0: the sup-norm reach of the
+  noise behind one site);
 * ``block_maxima(window, count, gen)`` and ``roots(window, index, count,
   gen)``, which build the fields;
 * ``conditional_fields(window, point, u, count, gen)``, exact draws of the
-  fields given |X(point)| > u, which raises ``TypeError``; every model but
-  ``CounterexampleField`` (not jointly regularly varying) defines it;
+  fields given |X(point)| > u, which raises ``CapabilityError``; every
+  model but ``CounterexampleField`` (not jointly regularly varying)
+  defines it;
 * ``exact_indices()``, the exact classical and per-corner run indices
-  keyed by "classical" and the corner, which raises ``TypeError``; the
+  keyed by "classical" and the corner (in ``corners(lattice_dim)``
+  order), which raises ``CapabilityError``; the
   stencil models read them off their spectral atoms in the private
   ``_exact_indices(dim)``, and mixtures weight their components' tables
   in the mixture's dimension;
@@ -56,8 +59,17 @@ from . import simulate
 from .lattice import HalfSpaceRegion, InvariantOrder, OrthantRegion
 
 MMA_OFFSETS = ((-1, -1), (-1, 1), (1, 1), (1, -1))
-# the corners of {0,1}^2 in the key order of ``exact_indices``
 ALL_CORNERS = ((0, 0), (1, 1), (0, 1), (1, 0))
+
+
+def corners(dim: int) -> tuple[tuple[int, ...], ...]:
+    """The corners of {0,1}^dim in the key order of ``exact_indices``:
+    ``ALL_CORNERS`` in 2-D, ``np.ndindex`` order in any other dimension."""
+    return ALL_CORNERS if dim == 2 else tuple(np.ndindex((2,) * dim))
+
+
+class CapabilityError(TypeError):
+    """A model has no exact conditional sampler or no exact extremal indices."""
 
 
 @dataclass(frozen=True)
@@ -109,6 +121,10 @@ class Model:
     dim: int | None = None
     radius = 0
 
+    @property
+    def lattice_dim(self) -> int:
+        return self.dim or 2
+
     def block_maxima(self, window, count: int, gen) -> np.ndarray:
         x = simulate.field_batch(self, window, count, gen)
         return np.abs(x).max(axis=tuple(range(1, x.ndim)))
@@ -118,14 +134,14 @@ class Model:
         return np.abs(x[(slice(None), *index)]), lambda idx: x[idx]
 
     def conditional_fields(self, window, point, u: float, count: int, gen):
-        raise TypeError(f"no exact conditional sampler for {type(self).__name__}")
+        raise CapabilityError(f"no exact conditional sampler for {type(self).__name__}")
 
     def exact_indices(self) -> dict:
-        return self._exact_indices(self.dim or 2)
+        return self._exact_indices(self.lattice_dim)
 
     def _exact_indices(self, dim: int) -> dict:
         """``exact_indices`` on Z^dim (dim fixed by the model where it has one)."""
-        raise TypeError(f"no exact extremal indices for {type(self).__name__}")
+        raise CapabilityError(f"no exact extremal indices for {type(self).__name__}")
 
     def to_config(self) -> dict:
         raise TypeError(f"unknown model {self!r}")
@@ -221,7 +237,7 @@ class _StencilModel(_MaxStable):
         the w_k^alpha.  So P(sup of |Y| over R <= 1) = sum_k (w_k^alpha -
         m_k^alpha)^+ / S, m_k the largest w(k - t) on R: the half-space before
         the origin for "classical" (1/S), ``OrthantRegion(c, max(1, 2 radius))``
-        for corner c (``ALL_CORNERS`` order in 2-D); ``Fraction``s at integer alpha."""
+        for corner c in ``corners(dim)``; ``Fraction``s at integer alpha."""
         a = self.alpha
         integer = float(a).is_integer()  # then Fractions of the decimal weights
         atoms = [(o, Fraction(str(w)) ** int(a) if integer else w**a)
@@ -235,9 +251,8 @@ class _StencilModel(_MaxStable):
                 mass += max(pk - max(m, default=0), 0)
             return mass / total
 
-        corners = ALL_CORNERS if dim == 2 else np.ndindex((2,) * dim)
         out = {"classical": value(HalfSpaceRegion(InvariantOrder(dim), b))}
-        return out | {c: value(OrthantRegion(c, b)) for c in corners}
+        return out | {c: value(OrthantRegion(c, b)) for c in corners(dim)}
 
     def fields(self, window, count: int, gen) -> np.ndarray:
         return simulate.mma_batch(self, window, count, gen)

@@ -172,6 +172,7 @@ def conditional_field_batch(
 ) -> np.ndarray:
     """Batch of fields conditioned on |X(point)| > u (exact, no rejection);
     a ``TypeError`` for a model with no such sampler."""
+    _check_dim(spec, window)
     point = as_point(point)
     if not window.contains(point):
         raise ValueError("conditioning point must lie in the window")

@@ -85,8 +85,7 @@ def run_pareto_root_check(
     """
     if alpha is None:
         alpha = spec.alpha
-    dim = spec.dim or 2
-    lags = centered_box(lag_radius, dim)
+    lags = centered_box(lag_radius, spec.lattice_dim)
     samples = estimate_tail_field(
         spec, lags, n_replicates, rng, q=q, min_retained=min_retained
     )
@@ -120,7 +119,7 @@ def run_change_of_time_check(
     the floor reflects that both sides are estimated at a finite
     threshold, where the exact identity holds only in the limit.
     """
-    dim = spec.dim or 2
+    dim = spec.lattice_dim
     lags = centered_box(lag_radius, dim)
     samples = spectral_from_tail(estimate_tail_field(spec, lags, n_replicates, rng, q=q))
     run = VerificationRun(name="change-of-time", model=model_tag(spec), seed=rng.seed)
@@ -209,10 +208,9 @@ def run_rs_invariance_check(
     longer 1; the transform then provably changes the law and the check
     must reject (negative control).
     """
-    dim = spec.dim or 2
     samples = spectral_from_tail(
-        estimate_tail_field(spec, centered_box(lag_radius, dim), n_replicates,
-                            rng.lane(0), q=q)
+        estimate_tail_field(spec, centered_box(lag_radius, spec.lattice_dim),
+                            n_replicates, rng.lane(0), q=q)
     )
     label = "rs-invariance-corrupted" if corrupt else "rs-invariance"
     if corrupt:

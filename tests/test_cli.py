@@ -12,7 +12,9 @@ import pytest
 
 import tailfields
 from tailfields.cli import main
-from tailfields.models import MaxMovingAverage
+from tailfields.extremal import theta_run_empirical
+from tailfields.models import MaxMovingAverage, Mixture
+from tailfields.rng import RngStream
 
 
 def run_cli(argv, capsys):
@@ -22,6 +24,28 @@ def run_cli(argv, capsys):
         code = exc.code
     out, err = capsys.readouterr()
     return code, out, err
+
+
+# components of classical index 2/5 and 5/7, so of unequal one-site scales
+UNEQUAL_MIXTURE = Mixture(components=(
+    (0.5, MaxMovingAverage(a=(0.1, 0.7, 0.6, 0.1))),
+    (0.5, MaxMovingAverage(a=(0.1, 0.1, 0.1, 0.1))),
+)).to_config()
+WEIGHT_13 = {"variant": "MaxMovingAverage",
+             "a": {"-1,-1": 1.3, "-1,1": 0.0, "1,1": 0.0, "1,-1": 0.0}}
+
+
+def write_config(tmp_path, name, cfg) -> str:
+    path = tmp_path / name
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def index_table(out) -> dict:
+    """(method without "closed-", corner) -> (theta, se) of an index command."""
+    return {(row["method"].removeprefix("closed-"), row["corner"]):
+            (float(row["theta"]), float(row["se"]))
+            for row in csv.DictReader(io.StringIO(out))}
 
 
 class TestMmaTheta:
@@ -41,36 +65,36 @@ class TestMmaTheta:
         assert values[("closed-run", "10")] == "0.6"
 
     def test_mixture_values(self, capsys):
-        code, out, _ = run_cli(
-            ["mma-theta", "--mixture-a", "0.6,0.2,0.6,0.1"], capsys
-        )
+        code, out, _ = run_cli(["mma-theta", "--model", "mixture"], capsys)
         assert code == 0
         vals = {
             (r.split(",")[0], r.split(",")[1]): r.split(",")[2]
             for r in out.strip().splitlines()[1:]
         }
-        assert vals[("closed-mixture-run", "00")] == "0.52"
-        assert vals[("closed-mixture-run", "11")] == "0.42"
-        assert vals[("closed-mixture-run", "01")] == "0.56"
-        assert vals[("closed-mixture-run", "10")] == "0.7"
-        assert vals[("closed-mixture-classical", "")] == "0.4"
+        assert vals[("closed-run", "00")] == "0.52"
+        assert vals[("closed-run", "11")] == "0.42"
+        assert vals[("closed-run", "01")] == "0.56"
+        assert vals[("closed-run", "10")] == "0.7"
+        assert vals[("closed-classical", "")] == "0.4"
 
-    def test_unequal_scale_mixture_values(self, capsys):
+    def test_unequal_scale_mixture_values(self, capsys, tmp_path):
         # components of classical index 2/5 and 5/7, weighted 5/4 : 7/10
-        code, out, _ = run_cli(["mma-theta", "--mixture-a", "0.1,0.1,0.1,0.1"], capsys)
+        cfg = write_config(tmp_path, "mixture.json", UNEQUAL_MIXTURE)
+        code, out, _ = run_cli(["mma-theta", "--model", cfg], capsys)
         assert code == 0
         vals = {
             (r["method"], r["corner"]): float(r["theta"])
             for r in csv.DictReader(io.StringIO(out))
         }
-        assert vals[("closed-mixture-classical", "")] == 20 / 39
-        assert vals[("closed-mixture-run", "00")] == 2 / 3
-        assert vals[("closed-mixture-run", "11")] == 7 / 13
-        assert vals[("closed-mixture-run", "01")] == 20 / 39
-        assert vals[("closed-mixture-run", "10")] == 25 / 39
+        assert vals[("closed-classical", "")] == 20 / 39
+        assert vals[("closed-run", "00")] == 2 / 3
+        assert vals[("closed-run", "11")] == 7 / 13
+        assert vals[("closed-run", "01")] == 20 / 39
+        assert vals[("closed-run", "10")] == 25 / 39
 
-    def test_malformed_weight_exits_2(self, capsys):
-        code, _, err = run_cli(["mma-theta", "--a", "1.3,0,0,0"], capsys)
+    def test_malformed_weight_exits_2(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, "weight.json", WEIGHT_13)
+        code, _, err = run_cli(["mma-theta", "--model", cfg], capsys)
         assert code == 2
 
     def test_empirical_within_tolerance(self, capsys):
@@ -106,6 +130,80 @@ class TestMmaTheta:
             assert geometry == ("1.0", "10x10", "50x50", "7")
             assert float(row["u"]) > 1.0 and float(row["se"]) > 0.0
             assert row["model"] == rows[0]["model"] != ""
+
+
+class TestAnyModelIndices:
+    """The index commands on models other than the 2-D max-moving averages."""
+
+    CASES = {
+        "1d-stencil": ({"variant": "GeneralMaxMovingAverage",
+                        "stencil": {"1": 0.5, "-2": 0.8}}, "400", "20"),
+        # two corners have exact run index 1, where the finite-n estimate
+        # falls short by about |r| tau / |n|: 0.2% at 40^3
+        "3d-stencil": ({"variant": "GeneralMaxMovingAverage",
+                        "stencil": {"1,0,-1": 0.5, "0,1,1": 0.25, "-1,-1,0": 0.7}},
+                       "40,40,40", "5,5,5"),
+        "unequal-mixture": (UNEQUAL_MIXTURE, "100,100", "10,10"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_empirical_within_5_se_of_exact(self, case, capsys, tmp_path):
+        cfg, n, r = self.CASES[case]
+        path = write_config(tmp_path, "model.json", cfg)
+        tables = []
+        for argv in (["mma-theta"],
+                     ["mma-empirical", "--n", n, "--r", r, "--replicates", "2000",
+                      "--seed", "0"]):
+            code, out, _ = run_cli(argv + ["--model", path], capsys)
+            assert code == 0
+            tables.append(index_table(out))
+        closed, emp = tables
+        assert emp.keys() == closed.keys()
+        assert len(closed) == 1 + 2 ** len(n.split(","))
+        for key, (theta, _) in closed.items():
+            value, se = emp[key]
+            assert abs(value - theta) <= 5 * se, (key, value, theta, se)
+
+    def test_2d_corners_keep_their_order_and_lanes(self, capsys):
+        # mma-theta lists corners in ALL_CORNERS order, mma-empirical sorted;
+        # corner i of ALL_CORNERS draws on lane 2 + i in any row order
+        code, out, _ = run_cli(["mma-theta", "--model", "mma2"], capsys)
+        assert code == 0
+        assert list(index_table(out)) == [
+            ("classical", ""), ("run", "00"), ("run", "11"), ("run", "01"), ("run", "10")]
+        argv = ["mma-empirical", "--model", "mma2", "--n", "50,50", "--r", "10,10",
+                "--replicates", "300", "--seed", "4"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        emp = index_table(out)
+        assert list(emp) == [
+            ("classical", ""), ("run", "00"), ("run", "01"), ("run", "10"), ("run", "11")]
+        est = theta_run_empirical(MaxMovingAverage(a=(0.6, 0.2, 0.6, 0.1)), (0, 1),
+                                  (10, 10), (50, 50), 1.0, 300, RngStream(4).lane(2 + 2))
+        assert emp[("run", "01")] == (est.value, est.se)
+
+    def test_path_runs_like_the_name(self, capsys, tmp_path):
+        # a config of a named model gives the named model's bytes
+        cfg = write_config(tmp_path, "iid.json", {"variant": "IIDFrechet", "alpha": 1.0})
+        outs = []
+        for model in ("iid", cfg):
+            code, out, _ = run_cli(
+                ["verify", "pareto-root", "--model", model, "--q", "0.99",
+                 "--replicates", "20000", "--seed", "1"], capsys)
+            assert code in (0, 1)
+            outs.append(out)
+        assert outs[0] == outs[1]
+
+    def test_missing_path_is_an_unknown_model(self, capsys, tmp_path):
+        code, _, err = run_cli(["mma-theta", "--model", str(tmp_path / "no.json")], capsys)
+        assert code == 2
+        assert err.startswith(f"error: unknown model '{tmp_path / 'no.json'}'; one of [")
+
+    def test_unloadable_file_is_named(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, "bad.json", {"alpha": 2})
+        code, _, err = run_cli(["tailfield", "--model", cfg], capsys)
+        assert code == 2
+        assert err.startswith(f"error: cannot load a model from {cfg}: KeyError")
 
 
 class TestDeterminism:
@@ -227,7 +325,7 @@ class TestTailfieldCommand:
         cfg = tmp_path / "model.json"
         cfg.write_text(json.dumps(MaxMovingAverage(a=(0, 0, 0, 0)).to_config()))
         code, out, _ = run_cli(
-            ["tailfield", "--model-json", str(cfg), "--lag-radius", "1", "--q",
+            ["tailfield", "--model", str(cfg), "--lag-radius", "1", "--q",
              "0.99", "--replicates", "20000", "--min-retained", "100"],
             capsys,
         )
@@ -241,7 +339,7 @@ class TestClusterLaplaceCommand:
         cfg = tmp_path / "iid2.json"
         cfg.write_text(json.dumps({"variant": "IIDFrechet", "alpha": 2.0}))
         code, out, _ = run_cli(
-            ["cluster-laplace", "--model-json", str(cfg), "--n", "40,40",
+            ["cluster-laplace", "--model", str(cfg), "--n", "40,40",
              "--r", "20,20", "--fields", "40", "--replicates", "100000",
              "--lag-radius", "2", "--q", "0.99", "--seed", "1"],
             capsys,
@@ -365,12 +463,18 @@ class TestRejectedInputs:
             ["verify", "pareto-root", "--model", "corrupted"],
             ["verify", "pareto-root", "--model", "nope"],
             ["tailfield", "--model", "nope"],
-            ["mma-theta", "--a", "1.3,0,0,0"],
-            ["mma-theta", "--mixture-a", "1.3,0,0,0"],
-            ["tailfield", "--model-json", "{tmp}/mixed-alpha.json"],
-            ["tailfield", "--model-json", "{tmp}/missing.json"],
-            ["tailfield", "--model-json", "{tmp}/no-variant.json"],
-            ["tailfield", "--model-json", "{tmp}/no-weights.json"],
+            ["mma-theta", "--model", "{tmp}/weight-1.3.json"],
+            ["mma-theta", "--model", "{tmp}/mixture-weight-1.3.json"],
+            ["tailfield", "--model", "{tmp}/mixed-alpha.json"],
+            ["tailfield", "--model", "{tmp}/missing.json"],
+            ["tailfield", "--model", "{tmp}/no-variant.json"],
+            ["tailfield", "--model", "{tmp}/no-weights.json"],
+            ["tailfield", "--model", "{tmp}/list-weights.json"],
+            ["tailfield", "--model", "{tmp}/list-variogram.json"],
+            ["tailfield", "--model", "{tmp}/not-json.json"],
+            # models that lack what the index commands need
+            ["mma-theta", "--model", "br-fbm"],
+            ["mma-empirical", "--model", "counterexample"],
             ["mma-empirical", "--tau", "nan", "--n", "40,40", "--r", "20,20"],
             ["cluster-laplace", "--tau", "nan"],
             # 40,000-site Brown-Resnick fields at the default --n 200,200
@@ -387,6 +491,16 @@ class TestRejectedInputs:
             for a in (1.0, 2.0)
         ]}
         (tmp_path / "mixed-alpha.json").write_text(json.dumps(mixed))
+        write_config(tmp_path, "weight-1.3.json", WEIGHT_13)
+        write_config(tmp_path, "mixture-weight-1.3.json", {"variant": "Mixture", "components": [
+            {"weight": 0.5, "model": MaxMovingAverage(a=(0.1, 0.7, 0.6, 0.1)).to_config()},
+            {"weight": 0.5, "model": WEIGHT_13},
+        ]})
+        write_config(tmp_path, "list-weights.json",
+                     {"variant": "MaxMovingAverage", "a": [0.1, 0.7, 0.6, 0.1]})
+        write_config(tmp_path, "list-variogram.json",
+                     {"variant": "BrownResnick", "variogram": [0.5]})
+        (tmp_path / "not-json.json").write_text("{variant")
         argv = [a.format(tmp=tmp_path) for a in argv]
         code, out, err = run_cli(argv, capsys)
         assert code == 2 and out == ""
@@ -431,6 +545,12 @@ class TestUnreadFlags:
             (["mma-theta", "--empirical"], "--empirical"),
             (["mma-theta", "--threads", "2"], "--threads"),
             (["mma-theta", "--seed", "3"], "--seed"),
+            # one --model flag selects every model
+            (["mma-theta", "--a", "0.1,0.7,0.6,0.1"], "--a"),
+            (["mma-theta", "--mixture-a", "0.6,0.2,0.6,0.1"], "--mixture-a"),
+            (["mma-empirical", "--a", "0.1,0.7,0.6,0.1"], "--a"),
+            (["tailfield", "--model-json", "model.json"], "--model-json"),
+            (["cluster-laplace", "--model-json", "model.json"], "--model-json"),
         ],
         ids=lambda v: v if isinstance(v, str) else "-".join(v[:3]),
     )

@@ -409,3 +409,9 @@ class TestConditionalSampling:
         with pytest.raises(TypeError, match="CounterexampleField"):
             conditional_field_batch(CounterexampleField(1.0), pos_block((3, 3)),
                                     (0, 0), 10.0, 10, RngStream(22).generator())
+
+    def test_dimension_mismatch(self):
+        # a 2-D model on a 1-D window is rejected, not sampled off its stencil
+        with pytest.raises(ValueError, match="dimension 2"):
+            conditional_field_batch(MMA, pos_block((20,)), (0,), 10.0, 10,
+                                    RngStream(23).generator())
