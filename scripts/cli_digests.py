@@ -12,7 +12,8 @@ The 29 commands cover every subcommand, all four ``verify`` campaigns plus
 the corrupted negative control, ``tailfield`` on every route (IID,
 max-moving-average and Brown-Resnick roots drawn from their law and rows
 drawn given their roots, one Brown-Resnick run on an 81-site window;
-mixture and counterexample fields built), three ``--threads 2`` runs, one
+mixture roots and rows from the component picked per replicate;
+counterexample fields built), three ``--threads 2`` runs, one
 ``--format json`` run, the counterexample command at a non-default alpha,
 the exact-index command on three more models (``mma2``, ``mixture`` and a
 mixture of unequal classical indices read from ``mixture-unequal.json``),

@@ -28,7 +28,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 
@@ -39,6 +38,7 @@ from .cluster import (
     cluster_process_extract,
     empirical_cluster_laplace,
     limit_cluster_laplace_mc,
+    nonempty_blocks,
 )
 from .extremal import (
     br_theta_block_profile,
@@ -127,7 +127,7 @@ def resolve_model(value: str) -> Model:
     try:
         with open(value) as fh:
             return model_from_config(json.load(fh))
-    except (OSError, KeyError, TypeError, AttributeError) as exc:
+    except (OSError, KeyError, TypeError, AttributeError, ValueError) as exc:
         raise ValueError(
             f"cannot load a model from {value}: {type(exc).__name__}: {exc}"
         ) from None
@@ -283,21 +283,15 @@ def cmd_cluster_laplace(args) -> int:
     if min(r) < 1:
         raise ValueError(f"block size --r must be positive, got {args.r}")
     u = level_u(spec, n, args.tau)
-    # The blocks of all fields are filled in place and freed before the tail
-    # field is simulated, so the two never occupy memory at the same time.
-    per_field = math.prod(n) // math.prod(r)
-    atoms = np.empty((args.fields * per_field, math.prod(r)))
 
-    def fill(start, count, stream):  # one field per chunk
+    def fill(start, count, stream):  # one field per chunk, its clusters only
         field = field_batch(spec, pos_block(n), 1, stream.generator())
-        atoms[start * per_field : (start + 1) * per_field] = cluster_process_extract(
-            field[0], r, u
-        )
+        return nonempty_blocks(cluster_process_extract(field[0], r, u))
 
-    map_chunks(fill, args.fields, 1, rng.lane(1), args.threads)
+    # in chunk order, so the clusters do not depend on --threads
+    clusters = np.concatenate(map_chunks(fill, args.fields, 1, rng.lane(1), args.threads))
     functions = (ZERO,) + POINT_CATALOG
-    empirical = [empirical_cluster_laplace(atoms, f) for f in functions]
-    del atoms
+    empirical = [empirical_cluster_laplace(clusters, f) for f in functions]
     spectral = spectral_from_tail(
         estimate_tail_field(
             spec, centered_box(args.lag_radius, dim), args.replicates, rng.lane(2),

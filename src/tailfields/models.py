@@ -32,6 +32,8 @@ These members have defaults in :class:`Model`:
 The max-stable models (IID noise, the max-moving averages, Brown-Resnick)
 share the private ``_MaxStable``: roots, ``exceed_prob`` and conditional
 fields from the one-site law, rows from the model's ``_given_root``.
+A ``Mixture`` takes its roots and rows from its components' ``roots``, so
+only the counterexample, alone or as a component, builds its fields there.
 
 ``CounterexampleField`` also states its rank-parity box law:
 ``exact_box_prob(rank)`` and the importance sampler ``scaled_box_prob(rank,
@@ -544,6 +546,31 @@ class Mixture(Model):
         return self._batch(
             count, gen, lambda comp, k: simulate.block_max_batch(comp, window, k, gen), ()
         )
+
+    def roots(self, window, index, count: int, gen):
+        """Each replicate's component picked with the mixture weights, as in
+        ``_batch``, then that component's roots; kept rows come from each
+        component's own row builder, in component order."""
+        picks = gen.choice(len(self.components), size=count,
+                           p=[w for w, _ in self.components])
+        roots = np.empty(count)
+        rank = np.empty(count, dtype=np.intp)  # position among its component's replicates
+        builders = []
+        for ci, (_, comp) in enumerate(self.components):
+            idx = np.flatnonzero(picks == ci)
+            roots[idx], build = comp.roots(window, index, len(idx), gen)
+            rank[idx] = np.arange(len(idx))
+            builders.append(build)
+
+        def rows(kept):
+            out = np.empty((len(kept), *window.shape))
+            for ci, build in enumerate(builders):
+                sel = picks[kept] == ci
+                if sel.any():
+                    out[sel] = build(rank[kept[sel]])
+            return out
+
+        return roots, rows
 
     def conditional_fields(self, window, point, u: float, count: int, gen):
         w_cond = np.array([w * m.exceed_prob(u) for w, m in self.components])

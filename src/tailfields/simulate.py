@@ -160,8 +160,9 @@ def field_roots(spec, window: Window, point, count: int, gen):
     Returns ``(roots, rows)``: ``roots`` has the law of |X(point)|, and
     ``rows(idx)`` that of the fields given the roots ``idx``, with the roots
     at ``point``.  Max-stable models draw each root in one variable and
-    build only the rows asked for, given their roots (see ``models``); the
-    other models build all the fields and keep them until ``rows`` goes.
+    build only the rows asked for, given their roots (see ``models``);
+    mixtures ask the component picked per replicate; the counterexample
+    builds all the fields and keeps them until ``rows`` goes.
     """
     _check_dim(spec, window)
     return spec.roots(window, window.index(as_point(point)), count, gen)

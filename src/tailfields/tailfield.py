@@ -10,8 +10,9 @@ depend on worker count and a chunk's roots can be drawn again
 deterministically.  The threshold needs only |X(0)| of every replicate:
 for the max-stable models (IID, max-moving-average and Brown-Resnick)
 ``field_roots`` draws it from its law, and full lag windows are built,
-given their roots, only for the rows above the threshold; the
-counterexample field and mixtures build every field, in both passes.
+given their roots, only for the rows above the threshold; mixtures take
+each replicate's root and row from the component picked for it, and the
+counterexample field builds every field, in both passes.
 
 :class:`MCEstimate` is the package's estimate record: every Monte-Carlo
 estimator reduces its per-replicate outcomes to (value, se, n) through one

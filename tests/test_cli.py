@@ -200,10 +200,16 @@ class TestAnyModelIndices:
         assert err.startswith(f"error: unknown model '{tmp_path / 'no.json'}'; one of [")
 
     def test_unloadable_file_is_named(self, capsys, tmp_path):
-        cfg = write_config(tmp_path, "bad.json", {"alpha": 2})
-        code, _, err = run_cli(["tailfield", "--model", cfg], capsys)
-        assert code == 2
-        assert err.startswith(f"error: cannot load a model from {cfg}: KeyError")
+        for name, content, kind in [
+            ("bad.json", json.dumps({"alpha": 2}), "KeyError"),
+            ("not-json.json", "{variant", "JSONDecodeError"),
+            ("weight-1.3.json", json.dumps(WEIGHT_13), "ValueError"),
+        ]:
+            cfg = tmp_path / name
+            cfg.write_text(content)
+            code, _, err = run_cli(["tailfield", "--model", str(cfg)], capsys)
+            assert code == 2
+            assert err.startswith(f"error: cannot load a model from {cfg}: {kind}")
 
 
 class TestDeterminism:
@@ -224,9 +230,12 @@ class TestDeterminism:
             # Brown-Resnick fields from the extremal-function walk
             ["tailfield", "--model", "br-fbm", "--lag-radius", "1", "--q", "0.99",
              "--replicates", "6000", "--seed", "3"],
+            # each replicate's component picked, then roots and rows from it
+            ["tailfield", "--model", "mixture", "--lag-radius", "2", "--q", "0.99",
+             "--replicates", "20000", "--seed", "3"],
         ],
         ids=["mma", "fig1", "tailfield-spectral", "cluster-laplace",
-             "cluster-laplace-12-fields", "tailfield-br-fbm"],
+             "cluster-laplace-12-fields", "tailfield-br-fbm", "tailfield-mixture"],
     )
     def test_bytes_identical_across_threads(self, argv, capsys, tmp_path):
         outs = []

@@ -1,14 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from tailfields import cluster
+from tailfields.cli import NAMED_MODELS
 from tailfields.cluster import (
     check_anticluster,
     cluster_process_extract,
     empirical_cluster_laplace,
     limit_cluster_laplace_mc,
+    nonempty_blocks,
 )
 from tailfields.extremal import level_u
 from tailfields.lattice import InvariantOrder, centered_box, pos_block
@@ -22,7 +26,7 @@ from tailfields.models import (
 )
 from tailfields.rng import RngStream
 from tailfields.simulate import field_batch
-from tailfields.tailfield import TailBatch
+from tailfields.tailfield import MCEstimate, TailBatch, estimate_tail_field, spectral_from_tail
 from tailfields.testfuncs import POINT_CATALOG, ZERO, PointFunction
 
 MMA = MaxMovingAverage(a=(0.1, 0.7, 0.6, 0.1))
@@ -67,7 +71,7 @@ class TestClusterExtract:
 class TestEmpiricalLaplace:
     def test_zero_function_exactly_one(self, iid_field):
         atoms = cluster_process_extract(iid_field, (8, 8), 15.0)
-        assert empirical_cluster_laplace(atoms, ZERO).value == 1.0
+        assert empirical_cluster_laplace(nonempty_blocks(atoms), ZERO).value == 1.0
 
     def test_iid_binomial_oracle(self):
         # blocks of independent noise: E[e^{-K} | K >= 1] with K binomial
@@ -78,7 +82,7 @@ class TestEmpiricalLaplace:
             )
             for i in range(80)
         ])
-        est = empirical_cluster_laplace(atoms, STEP1)
+        est = empirical_cluster_laplace(nonempty_blocks(atoms), STEP1)
         p = 1 - math.exp(-1 / u)
         npts = 100
         oracle = (((1 - p) + p * math.e**-1) ** npts - (1 - p) ** npts) / (
@@ -96,7 +100,7 @@ class TestEmpiricalLaplace:
             for i in range(80)
         ])
         steep = PointFunction("steep", a=1.0, b=1.0, height=40.0)
-        est = empirical_cluster_laplace(atoms, steep)
+        est = empirical_cluster_laplace(nonempty_blocks(atoms), steep)
         counts = (np.abs(atoms) > 1.0).sum(axis=1)
         frac_single = (counts == 1).sum() / (counts >= 1).sum()
         assert est.value * math.exp(40.0) == pytest.approx(frac_single, rel=1e-9)
@@ -110,15 +114,15 @@ class TestEmpiricalLaplace:
             for block in atoms
             if np.abs(block).max() > 1.0
         ]
-        est = empirical_cluster_laplace(atoms, f)
+        est = empirical_cluster_laplace(nonempty_blocks(atoms), f)
         assert est.n == len(vals) and est.value == np.mean(vals)
 
     def test_monotone_in_function(self, iid_field):
         atoms = cluster_process_extract(iid_field, (8, 8), 15.0)
         bigger = PointFunction("double", a=1.0, b=1.0, height=2.0)
         assert (
-            empirical_cluster_laplace(atoms, bigger).value
-            <= empirical_cluster_laplace(atoms, STEP1).value
+            empirical_cluster_laplace(nonempty_blocks(atoms), bigger).value
+            <= empirical_cluster_laplace(nonempty_blocks(atoms), STEP1).value
             <= 1.0
         )
 
@@ -126,7 +130,7 @@ class TestEmpiricalLaplace:
         u = float(np.abs(iid_field).max()) + 1.0
         atoms = cluster_process_extract(iid_field, (8, 8), u)
         with pytest.raises(ValueError):
-            empirical_cluster_laplace(atoms, STEP1)
+            empirical_cluster_laplace(nonempty_blocks(atoms), STEP1)
 
 
 def single_atom_samples(n=64):
@@ -135,7 +139,118 @@ def single_atom_samples(n=64):
     return TailBatch(centered_box(2, 2), vals, None, 1.0)
 
 
+def reference_limit(spectral, f, order, quad_points=256):
+    """The cluster limit one draw at a time: f at every node and nonzero lag."""
+    n, alpha = len(spectral), spectral.alpha
+    pts = spectral.lags.point_array()
+    before = order.before_origin_mask(pts)
+    succ = ~before & ~np.all(pts == 0, axis=1)
+    succeq = ~before
+    y_scale = ((np.arange(quad_points) + 0.5) / quad_points) ** (-1.0 / alpha)
+    norms = np.abs(spectral.values.reshape(n, -1))
+    m1s = norms[:, succeq].max(axis=1).tolist()
+    m2s = norms[:, succ].max(axis=1).tolist() if succ.any() else [0.0] * n
+
+    def piece(row, mask, m):
+        if m <= 0.0:
+            return 0.0
+        sub = row[mask]
+        sub = sub[sub > 0]
+        y = y_scale / m
+        s_of_y = f(y[:, None] * sub[None, :]).sum(axis=1)
+        return (m**alpha) * float(np.exp(-s_of_y).mean())
+
+    theta_half = float(np.mean([m1**alpha - m2**alpha for m1, m2 in zip(m1s, m2s)]))
+    vals = [piece(row, succeq, m1) - piece(row, succ, m2)
+            for row, m1, m2 in zip(norms, m1s, m2s)]
+    est = MCEstimate.sample_mean(np.array(vals))
+    return MCEstimate(est.value / theta_half, est.se / theta_half, n)
+
+
+def head(batch, k):
+    return TailBatch(batch.lags, batch.values[:k], None, batch.alpha)
+
+
+@pytest.fixture(scope="module")
+def spectral_batches(mma_spectral):
+    """Spectral batches of four models, and four edge batches."""
+    def spectral_of(spec, radius, seed):
+        return spectral_from_tail(estimate_tail_field(
+            spec, centered_box(radius, 2), 20_000, RngStream(seed), q=0.99))
+
+    # draws whose lags past the origin sit within a few ulp of a step level
+    # at some node of the piece over those lags, whose largest norm is m
+    lags = centered_box(5, 2)
+    pts = lags.point_array()
+    after = np.flatnonzero(~LEX.before_origin_mask(pts) & np.any(pts != 0, axis=1))
+    gen = np.random.default_rng(513)
+    w_nodes = (np.arange(256) + 0.5) / 256  # alpha = 1: node i at y = 1 / (w_i m)
+    m = 0.3 + 0.6 * gen.random(60)
+    near = np.where(np.arange(len(after) - 1) % 2, 1.0, 2.0) * m[:, None]
+    near *= w_nodes[gen.integers(0, 256, near.shape)]
+    near *= 1 + 2.2e-16 * gen.integers(-2, 3, near.shape)
+    ties = np.zeros((60, len(pts)))
+    ties[:, len(pts) // 2] = 1.0
+    ties[:, after] = np.column_stack([m, np.minimum(near, m[:, None])])
+    ties = ties.reshape(60, *lags.shape)
+
+    lone_row = mma_spectral.values[:20].copy()
+    lone_row[0] = 0.0
+    lone_row[0, 4, 4] = 1.0  # m2 = 0 in the first draw only
+    return {
+        "mma-default": head(mma_spectral, 200),
+        "iid-alpha-2": spectral_of(IIDFrechet(2.0), 3, 509),
+        "br-fbm": spectral_of(NAMED_MODELS["br-fbm"](), 2, 510),
+        "mixture": spectral_of(NAMED_MODELS["mixture"](), 3, 511),
+        "single-atom": single_atom_samples(),
+        "lag-radius-0": TailBatch(centered_box(0, 2), mma_spectral.values[:50, 4:5, 4:5],
+                                  None, 1.0),
+        "m2-zero": TailBatch(mma_spectral.lags, lone_row, None, 1.0),
+        "near-ties": TailBatch(lags, ties, None, 1.0),
+    }
+
+
 class TestLimitLaplace:
+    @pytest.mark.parametrize("quad_points", [256, 4096])
+    @pytest.mark.parametrize("name", ["mma-default", "iid-alpha-2", "br-fbm", "mixture",
+                                      "single-atom", "lag-radius-0", "m2-zero", "near-ties"])
+    def test_matches_per_draw_reference(self, spectral_batches, name, quad_points):
+        # steps sum h a whole number of times either way: equal bits; a ramp's
+        # sum is reassociated, so its last bits may move
+        spectral = spectral_batches[name]
+        if quad_points > 256:
+            spectral = head(spectral, 40)  # the reference is slow at 4096 nodes
+        for f in (ZERO,) + POINT_CATALOG:
+            got = limit_cluster_laplace_mc(spectral, f, LEX, quad_points)
+            ref = reference_limit(spectral, f, LEX, quad_points)
+            if f.a == f.b:
+                assert (got.value, got.se, got.n) == (ref.value, ref.se, ref.n), f.fid
+            else:
+                assert got.value == pytest.approx(ref.value, rel=1e-12, abs=0.0), f.fid
+                assert got.se == pytest.approx(ref.se, rel=1e-12, abs=0.0), f.fid
+
+    @pytest.mark.parametrize("block", [1, 7, 10_000])
+    def test_block_size_does_not_change_the_result(self, spectral_batches, block,
+                                                   monkeypatch):
+        spectral = spectral_batches["mma-default"]
+        expect = [limit_cluster_laplace_mc(spectral, f, LEX) for f in POINT_CATALOG]
+        monkeypatch.setattr(cluster, "DRAW_BLOCK", block)
+        assert [limit_cluster_laplace_mc(spectral, f, LEX) for f in POINT_CATALOG] == expect
+
+    def test_memory_stays_flat_in_the_draws(self):
+        # 4,000 draws on 121 lags; the values themselves take 3.9 MB
+        gen = np.random.default_rng(512)
+        vals = gen.random((4000, 11, 11)) * (gen.random((4000, 11, 11)) < 0.3)
+        vals[:, 5, 5] = 1.0
+        spectral = TailBatch(centered_box(5, 2), vals, None, 1.0)
+        tracemalloc.start()
+        try:
+            limit_cluster_laplace_mc(spectral, CATALOG["ramp-1-2"], LEX)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
     def test_zero_function_exactly_one(self, mma_spectral):
         res = limit_cluster_laplace_mc(mma_spectral, ZERO, LEX)
         assert res.value == 1.0
@@ -187,7 +302,7 @@ class TestCrossMethod:
         ])
         for fid in ("step-1", "step-2"):
             f = CATALOG[fid]
-            emp = empirical_cluster_laplace(atoms, f)
+            emp = empirical_cluster_laplace(nonempty_blocks(atoms), f)
             lim = limit_cluster_laplace_mc(mma_spectral, f, LEX)
             z = abs(emp.value - lim.value) / math.hypot(emp.se, lim.se)
             assert z <= 3.5, (fid, emp.value, lim.value)

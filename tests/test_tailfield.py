@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,10 +17,12 @@ from tailfields.models import (
     MaxMovingAverage,
     Mixture,
     Model,
+    model_from_config,
 )
 from tailfields.rng import RngStream
 from tailfields.simulate import field_batch, field_roots
 from tailfields.tailfield import (
+    MCEstimate,
     TailBatch,
     TooFewExceedancesError,
     br_tail_fdd_mc,
@@ -128,6 +132,24 @@ class TestEstimateTailField:
         if type(spec).roots is Model.roots:
             x = np.concatenate([field_batch(spec, lags, chunk, g()) for g in gens])
             assert np.array_equal(got.values, x[exceed] / thresh)
+
+    def test_mixture_roots_have_the_built_field_law(self):
+        # Components of unequal one-site scales: given an exceedance the
+        # larger-scale component is more likely than its weight, so rows
+        # built from a wrong component law read a different P(|Y(t)| > 1/2).
+        config = Path(__file__).resolve().parents[1] / "scripts" / "mixture-unequal.json"
+        spec = model_from_config(json.loads(config.read_text()))
+        lags, n, u = centered_box(1, 2), 200_000, 10.0  # P(|X(0)| > u) about 0.18
+        index = lags.index((0, 0))
+        shares = []
+        for route in (Mixture.roots, Model.roots):
+            roots, build = route(spec, lags, index, n, RngStream(75).generator())
+            kept = np.flatnonzero(roots > u)
+            y = np.abs(build(kept)) / u
+            shares.append([MCEstimate.proportion(int((y[:, 1 + a, 1 + b] > 0.5).sum()), len(kept))
+                           for a, b in ((1, 1), (-1, 1))])
+        for law, built in zip(*shares):
+            assert abs(law.value - built.value) <= 4 * math.hypot(law.se, built.se)
 
     def test_builds_rows_only_for_kept_replicates(self):
         class CountingMMA(MaxMovingAverage):
