@@ -8,8 +8,10 @@ the CLI output byte-identical:
 
     PYTHONPATH=src python scripts/cli_digests.py > digests.txt
 
-The 29 commands cover every subcommand, all four ``verify`` campaigns plus
-the corrupted negative control, ``tailfield`` on every route (IID,
+The 31 commands cover every subcommand, all four ``verify`` campaigns plus
+the corrupted negative control (``pareto-root`` also on IID noise and on
+``stencil-1d.json``, so that the tags of all three stencil config formats
+are in the output), ``tailfield`` on every route (IID,
 max-moving-average and Brown-Resnick roots drawn from their law and rows
 drawn given their roots, one Brown-Resnick run on an 81-site window;
 mixture roots and rows from the component picked per replicate;
@@ -84,6 +86,9 @@ COMMANDS = (
      "--replicates", "5000", "--seed", "24"],
     ["br-theta", "--hurst", "0.1,0.1", "--trunc-m", "200", "--n-mc", "2000",
      "--seed", "25"],
+    ["verify", "pareto-root", "--model", "iid", "--replicates", "50000", "--seed", "27"],
+    ["verify", "pareto-root", "--model", os.path.join(HERE, "stencil-1d.json"),
+     "--replicates", "50000", "--seed", "27"],
 )
 
 

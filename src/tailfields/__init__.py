@@ -10,6 +10,7 @@ from .lattice import (
     corner_point,
 )
 from .models import (
+    MaxLinear,
     IIDFrechet,
     MaxMovingAverage,
     GeneralMaxMovingAverage,
@@ -27,6 +28,7 @@ __all__ = [
     "Window",
     "InvariantOrder",
     "corner_point",
+    "MaxLinear",
     "IIDFrechet",
     "MaxMovingAverage",
     "GeneralMaxMovingAverage",

@@ -92,7 +92,8 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type of the count flags: a zero count has nothing to estimate."""
+    """argparse type of the count flags and --threads: a zero count has
+    nothing to estimate, and a run needs a thread."""
     try:
         value = int(text)
     except ValueError:
@@ -394,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
         if seed:
             sp.add_argument("--seed", type=int, default=0)
         if threads:
-            sp.add_argument("--threads", type=int, default=1)
+            sp.add_argument("--threads", type=_positive_int, default=1)
         sp.add_argument("--out", default=None, help="output path (default stdout)")
         if fmt:
             sp.add_argument("--format", choices=("csv", "json"), default="csv")

@@ -1,5 +1,6 @@
-"""Gaussian building blocks: exact fractional Brownian motion, additive
-fBm fields, variogram-driven Gaussian samplers, and Brown-Resnick fields.
+"""Gaussian building blocks: the variogram specs (``AdditiveFBM``,
+``CustomVariogram``), exact fractional Brownian motion, additive fBm
+fields, variogram-driven Gaussian samplers, and Brown-Resnick fields.
 
 fBm is sampled exactly (Cholesky factor of the stationary increment
 covariance), not through spectral approximations, because the extremal
@@ -15,11 +16,55 @@ from __future__ import annotations
 
 import functools
 import threading
+from dataclasses import dataclass
+from typing import Callable, Union
 
 import numpy as np
 
 from .lattice import Window, as_point
-from .models import AdditiveFBM, VariogramSpec
+
+
+@dataclass(frozen=True)
+class AdditiveFBM:
+    """Sum of independent fractional Brownian motions, one per axis.
+
+    Variogram ``gamma(t) = sum_l |t_l|^(2 H_l)``; the field vanishes at
+    the origin, so the variance equals the variogram.
+    """
+
+    hurst: tuple[float, ...]
+
+    def __post_init__(self):
+        h = tuple(float(x) for x in self.hurst)
+        if not h or any(not 0 < x < 1 for x in h):
+            raise ValueError("each Hurst parameter must lie in (0,1)")
+        object.__setattr__(self, "hurst", h)
+
+    @property
+    def dim(self) -> int:
+        return len(self.hurst)
+
+    def gamma(self, t) -> float:
+        return float(sum(abs(x) ** (2 * h) for x, h in zip(t, self.hurst)))
+
+    def sigma2(self, t) -> float:
+        return self.gamma(t)
+
+
+@dataclass(frozen=True)
+class CustomVariogram:
+    """Arbitrary stationary-increment Gaussian structure.
+
+    ``gamma(t)`` is the variogram and ``sigma2(t)`` the variance of W(t);
+    gamma must vanish at the origin.  Not serializable.
+    """
+
+    dim: int
+    gamma: Callable[[tuple[int, ...]], float]
+    sigma2: Callable[[tuple[int, ...]], float]
+
+
+VariogramSpec = Union[AdditiveFBM, CustomVariogram]
 
 
 # held around fgn_cholesky lookups: map_chunks workers asking for a new

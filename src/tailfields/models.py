@@ -22,16 +22,20 @@ These members have defaults in :class:`Model`:
   defines it;
 * ``exact_indices()``, the exact classical and per-corner run indices
   keyed by "classical" and the corner (in ``corners(lattice_dim)``
-  order), which raises ``CapabilityError``; the
-  stencil models read them off their spectral atoms in the private
-  ``_exact_indices(dim)``, and mixtures weight their components' tables
-  in the mixture's dimension;
-* ``to_config()``, which raises ``TypeError``.  A class listed in
-  ``MODEL_VARIANTS`` also defines the classmethod ``from_config(cfg)``.
+  order), which raises ``CapabilityError``; ``MaxLinear`` reads them off
+  its spectral atoms in the private ``_exact_indices(dim)``, and mixtures
+  weight their components' tables in the mixture's dimension;
+* ``to_config()``, a dict whose "variant" names its format, which raises
+  ``TypeError``.  ``MODEL_VARIANTS`` maps each variant to its loader, and
+  ``model_tag`` prefixes the digest with it.
 
-The max-stable models (IID noise, the max-moving averages, Brown-Resnick)
-share the private ``_MaxStable``: roots, ``exceed_prob`` and conditional
-fields from the one-site law, rows from the model's ``_given_root``.
+The max-stable models share the private ``_MaxStable``: roots,
+``exceed_prob`` and conditional fields from the one-site law, rows from
+the model's ``_given_root``.  They are ``BrownResnick`` and the
+max-linear ``MaxLinear(stencil, alpha)``, of which IID noise and the
+max-moving averages are instances: ``IIDFrechet``, ``MaxMovingAverage``
+and ``GeneralMaxMovingAverage`` are constructors that return one, and
+their names are the variants of its config formats.
 A ``Mixture`` takes its roots and rows from its components' ``roots``, so
 only the counterexample, alone or as a component, builds its fields there.
 
@@ -53,11 +57,11 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Union
 
 import numpy as np
 
-from . import simulate
+from . import gaussian, simulate
+from .gaussian import AdditiveFBM, CustomVariogram, VariogramSpec  # re-exported
 from .lattice import HalfSpaceRegion, InvariantOrder, OrthantRegion
 
 MMA_OFFSETS = ((-1, -1), (-1, 1), (1, 1), (1, -1))
@@ -72,49 +76,6 @@ def corners(dim: int) -> tuple[tuple[int, ...], ...]:
 
 class CapabilityError(TypeError):
     """A model has no exact conditional sampler or no exact extremal indices."""
-
-
-@dataclass(frozen=True)
-class AdditiveFBM:
-    """Sum of independent fractional Brownian motions, one per axis.
-
-    Variogram ``gamma(t) = sum_l |t_l|^(2 H_l)``; the field vanishes at
-    the origin, so the variance equals the variogram.
-    """
-
-    hurst: tuple[float, ...]
-
-    def __post_init__(self):
-        h = tuple(float(x) for x in self.hurst)
-        if not h or any(not 0 < x < 1 for x in h):
-            raise ValueError("each Hurst parameter must lie in (0,1)")
-        object.__setattr__(self, "hurst", h)
-
-    @property
-    def dim(self) -> int:
-        return len(self.hurst)
-
-    def gamma(self, t) -> float:
-        return float(sum(abs(x) ** (2 * h) for x, h in zip(t, self.hurst)))
-
-    def sigma2(self, t) -> float:
-        return self.gamma(t)
-
-
-@dataclass(frozen=True)
-class CustomVariogram:
-    """Arbitrary stationary-increment Gaussian structure.
-
-    ``gamma(t)`` is the variogram and ``sigma2(t)`` the variance of W(t);
-    gamma must vanish at the origin.  Not serializable.
-    """
-
-    dim: int
-    gamma: Callable[[tuple[int, ...]], float]
-    sigma2: Callable[[tuple[int, ...]], float]
-
-
-VariogramSpec = Union[AdditiveFBM, CustomVariogram]
 
 
 class Model:
@@ -149,12 +110,6 @@ class Model:
         raise TypeError(f"unknown model {self!r}")
 
 
-def _check_weights(weights):
-    for o, w in weights.items():
-        if not 0.0 <= float(w) <= 1.0:
-            raise ValueError(f"stencil weight {w} at offset {o} outside [0,1]")
-
-
 def _offset_key(o) -> str:
     return ",".join(str(int(x)) for x in o)
 
@@ -187,16 +142,35 @@ class _MaxStable(Model):
         return self._given_root(window, window.index(point), roots, gen)
 
 
-class _StencilModel(_MaxStable):
+@dataclass(frozen=True)
+class MaxLinear(_MaxStable):
     """Max-linear field X(t) = max(Z(t), max_o w_o Z(t + o)) driven by iid
-    Frechet(alpha) noise Z; ``stencil`` holds the (o, w_o) pairs.
+    Frechet(alpha) noise Z, P(Z <= z) = exp(-z^-alpha); ``stencil`` holds
+    the (o, w_o) pairs, offsets of one dimension, none of them 0, weights
+    in [0, 1].  The empty stencil is iid noise.
 
     Every sampler but ``fields`` draws from the law, by max-stability:
     max_s c_s Z(s) has the law of (sum_s c_s^alpha)^(1/alpha) Z, and the
     term J attaining it is independent of its value, P(J = j) ∝ c_j^alpha.
     """
 
-    stencil = ()
+    stencil: tuple[tuple[tuple[int, ...], float], ...] = ()
+    alpha: float = 1.0
+
+    def __post_init__(self):
+        if self.alpha <= 0:
+            raise ValueError("alpha must be positive")
+        st = tuple(
+            (tuple(int(x) for x in o), float(w)) for o, w in dict(self.stencil).items()
+        )
+        if len({len(o) for o, _ in st}) > 1:
+            raise ValueError("stencil offsets must share a dimension")
+        if any(all(x == 0 for x in o) for o, _ in st):
+            raise ValueError("offset 0 is implicit with weight 1")
+        for o, w in st:
+            if not 0.0 <= w <= 1.0:
+                raise ValueError(f"stencil weight {w} at offset {o} outside [0,1]")
+        object.__setattr__(self, "stencil", st)
 
     @property
     def dim(self) -> int | None:
@@ -280,92 +254,45 @@ class _StencilModel(_MaxStable):
         x[(slice(None), *index)] = r
         return x
 
-
-@dataclass(frozen=True)
-class IIDFrechet(_StencilModel):
-    """Independent Frechet(alpha) noise, P(Z <= z) = exp(-z^-alpha): the
-    max-linear field with the empty stencil."""
-
-    alpha: float = 1.0
-
-    def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-
     def to_config(self) -> dict:
-        return {"variant": "IIDFrechet", "alpha": self.alpha}
-
-    @classmethod
-    def from_config(cls, cfg: dict) -> "IIDFrechet":
-        return cls(alpha=float(cfg.get("alpha", 1.0)))
-
-
-@dataclass(frozen=True)
-class MaxMovingAverage(_StencilModel):
-    """Two-dimensional max-moving average with diagonal local interaction.
-
-    X(t) = max(Z(t), max over the four diagonal offsets o of a[o] Z(t+o))
-    driven by iid standard Frechet(1) noise Z.
-    """
-
-    a: tuple[float, float, float, float]  # weights at MMA_OFFSETS order
-
-    def __post_init__(self):
-        a = tuple(float(x) for x in self.a)
-        if len(a) != 4:
-            raise ValueError("need exactly four weights")
-        object.__setattr__(self, "a", a)
-        _check_weights(self.weights)
-
-    @property
-    def stencil(self) -> tuple[tuple[tuple[int, int], float], ...]:
-        return tuple(zip(MMA_OFFSETS, self.a))
-
-    def to_config(self) -> dict:
-        return {
-            "variant": "MaxMovingAverage",
-            "a": {_offset_key(o): w for o, w in self.stencil},
-        }
-
-    @classmethod
-    def from_config(cls, cfg: dict) -> "MaxMovingAverage":
-        a = {_parse_offset(k): float(v) for k, v in cfg["a"].items()}
-        if set(a) != set(MMA_OFFSETS):
-            raise ValueError(f"weights must be keyed by the offsets {MMA_OFFSETS}")
-        return cls(a=tuple(a[o] for o in MMA_OFFSETS))
+        """In the format of the constructor that names the stencil's shape:
+        ``IIDFrechet`` for the empty one, ``MaxMovingAverage`` for offsets
+        ``MMA_OFFSETS`` in that order, else ``GeneralMaxMovingAverage``.
+        The stencil formats carry no alpha, so a stencil model at alpha != 1
+        raises ``ValueError``."""
+        if not self.stencil:
+            return {"variant": "IIDFrechet", "alpha": self.alpha}
+        if self.alpha != 1:
+            raise ValueError("only alpha = 1 stencil models are serializable")
+        mma = tuple(o for o, _ in self.stencil) == MMA_OFFSETS
+        variant, key = ("MaxMovingAverage", "a") if mma else ("GeneralMaxMovingAverage", "stencil")
+        return {"variant": variant, key: {_offset_key(o): w for o, w in self.stencil}}
 
 
-@dataclass(frozen=True)
-class GeneralMaxMovingAverage(_StencilModel):
-    """Max-moving average over an arbitrary finite stencil of offsets."""
+def IIDFrechet(alpha: float = 1.0) -> MaxLinear:
+    """Independent Frechet(alpha) noise: the max-linear field with the empty
+    stencil."""
+    return MaxLinear(alpha=alpha)
 
-    stencil: tuple[tuple[tuple[int, ...], float], ...]
 
-    def __post_init__(self):
-        st = tuple(
-            (tuple(int(x) for x in o), float(w)) for o, w in dict(self.stencil).items()
-        )
-        if not st:
-            raise ValueError("stencil must be nonempty")
-        dims = {len(o) for o, _ in st}
-        if len(dims) != 1:
-            raise ValueError("stencil offsets must share a dimension")
-        if any(all(x == 0 for x in o) for o, _ in st):
-            raise ValueError("offset 0 is implicit with weight 1")
-        object.__setattr__(self, "stencil", st)
-        _check_weights(self.weights)
+def MaxMovingAverage(a) -> MaxLinear:
+    """Two-dimensional max-moving average with diagonal local interaction:
+    X(t) = max(Z(t), max over the four diagonal offsets o of a[o] Z(t+o)),
+    Z iid standard Frechet(1), with the weights ``a`` in ``MMA_OFFSETS``
+    order."""
+    a = tuple(float(x) for x in a)
+    if len(a) != 4:
+        raise ValueError("need exactly four weights")
+    return MaxLinear(tuple(zip(MMA_OFFSETS, a)))
 
-    def to_config(self) -> dict:
-        return {
-            "variant": "GeneralMaxMovingAverage",
-            "stencil": {_offset_key(o): w for o, w in self.stencil},
-        }
 
-    @classmethod
-    def from_config(cls, cfg: dict) -> "GeneralMaxMovingAverage":
-        return cls(
-            stencil=tuple((_parse_offset(k), float(v)) for k, v in cfg["stencil"].items())
-        )
+def GeneralMaxMovingAverage(stencil) -> MaxLinear:
+    """Max-moving average over an arbitrary finite, nonempty stencil of
+    (offset, weight) pairs, driven by standard Frechet(1) noise."""
+    stencil = dict(stencil)
+    if not stencil:
+        raise ValueError("stencil must be nonempty")
+    return MaxLinear(tuple(stencil.items()))
 
 
 @dataclass(frozen=True)
@@ -385,16 +312,12 @@ class BrownResnick(_MaxStable):
         return self.variogram.dim
 
     def fields(self, window, count: int, gen) -> np.ndarray:
-        from . import gaussian  # gaussian imports this module
-
         return gaussian.brown_resnick_batch(self.variogram, window, count, gen)
 
     def _given_root(self, window, index, r: np.ndarray, gen) -> np.ndarray:
         """The extremal-function walk starts at the point, with first
         arrival 1/r there (given Z(point) = r, the other functions form the
         Poisson process below r); 1/(1/r) can miss r by an ulp."""
-        from . import gaussian
-
         pts = window.point_array()
         k = int(np.ravel_multi_index(index, window.shape))
         order = np.r_[k, 0:k, k + 1 : len(pts)]  # the point first
@@ -600,12 +523,23 @@ class Mixture(Model):
         )
 
 
+def _mma_from_config(cfg: dict) -> MaxLinear:
+    a = {_parse_offset(k): float(v) for k, v in cfg["a"].items()}
+    if set(a) != set(MMA_OFFSETS):
+        raise ValueError(f"weights must be keyed by the offsets {MMA_OFFSETS}")
+    return MaxMovingAverage(a=tuple(a[o] for o in MMA_OFFSETS))
+
+
+# config variant -> loader of that format
 MODEL_VARIANTS = {
-    cls.__name__: cls
-    for cls in (
-        IIDFrechet, MaxMovingAverage, GeneralMaxMovingAverage, BrownResnick,
-        CounterexampleField, Mixture,
-    )
+    "IIDFrechet": lambda cfg: IIDFrechet(alpha=float(cfg.get("alpha", 1.0))),
+    "MaxMovingAverage": _mma_from_config,
+    "GeneralMaxMovingAverage": lambda cfg: GeneralMaxMovingAverage(
+        stencil=tuple((_parse_offset(k), float(v)) for k, v in cfg["stencil"].items())
+    ),
+    "BrownResnick": BrownResnick.from_config,
+    "CounterexampleField": CounterexampleField.from_config,
+    "Mixture": Mixture.from_config,
 }
 
 
@@ -618,7 +552,7 @@ def model_from_config(cfg: dict) -> Model:
     variant = cfg["variant"]
     if variant not in MODEL_VARIANTS:
         raise ValueError(f"unknown model variant {variant!r}")
-    return MODEL_VARIANTS[variant].from_config(cfg)
+    return MODEL_VARIANTS[variant](cfg)
 
 
 def model_digest(spec: Model) -> str:
@@ -628,4 +562,4 @@ def model_digest(spec: Model) -> str:
 
 
 def model_tag(spec: Model) -> str:
-    return f"{type(spec).__name__}:{model_digest(spec)}"
+    return f"{spec.to_config()['variant']}:{model_digest(spec)}"

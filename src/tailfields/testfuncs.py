@@ -4,9 +4,9 @@ Two kinds are used downstream:
 
 * :class:`PointFunction` -- radial f applied atom by atom inside Laplace
   functionals; must vanish on a neighbourhood of the origin.
-* field functions (:class:`ConstantOne`, :class:`FieldIndicator`,
-  :class:`FieldRamp`) -- bounded g evaluated on finitely many lags of a
-  spectral field, used by the change-of-time verifier.
+* field functions (:class:`ConstantOne`, :class:`FieldRamp`) -- bounded g
+  evaluated on finitely many lags of a spectral field, used by the
+  change-of-time verifier.
 
 The catalogs are fixed so cross-method comparisons are reproducible.
 """
@@ -71,20 +71,9 @@ class ConstantOne:
 
 
 @dataclass(frozen=True)
-class FieldIndicator:
-    """g = 1(max over its lags of the field norm exceeds ``level``)."""
-
-    gid: str
-    level: float
-    lags: tuple[tuple[int, ...], ...]
-
-    def __call__(self, norms: np.ndarray) -> np.ndarray:
-        return (norms > self.level).any(axis=1).astype(float)
-
-
-@dataclass(frozen=True)
 class FieldRamp:
-    """Bounded continuous g: largest ramp value of the norm over its lags."""
+    """Bounded g of the largest field norm m over its lags: 0 up to a,
+    rising linearly to 1 at b.  With a == b this is the step 1(m > a)."""
 
     gid: str
     a: float
@@ -92,11 +81,13 @@ class FieldRamp:
     lags: tuple[tuple[int, ...], ...]
 
     def __call__(self, norms: np.ndarray) -> np.ndarray:
-        x = np.clip((norms - self.a) / (self.b - self.a), 0.0, 1.0)
-        return x.max(axis=1, initial=0.0)
+        m = norms.max(axis=1, initial=0.0)
+        if self.b == self.a:
+            return (m > self.a).astype(float)
+        return np.clip((m - self.a) / (self.b - self.a), 0.0, 1.0)
 
 
-FieldFunction = ConstantOne | FieldIndicator | FieldRamp
+FieldFunction = ConstantOne | FieldRamp
 
 
 def field_catalog(lags: Sequence[tuple[int, ...]]) -> tuple[FieldFunction, ...]:
@@ -104,6 +95,6 @@ def field_catalog(lags: Sequence[tuple[int, ...]]) -> tuple[FieldFunction, ...]:
     lags = tuple(tuple(l) for l in lags)
     return (
         ConstantOne(),
-        FieldIndicator("ind-0.5", level=0.5, lags=lags),
+        FieldRamp("ind-0.5", a=0.5, b=0.5, lags=lags),
         FieldRamp("ramp-0.2-1", a=0.2, b=1.0, lags=lags),
     )

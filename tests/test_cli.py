@@ -450,6 +450,9 @@ class TestCountFlags:
             (["counterexample", "--n-per-rank", "-1"], "--n-per-rank"),
             (["verify", "pareto-root", "--replicates", "0"], "--replicates"),
             (["verify", "change-of-time", "--replicates", "ten"], "--replicates"),
+            # rejected before any thread starts
+            (["mma-empirical", "--threads", "0"], "--threads"),
+            (["tailfield", "--threads", "-3"], "--threads"),
         ],
         ids=lambda v: v if isinstance(v, str) else "-".join(v[:2]),
     )

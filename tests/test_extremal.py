@@ -17,6 +17,7 @@ from tailfields.models import (
     CustomVariogram,
     GeneralMaxMovingAverage,
     IIDFrechet,
+    MaxLinear,
     MaxMovingAverage,
     Mixture,
 )
@@ -173,10 +174,7 @@ class TestClosedForms:
         assert t["classical"] == Fraction(4, 7)
 
     def test_non_integer_alpha_gives_floats(self):
-        class Alpha15(MaxMovingAverage):  # driven by Frechet(1.5) noise
-            alpha = 1.5
-
-        table = Alpha15(a=MMA_A).exact_indices()
+        table = MaxLinear(MMA.stencil, alpha=1.5).exact_indices()  # Frechet(1.5) noise
         s = 1 + sum(w**1.5 for w in MMA_A)
         assert table["classical"] == pytest.approx(1 / s, rel=1e-14)
         assert all(isinstance(v, float) for v in table.values())

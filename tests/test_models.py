@@ -1,10 +1,13 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tailfields.cli import NAMED_MODELS
 from tailfields.extremal import level_u
 from tailfields.lattice import centered_box, pos_block
 
@@ -15,12 +18,15 @@ from tailfields.models import (
     CustomVariogram,
     GeneralMaxMovingAverage,
     IIDFrechet,
+    MaxLinear,
     MaxMovingAverage,
+    MMA_OFFSETS,
     MODEL_VARIANTS,
     Mixture,
     Model,
     model_digest,
     model_from_config,
+    model_tag,
 )
 from tailfields.rng import RngStream
 from tailfields.simulate import (
@@ -33,6 +39,7 @@ from tailfields.simulate import (
 from tailfields.tailfield import estimate_tail_field
 
 MMA = MaxMovingAverage(a=(0.1, 0.7, 0.6, 0.1))
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 def test_validation_errors():
@@ -95,13 +102,13 @@ ROUND_TRIP_CASES = [
 ]
 
 
-@pytest.mark.parametrize("spec", ROUND_TRIP_CASES, ids=lambda s: type(s).__name__)
+@pytest.mark.parametrize("spec", ROUND_TRIP_CASES, ids=lambda s: s.to_config()["variant"])
 def test_config_round_trip(spec):
     assert model_from_config(spec.to_config()) == spec
 
 
 def test_round_trip_cases_cover_every_variant():
-    assert {type(s).__name__ for s in ROUND_TRIP_CASES} == set(MODEL_VARIANTS)
+    assert {s.to_config()["variant"] for s in ROUND_TRIP_CASES} == set(MODEL_VARIANTS)
 
 
 @given(st.tuples(*[st.integers(0, 100)] * 4))
@@ -119,6 +126,93 @@ def test_brown_resnick_config_ignores_old_tolerance_key():
 def test_digest_stable_and_distinct():
     assert model_digest(MMA) == model_digest(MaxMovingAverage(a=(0.1, 0.7, 0.6, 0.1)))
     assert model_digest(MMA) != model_digest(IIDFrechet(1.0))
+
+
+# the tags of every named model and of both configs under scripts/, which
+# name the outputs of the verify campaigns
+PINNED_TAGS = {
+    "iid": "IIDFrechet:2714522ec4ae",
+    "mma-default": "MaxMovingAverage:2ecc62dff707",
+    "mma2": "MaxMovingAverage:5a5a679e73bf",
+    "mixture": "Mixture:cd713a292e4b",
+    "br-fbm": "BrownResnick:bb48dcdb9a62",
+    "counterexample": "CounterexampleField:51b05edfed0a",
+    "stencil-1d.json": "GeneralMaxMovingAverage:8d8524f06d3b",
+    "mixture-unequal.json": "Mixture:912ae8736b51",
+}
+
+
+@pytest.mark.parametrize("name", PINNED_TAGS)
+def test_tags_and_digests_are_pinned(name):
+    if name.endswith(".json"):
+        spec = model_from_config(json.loads((SCRIPTS / name).read_text()))
+    else:
+        spec = NAMED_MODELS[name]()
+    assert model_tag(spec) == PINNED_TAGS[name]
+    assert model_digest(spec) == PINNED_TAGS[name].split(":")[1]
+
+
+@pytest.mark.parametrize(
+    "spec, variant",
+    [
+        (IIDFrechet(alpha=2.5), "IIDFrechet"),
+        (MaxLinear(), "IIDFrechet"),
+        (MMA, "MaxMovingAverage"),
+        (MaxLinear(tuple(zip(MMA_OFFSETS, (0.1, 0.7, 0.6, 0.1)))), "MaxMovingAverage"),
+        (GeneralMaxMovingAverage(stencil=(((1, 0), 0.25), ((0, -2), 0.75))),
+         "GeneralMaxMovingAverage"),
+        # the diagonals in another order are a general stencil
+        (MaxLinear(tuple(zip(MMA_OFFSETS[::-1], (0.1, 0.7, 0.6, 0.1)))),
+         "GeneralMaxMovingAverage"),
+    ],
+    ids=["iid", "iid-empty-stencil", "mma", "mma-offsets", "general", "general-diagonals"],
+)
+def test_stencil_formats_round_trip(spec, variant):
+    cfg = spec.to_config()
+    assert type(spec) is MaxLinear and cfg["variant"] == variant
+    back = model_from_config(json.loads(json.dumps(cfg)))
+    assert type(back) is MaxLinear and back == spec
+    assert model_digest(back) == model_digest(spec)
+
+
+def test_stencil_alpha_is_not_dropped():
+    # the stencil formats have no alpha key: at alpha != 1 the config is
+    # refused, not written as (and digested like) the alpha = 1 model's
+    spec = MaxLinear(MMA.stencil, alpha=1.5)
+    assert spec != MMA
+    assert spec.exact_indices()["classical"] == pytest.approx(0.4731117413, rel=1e-9)
+    for write in (MaxLinear.to_config, model_digest):
+        with pytest.raises(ValueError, match="alpha"):
+            write(spec)
+
+
+def test_iid_alpha_kept_as_given():
+    assert IIDFrechet(1).to_config() == {"variant": "IIDFrechet", "alpha": 1}
+    assert model_digest(IIDFrechet(1)) != model_digest(IIDFrechet(1.0))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: IIDFrechet(alpha=0.0), "alpha must be positive"),
+        (lambda: MaxLinear(MMA.stencil, alpha=-1.0), "alpha must be positive"),
+        (lambda: MaxMovingAverage(a=(0.1, 0.7, 0.6)), "need exactly four weights"),
+        (lambda: MaxMovingAverage(a=(1.3, 0.0, 0.0, 0.0)),
+         r"stencil weight 1.3 at offset \(-1, -1\) outside \[0,1\]"),
+        (lambda: GeneralMaxMovingAverage(stencil=()), "stencil must be nonempty"),
+        (lambda: GeneralMaxMovingAverage(stencil=(((0, 0), 0.5),)),
+         "offset 0 is implicit with weight 1"),
+        (lambda: GeneralMaxMovingAverage(stencil=(((1, 0), 0.5), ((1,), 0.5))),
+         "stencil offsets must share a dimension"),
+        (lambda: GeneralMaxMovingAverage(stencil=(((1,), -0.5),)),
+         r"stencil weight -0.5 at offset \(1,\) outside \[0,1\]"),
+    ],
+    ids=["iid-alpha", "max-linear-alpha", "three-weights", "mma-weight", "empty",
+         "zero-offset", "mixed-dims", "general-weight"],
+)
+def test_constructors_keep_their_messages(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_custom_variogram_not_serializable():

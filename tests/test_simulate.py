@@ -37,7 +37,7 @@ class TestDeterminism:
         "spec",
         [IIDFrechet(1.0), MMA, CounterexampleField(1.0),
          Mixture(components=((0.5, IIDFrechet(1.0)), (0.5, MMA)))],
-        ids=lambda s: type(s).__name__,
+        ids=["IIDFrechet", "MaxMovingAverage", "CounterexampleField", "Mixture"],
     )
     def test_same_stream_same_field(self, spec):
         w = pos_block((6, 6))

@@ -14,6 +14,7 @@ from tailfields.models import (
     BrownResnick,
     CounterexampleField,
     IIDFrechet,
+    MaxLinear,
     MaxMovingAverage,
     Mixture,
     Model,
@@ -33,7 +34,7 @@ from tailfields.tailfield import (
     spectral_from_tail,
     verify_change_of_time,
 )
-from tailfields.testfuncs import ConstantOne, FieldIndicator, FieldRamp
+from tailfields.testfuncs import ConstantOne, FieldRamp
 
 MMA_A = (0.1, 0.7, 0.6, 0.1)
 
@@ -152,7 +153,7 @@ class TestEstimateTailField:
             assert abs(law.value - built.value) <= 4 * math.hypot(law.se, built.se)
 
     def test_builds_rows_only_for_kept_replicates(self):
-        class CountingMMA(MaxMovingAverage):
+        class CountingMMA(MaxLinear):
             def roots(self, window, index, count, gen):
                 roots, build = super().roots(window, index, count, gen)
 
@@ -163,7 +164,8 @@ class TestEstimateTailField:
                 return roots, counted
 
         built = []
-        got = estimate_tail_field(CountingMMA(a=MMA_A), centered_box(1, 2), 20_000,
+        spec = CountingMMA(MaxMovingAverage(a=MMA_A).stencil)
+        got = estimate_tail_field(spec, centered_box(1, 2), 20_000,
                                   RngStream(74), q=0.99, chunk=1024)
         assert sum(built) == len(got)
 
@@ -342,7 +344,7 @@ class TestChangeOfTime:
             assert res.rhs <= 1.0 + 3 * res.se
 
     def test_iid_both_sides_vanish(self, iid_spectral):
-        g = FieldIndicator("ind", level=0.5, lags=((1, 1),))
+        g = FieldRamp("ind", a=0.5, b=0.5, lags=((1, 1),))
         for s in [(1, 0), (1, 1)]:
             res = verify_change_of_time(iid_spectral, s, g, zero_tol=0.2)
             assert abs(res.lhs) <= 0.03
@@ -367,7 +369,7 @@ class TestChangeOfTime:
         assert res.se == diffs.std(ddof=1) / math.sqrt(len(diffs))
 
     def test_window_too_small(self, mma_spectral):
-        g = FieldIndicator("ind", level=0.5, lags=((4, 4),))
+        g = FieldRamp("ind", a=0.5, b=0.5, lags=((4, 4),))
         with pytest.raises(ValueError):
             verify_change_of_time(mma_spectral, (-2, -2), g)
 
