@@ -21,6 +21,9 @@ the exact-index command on three more models (``mma2``, ``mixture`` and a
 mixture of unequal classical indices read from ``mixture-unequal.json``),
 one empirical-index run on the 1-D stencil of ``stencil-1d.json``, and
 one ``br-theta`` at a paper-scale truncation (``--trunc-m 200``).  The
+``mma-empirical`` run rows are drawn from the law of the block's maximum
+off its corner, and the classical rows from the law of the block's
+maximum; neither builds a field.  The
 config paths print relative to the repository root.  The whole list
 takes a few seconds on one core.
 """

@@ -26,7 +26,7 @@ from .lattice import (
 from .gaussian import fbm_grid_batch, fbm_variance_table
 from .models import AdditiveFBM, MaxMovingAverage, Model
 from .rng import RngStream, map_chunks
-from .simulate import block_max_batch, conditional_field_batch
+from .simulate import block_max_batch, run_max_batch
 from .tailfield import MCEstimate, TailBatch, _exponent_gap, _gap_estimates
 
 
@@ -149,23 +149,25 @@ def theta_run_empirical(
 
     Conditions on an exceedance at the corner vertex of the block
     [0:r-1] and estimates the probability of no other exceedance inside
-    the block, over ``n_replicates`` fields drawn given that exceedance by
-    ``conditional_field_batch`` (a ``TypeError`` for a model without an
-    exact conditional sampler).
+    the block, over ``n_replicates`` maxima of the block minus the corner
+    drawn given that exceedance by ``run_max_batch``: max-linear models
+    and their mixtures draw them from their law, other models build the
+    conditional fields (a ``TypeError`` for a model without an exact
+    conditional sampler).  For max-linear models ``MaxLinear.run_index``
+    gives the exact value.
     """
     corner, r, n = as_point(corner), as_point(r), as_point(n)
     if any(x < 2 for x in r):
         raise ValueError("need r >= 2 componentwise")
+    if any(a >= b for a, b in zip(r, n)):
+        raise ValueError("need r < n componentwise")
     u = level_u(spec, n, tau)
     window = pos_block(r)
     cpt = corner_point(corner, r)
-    flat_cidx = int(np.ravel_multi_index(window.index(cpt), window.shape))
 
     def work(start, count, stream):
-        x = conditional_field_batch(spec, window, cpt, u, count, stream.generator())
-        flat = np.abs(x.reshape(count, -1))
-        flat[:, flat_cidx] = 0.0
-        return int((flat.max(axis=1) <= u).sum())
+        m = run_max_batch(spec, window, cpt, u, count, stream.generator())
+        return int((m <= u).sum())
 
     hits = sum(map_chunks(work, n_replicates, chunk, rng, threads))
     return MCEstimate.proportion(hits, n_replicates)

@@ -20,6 +20,10 @@ These members have defaults in :class:`Model`:
   fields given |X(point)| > u, which raises ``CapabilityError``; every
   model but ``CounterexampleField`` (not jointly regularly varying)
   defines it;
+* ``run_maxima(window, point, u, count, gen)``, the max of |X| over
+  ``window`` minus ``point`` given |X(point)| > u, which builds the
+  conditional fields; ``MaxLinear`` draws it from the law and mixtures
+  ask the component picked given the exceedance;
 * ``exact_indices()``, the exact classical and per-corner run indices
   keyed by "classical" and the corner (in ``corners(lattice_dim)``
   order), which raises ``CapabilityError``; ``MaxLinear`` reads them off
@@ -99,6 +103,12 @@ class Model:
     def conditional_fields(self, window, point, u: float, count: int, gen):
         raise CapabilityError(f"no exact conditional sampler for {type(self).__name__}")
 
+    def run_maxima(self, window, point, u: float, count: int, gen) -> np.ndarray:
+        x = simulate.conditional_field_batch(self, window, point, u, count, gen)
+        flat = np.abs(x.reshape(count, window.cardinality))
+        flat[:, np.ravel_multi_index(window.index(point), window.shape)] = 0.0
+        return flat.max(axis=1)
+
     def exact_indices(self) -> dict:
         return self._exact_indices(self.lattice_dim)
 
@@ -108,6 +118,13 @@ class Model:
 
     def to_config(self) -> dict:
         raise TypeError(f"unknown model {self!r}")
+
+
+def _without(window, point) -> np.ndarray:
+    """Boolean mask of ``window`` that holds everywhere but at ``point``."""
+    mask = np.ones(window.shape, dtype=bool)
+    mask[window.index(point)] = False
+    return mask
 
 
 def _offset_key(o) -> str:
@@ -134,12 +151,17 @@ class _MaxStable(Model):
         roots = self._site_scale * simulate.frechet_of(gen.random(count), self.alpha)
         return roots, lambda idx: self._given_root(window, index, roots[idx], gen)
 
-    def conditional_fields(self, window, point, u: float, count: int, gen):
-        """Fields given X(point) > u, sampled exactly: X(point) = s Z with s
-        the one-site scale, so given the event it is s Z with Z above u / s."""
+    def _roots_above(self, u: float, count: int, gen) -> np.ndarray:
+        """X(point) given X(point) > u: X(point) = s Z with s the one-site
+        scale, so given the event it is s Z with Z above u / s."""
         scale = self._site_scale
-        roots = scale * simulate.frechet_above(gen, np.full(count, u / scale), self.alpha)
-        return self._given_root(window, window.index(point), roots, gen)
+        return scale * simulate.frechet_above(gen, np.full(count, u / scale), self.alpha)
+
+    def conditional_fields(self, window, point, u: float, count: int, gen):
+        """Fields given X(point) > u, sampled exactly: roots from
+        ``_roots_above``, rows given them."""
+        return self._given_root(window, window.index(point),
+                                self._roots_above(u, count, gen), gen)
 
 
 @dataclass(frozen=True)
@@ -152,6 +174,8 @@ class MaxLinear(_MaxStable):
     Every sampler but ``fields`` draws from the law, by max-stability:
     max_s c_s Z(s) has the law of (sum_s c_s^alpha)^(1/alpha) Z, and the
     term J attaining it is independent of its value, P(J = j) ∝ c_j^alpha.
+    Block maxima take one variable, and ``run_maxima`` one per atom plus
+    one for the rest of the block.
     """
 
     stencil: tuple[tuple[tuple[int, ...], float], ...] = ()
@@ -189,18 +213,36 @@ class MaxLinear(_MaxStable):
         then the positive-weight stencil offsets."""
         return [((0,) * dim, 1.0)] + [(o, w) for o, w in self.stencil if w > 0.0]
 
-    def exponent(self, window) -> float:
-        """V = sum_s c_s^alpha, so that P(max of X over ``window`` <= u) =
-        exp(-V u^-alpha); c_s, on the window dilated by the stencil radius,
-        is the largest weight through which noise site s reaches the window
-        (1 on the window itself, 0 where no positive weight reaches)."""
+    def _reach(self, window, mask=None) -> np.ndarray:
+        """c_s on ``window`` dilated by the stencil radius: the largest weight
+        through which noise site s reaches a site of ``window`` where the
+        boolean ``mask`` (default: everywhere) holds, 1 at those sites, 0
+        where no positive weight reaches."""
         radius, shape = self.radius, window.shape
+        on = True if mask is None else mask  # True keeps w * on == w; c[core][True] is all of it
         c = np.zeros(window.dilate(radius).shape)
         for o, w in self.stencil:
             sl = tuple(slice(radius + off, radius + off + s) for off, s in zip(o, shape))
-            np.maximum(c[sl], w, out=c[sl])
-        c[tuple(slice(radius, radius + s) for s in shape)] = 1.0
-        return float((c**self.alpha).sum())
+            np.maximum(c[sl], w * on, out=c[sl])
+        c[tuple(slice(radius, radius + s) for s in shape)][on] = 1.0
+        return c
+
+    def exponent(self, window, mask=None) -> float:
+        """V = sum_s c_s^alpha over ``_reach(window, mask)``, so that P(max of
+        X over the sites of ``window`` where ``mask`` holds <= u) =
+        exp(-V u^-alpha)."""
+        return float((self._reach(window, mask) ** self.alpha).sum())
+
+    def run_index(self, window, point, u: float) -> float:
+        """The exact P(max of X over ``window`` minus ``point`` <= u given
+        X(point) > u), from the exponents V of the window B, of B minus the
+        point c and of c: [exp(-V_(B-c) u^-alpha) - exp(-V_B u^-alpha)] /
+        (1 - exp(-V_c u^-alpha))."""
+        rest = _without(window, point)
+        v_rest, v_all = self.exponent(window, rest), self.exponent(window)
+        ua = u**-self.alpha
+        return (math.exp(-v_rest * ua) * -math.expm1((v_rest - v_all) * ua)
+                / -math.expm1(-self.exponent(window, ~rest) * ua))
 
     @property
     def _site_scale(self) -> float:
@@ -237,22 +279,52 @@ class MaxLinear(_MaxStable):
         scale = self.exponent(window) ** (1 / self.alpha)
         return scale * simulate.frechet_of(gen.random(count), self.alpha)
 
+    def _attaining(self, items, count: int, gen) -> np.ndarray:
+        """The atom J attaining each root, P(J = j) ∝ w_j^alpha."""
+        p = np.array([w for _, w in items]) ** self.alpha
+        return gen.choice(len(items), size=count, p=p / p.sum())
+
+    def _atom_noise(self, items, r: np.ndarray, attains: np.ndarray, gen) -> np.ndarray:
+        """Z at each atom's site given the roots ``r``, one row per atom: r / w_J
+        at the attaining atom J, Frechet below r / w_i at the others."""
+        out = np.empty((len(items), len(r)))
+        for j, (_, w) in enumerate(items):
+            below = simulate.frechet_below(gen, r / w, self.alpha)
+            out[j] = np.where(attains == j, r / w, below)
+        return out
+
     def _given_root(self, window, index, r: np.ndarray, gen) -> np.ndarray:
         """X = max_j w_j Z(site j) over the ``_atoms``: the term J attaining r
-        has P(J = j) ∝ w_j^alpha and Z(site J) = r / w_J, the other terms lie
-        below r / w_i, and the rest of the dilated window is unconditioned."""
+        is drawn by ``_attaining``, the atoms' noise by ``_atom_noise``, and
+        the rest of the dilated window is unconditioned."""
         items = self._atoms(window.dim)
-        p = np.array([w for _, w in items]) ** self.alpha
-        attains = gen.choice(len(items), size=len(r), p=p / p.sum())
+        attains = self._attaining(items, len(r), gen)
         radius = self.radius
         z = simulate.frechet_of(gen.random((len(r), *window.dilate(radius).shape)), self.alpha)
-        for j, (o, w) in enumerate(items):
-            site = (slice(None), *(radius + i + d for i, d in zip(index, o)))
-            below = simulate.frechet_below(gen, r / w, self.alpha)
-            z[site] = np.where(attains == j, r / w, below)
+        for (o, _), noise in zip(items, self._atom_noise(items, r, attains, gen)):
+            z[(slice(None), *(radius + i + d for i, d in zip(index, o)))] = noise
         x = simulate.stencil_max(self, z, radius, window.shape)
         x[(slice(None), *index)] = r
         return x
+
+    def run_maxima(self, window, point, u: float, count: int, gen) -> np.ndarray:
+        """The max over the window minus the point is max_s c_s Z(s), c from
+        ``_reach`` of the window minus the point.  The atoms' noise is drawn
+        given the roots as in ``_given_root``; the other terms take one
+        Frechet variable scaled by V_rest^(1/alpha), V_rest their sum of
+        c_s^alpha."""
+        items, radius = self._atoms(window.dim), self.radius
+        index = window.index(point)
+        c = self._reach(window, _without(window, point))
+        sites = tuple(np.array([[radius + i + d for i, d in zip(index, o)]
+                                for o, _ in items]).T)
+        c_atoms = c[sites]
+        c[sites] = 0.0
+        v_rest = float((c**self.alpha).sum())
+        r = self._roots_above(u, count, gen)
+        noise = self._atom_noise(items, r, self._attaining(items, count, gen), gen)
+        rest = v_rest ** (1 / self.alpha) * simulate.frechet_of(gen.random(count), self.alpha)
+        return np.maximum(rest, (c_atoms[:, None] * noise).max(axis=0))
 
     def to_config(self) -> dict:
         """In the format of the constructor that names the stencil's shape:
@@ -495,14 +567,23 @@ class Mixture(Model):
 
         return roots, rows
 
-    def conditional_fields(self, window, point, u: float, count: int, gen):
-        w_cond = np.array([w * m.exceed_prob(u) for w, m in self.components])
-        w_cond /= w_cond.sum()
+    def _given_exceedance(self, u: float) -> np.ndarray:
+        """The law of the component given |X| > u at a site."""
+        p = np.array([w * m.exceed_prob(u) for w, m in self.components])
+        return p / p.sum()
 
+    def conditional_fields(self, window, point, u: float, count: int, gen):
         return self._batch(
             count, gen,
             lambda comp, k: simulate.conditional_field_batch(comp, window, point, u, k, gen),
-            window.shape, w_cond,
+            window.shape, self._given_exceedance(u),
+        )
+
+    def run_maxima(self, window, point, u: float, count: int, gen) -> np.ndarray:
+        return self._batch(
+            count, gen,
+            lambda comp, k: simulate.run_max_batch(comp, window, point, u, k, gen),
+            (), self._given_exceedance(u),
         )
 
     def to_config(self) -> dict:

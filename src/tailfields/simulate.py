@@ -1,9 +1,10 @@
 """Seedable samplers for the heavy-tailed field models.
 
-The entry points ``field_batch``, ``block_max_batch``, ``field_roots`` and
-``conditional_field_batch`` check their arguments and then dispatch to the
-model's own sampler (``fields``, ``block_maxima``, ``roots`` and
-``conditional_fields``; see ``models``).  Each returns arrays drawn from
+The entry points ``field_batch``, ``block_max_batch``, ``field_roots``,
+``conditional_field_batch`` and ``run_max_batch`` check their arguments
+and then dispatch to the model's own sampler (``fields``,
+``block_maxima``, ``roots``, ``conditional_fields`` and ``run_maxima``;
+see ``models``).  Each returns arrays drawn from
 the NumPy generator it is given, so the same spec, window, count and
 generator state always reproduce the same fields.  Callers derive the
 generator from an ``RngStream``; the chunked estimators assign one stream
@@ -13,8 +14,9 @@ only each field's value at one site plus a builder of full rows; both have
 the law of the built fields, and max-stable models draw them from it.
 ``conditional_field_batch`` draws fields given an exceedance at one site
 from that law directly, with no rejection; a model without such a sampler
-raises ``TypeError``.  The rest of the module holds the noise kernels that
-the models share.
+raises ``TypeError``.  ``run_max_batch`` returns only their maximum off
+that site, which max-linear models draw from its law.  The rest of the
+module holds the noise kernels that the models share.
 """
 
 from __future__ import annotations
@@ -168,13 +170,28 @@ def field_roots(spec, window: Window, point, count: int, gen):
     return spec.roots(window, window.index(as_point(point)), count, gen)
 
 
+def _check_point(spec, window: Window, point):
+    _check_dim(spec, window)
+    point = as_point(point)
+    if not window.contains(point):
+        raise ValueError("conditioning point must lie in the window")
+    return point
+
+
 def conditional_field_batch(
     spec, window: Window, point, u: float, count: int, gen
 ) -> np.ndarray:
     """Batch of fields conditioned on |X(point)| > u (exact, no rejection);
     a ``TypeError`` for a model with no such sampler."""
-    _check_dim(spec, window)
-    point = as_point(point)
-    if not window.contains(point):
-        raise ValueError("conditioning point must lie in the window")
+    point = _check_point(spec, window, point)
     return spec.conditional_fields(window, point, u, count, gen)
+
+
+def run_max_batch(spec, window: Window, point, u: float, count: int, gen) -> np.ndarray:
+    """max over ``window`` minus ``point`` of |X|, for ``count`` fields given
+    |X(point)| > u; a ``(count,)`` array.  Max-linear models draw it from
+    O(|stencil|) variables per replicate (see ``models``); mixtures pick the
+    component given the exceedance, and every other model builds the
+    fields of ``conditional_field_batch``."""
+    point = _check_point(spec, window, point)
+    return spec.run_maxima(window, point, u, count, gen)

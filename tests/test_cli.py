@@ -488,6 +488,7 @@ class TestRejectedInputs:
             ["mma-theta", "--model", "br-fbm"],
             ["mma-empirical", "--model", "counterexample"],
             ["mma-empirical", "--tau", "nan", "--n", "40,40", "--r", "20,20"],
+            ["mma-empirical", "--n", "20,20", "--r", "30,30"],
             ["cluster-laplace", "--tau", "nan"],
             # 40,000-site Brown-Resnick fields at the default --n 200,200
             ["cluster-laplace", "--model", "br-fbm"],

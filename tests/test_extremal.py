@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tailfields.gaussian import br_tail_field_batch
-from tailfields.lattice import InvariantOrder, centered_box, pos_block
+from tailfields.lattice import InvariantOrder, centered_box, corner_point, pos_block
 from tailfields.models import (
     ALL_CORNERS,
     AdditiveFBM,
@@ -22,7 +22,7 @@ from tailfields.models import (
     Mixture,
 )
 from tailfields.rng import RngStream
-from tailfields.simulate import field_batch
+from tailfields.simulate import conditional_field_batch, field_batch, run_max_batch
 from tailfields.extremal import (
     DegenerateEstimateError,
     HalfSpaceRegion,
@@ -294,6 +294,78 @@ class TestRunEstimator:
         with pytest.raises(TypeError, match="CounterexampleField"):
             theta_run_empirical(CounterexampleField(1.0), (0, 0), (4, 4),
                                 (200, 200), 1.0, 2000, RngStream(303))
+
+
+# 1-D stencil of scripts/stencil-1d.json
+STENCIL_1D = GeneralMaxMovingAverage(stencil=(((1,), 0.5), ((-2,), 0.8)))
+
+
+class TestRunFromTheLaw:
+    """``run_max_batch`` draws max-linear run maxima from their law; the
+    finite-window run index ``MaxLinear.run_index`` is their exact target."""
+
+    def test_full_mask_keeps_the_exponent(self):
+        for spec, r in [(MMA, (20, 20)), (GENERAL, (7, 5)), (STENCIL_1D, (20,)),
+                        (IIDFrechet(2.0), (4, 3)), (MaxLinear(MMA.stencil, alpha=1.5), (6, 6))]:
+            window = pos_block(r)
+            assert spec.exponent(window, np.ones(r, dtype=bool)) == spec.exponent(window)
+
+    def test_mma_finite_window_values(self):
+        # n = 200^2, r = 20^2, tau = 1: within 4 se at 200,000 replicates
+        u = level_u(MMA, (200, 200), 1.0)
+        expect = {(0, 0): 0.637189, (0, 1): 0.398242, (1, 0): 0.597364, (1, 1): 0.438066}
+        rng = RngStream(341)
+        for i, (corner, value) in enumerate(expect.items()):
+            exact = MMA.run_index(pos_block((20, 20)), corner_point(corner, (20, 20)), u)
+            assert exact == pytest.approx(value, abs=5e-7)
+            est = theta_run_empirical(MMA, corner, (20, 20), (200, 200), 1.0, 200_000,
+                                      rng.lane(i))
+            assert abs(est.value - exact) <= 4 * est.se, corner
+
+    @pytest.mark.parametrize("spec, corner, r, n", [
+        (STENCIL_1D, (1,), (20,), (400,)),
+        (IIDFrechet(2.0), (1, 1), (10, 10), (100, 100)),
+        (MaxLinear(MMA.stencil, alpha=1.5), (1, 0), (20, 20), (200, 200)),
+    ], ids=["stencil-1d", "iid-alpha-2", "mma-alpha-1.5"])
+    def test_finite_window_values(self, spec, corner, r, n):
+        exact = spec.run_index(pos_block(r), corner_point(corner, r), level_u(spec, n, 1.0))
+        est = theta_run_empirical(spec, corner, r, n, 1.0, 200_000, RngStream(342))
+        assert 0.0 < exact < 1.0
+        assert abs(est.value - exact) <= 4 * est.se
+
+    def test_default_route_builds_the_conditional_fields(self):
+        spec = BrownResnick(variogram=AdditiveFBM((0.5, 0.5)))
+        r, n, count = (3, 3), (6, 6), 500
+        u, window, point = level_u(spec, n, 1.0), pos_block(r), corner_point((1, 0), r)
+        x = conditional_field_batch(spec, window, point, u, count,
+                                    RngStream(343).substream(0).generator())
+        x = np.abs(x.reshape(count, -1))
+        x[:, np.ravel_multi_index(window.index(point), r)] = 0.0
+        by_hand = x.max(axis=1)
+        m = run_max_batch(spec, window, point, u, count, RngStream(343).substream(0).generator())
+        assert np.array_equal(m, by_hand)
+        est = theta_run_empirical(spec, (1, 0), r, n, 1.0, count, RngStream(343), chunk=count)
+        assert est == MCEstimate.proportion(int((by_hand <= u).sum()), count)
+
+    @pytest.mark.parametrize("spec", [MMA, UNEQUAL], ids=["mma", "unequal-mixture"])
+    def test_threads_keep_the_bytes(self, spec):
+        args = (spec, (0, 1), (20, 20), (200, 200), 1.0, 5000, RngStream(344))
+        one = theta_run_empirical(*args, chunk=1024)
+        assert theta_run_empirical(*args, chunk=1024, threads=2) == one
+
+    def test_memory_is_not_the_block(self):
+        # building the conditioned blocks took a traced peak of about 180 MB
+        tracemalloc.start()
+        try:
+            theta_run_empirical(MMA, (0, 0), (60, 60), (600, 600), 1.0, 2048, RngStream(345))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
+
+    def test_r_must_be_below_n(self):
+        with pytest.raises(ValueError, match="need r < n componentwise"):
+            theta_run_empirical(MMA, (0, 0), (30, 30), (20, 20), 1.0, 100, RngStream(0))
 
 
 class TestClassicalEstimator:
