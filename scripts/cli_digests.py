@@ -8,7 +8,7 @@ the CLI output byte-identical:
 
     PYTHONPATH=src python scripts/cli_digests.py > digests.txt
 
-The 31 commands cover every subcommand, all four ``verify`` campaigns plus
+The 32 commands cover every subcommand, all four ``verify`` campaigns plus
 the corrupted negative control (``pareto-root`` also on IID noise and on
 ``stencil-1d.json``, so that the tags of all three stencil config formats
 are in the output), ``tailfield`` on every route (IID,
@@ -19,7 +19,8 @@ counterexample fields built), three ``--threads 2`` runs, one
 ``--format json`` run, the counterexample command at a non-default alpha,
 the exact-index command on three more models (``mma2``, ``mixture`` and a
 mixture of unequal classical indices read from ``mixture-unequal.json``),
-one empirical-index run on the 1-D stencil of ``stencil-1d.json``, and
+one empirical-index run on the 1-D stencil of ``stencil-1d.json`` and
+one on the max-moving average at alpha = 1.5 of ``mma-alpha15.json``, and
 one ``br-theta`` at a paper-scale truncation (``--trunc-m 200``).  The
 ``mma-empirical`` run rows are drawn from the law of the block's maximum
 off its corner, and the classical rows from the law of the block's
@@ -92,6 +93,8 @@ COMMANDS = (
     ["verify", "pareto-root", "--model", "iid", "--replicates", "50000", "--seed", "27"],
     ["verify", "pareto-root", "--model", os.path.join(HERE, "stencil-1d.json"),
      "--replicates", "50000", "--seed", "27"],
+    ["mma-empirical", "--model", os.path.join(HERE, "mma-alpha15.json"), "--n", "100,100",
+     "--r", "10,10", "--replicates", "400", "--seed", "28"],
 )
 
 

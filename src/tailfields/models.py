@@ -39,7 +39,10 @@ the model's ``_given_root``.  They are ``BrownResnick`` and the
 max-linear ``MaxLinear(stencil, alpha)``, of which IID noise and the
 max-moving averages are instances: ``IIDFrechet``, ``MaxMovingAverage``
 and ``GeneralMaxMovingAverage`` are constructors that return one, and
-their names are the variants of its config formats.
+their names are the variants of its config formats.  A ``MaxLinear``
+computes its one-site scale and each window's exponent once and keeps
+them on the instance: a model is built for one command, whose level
+bisection and estimator chunks ask for the same values many times.
 A ``Mixture`` takes its roots and rows from its components' ``roots``, so
 only the counterexample, alone or as a component, builds its fields there.
 
@@ -56,10 +59,11 @@ and the rows it builds that of the fields given those roots.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -135,6 +139,11 @@ def _parse_offset(s: str) -> tuple[int, ...]:
     return tuple(int(x) for x in s.split(","))
 
 
+def _alpha(cfg: dict) -> float:
+    """The tail index of a config; formats without the key mean 1."""
+    return float(cfg.get("alpha", 1.0))
+
+
 class _MaxStable(Model):
     """X at one site is ``_site_scale`` times a Frechet(alpha) variable Z.
     Roots are drawn from that law, and rows by the subclass's
@@ -176,10 +185,14 @@ class MaxLinear(_MaxStable):
     term J attaining it is independent of its value, P(J = j) ∝ c_j^alpha.
     Block maxima take one variable, and ``run_maxima`` one per atom plus
     one for the rest of the block.
+
+    ``_exponents`` holds the instance's memo of ``exponent``; it is left
+    out of ``==``, the hash and the config.
     """
 
     stencil: tuple[tuple[tuple[int, ...], float], ...] = ()
     alpha: float = 1.0
+    _exponents: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.alpha <= 0:
@@ -230,7 +243,14 @@ class MaxLinear(_MaxStable):
     def exponent(self, window, mask=None) -> float:
         """V = sum_s c_s^alpha over ``_reach(window, mask)``, so that P(max of
         X over the sites of ``window`` where ``mask`` holds <= u) =
-        exp(-V u^-alpha)."""
+        exp(-V u^-alpha).  Without a mask the value is memoised on the
+        instance, keyed by the window: a model lives for one command, whose
+        classical chunks all ask for the same V; masked values are
+        computed on every call."""
+        if mask is None:
+            if window not in self._exponents:
+                self._exponents[window] = float((self._reach(window) ** self.alpha).sum())
+            return self._exponents[window]
         return float((self._reach(window, mask) ** self.alpha).sum())
 
     def run_index(self, window, point, u: float) -> float:
@@ -244,8 +264,11 @@ class MaxLinear(_MaxStable):
         return (math.exp(-v_rest * ua) * -math.expm1((v_rest - v_all) * ua)
                 / -math.expm1(-self.exponent(window, ~rest) * ua))
 
-    @property
+    @functools.cached_property
     def _site_scale(self) -> float:
+        """(1 + sum of w^alpha over the stencil)^(1/alpha), computed once per
+        instance: a model lives for one command, whose level bisection calls
+        ``exceed_prob`` about 64 times per threshold."""
         rest = self._atoms(0)[1:]  # offsets unread; 1.0 is added last, as always
         return (1.0 + sum(w**self.alpha for _, w in rest)) ** (1 / self.alpha)
 
@@ -330,15 +353,14 @@ class MaxLinear(_MaxStable):
         """In the format of the constructor that names the stencil's shape:
         ``IIDFrechet`` for the empty one, ``MaxMovingAverage`` for offsets
         ``MMA_OFFSETS`` in that order, else ``GeneralMaxMovingAverage``.
-        The stencil formats carry no alpha, so a stencil model at alpha != 1
-        raises ``ValueError``."""
+        The stencil formats write an "alpha" key only at alpha != 1, so
+        every alpha = 1 config and digest is as it was before they had one."""
         if not self.stencil:
             return {"variant": "IIDFrechet", "alpha": self.alpha}
-        if self.alpha != 1:
-            raise ValueError("only alpha = 1 stencil models are serializable")
         mma = tuple(o for o, _ in self.stencil) == MMA_OFFSETS
         variant, key = ("MaxMovingAverage", "a") if mma else ("GeneralMaxMovingAverage", "stencil")
-        return {"variant": variant, key: {_offset_key(o): w for o, w in self.stencil}}
+        cfg = {"variant": variant, key: {_offset_key(o): w for o, w in self.stencil}}
+        return cfg if self.alpha == 1 else cfg | {"alpha": self.alpha}
 
 
 def IIDFrechet(alpha: float = 1.0) -> MaxLinear:
@@ -347,24 +369,24 @@ def IIDFrechet(alpha: float = 1.0) -> MaxLinear:
     return MaxLinear(alpha=alpha)
 
 
-def MaxMovingAverage(a) -> MaxLinear:
+def MaxMovingAverage(a, alpha: float = 1.0) -> MaxLinear:
     """Two-dimensional max-moving average with diagonal local interaction:
     X(t) = max(Z(t), max over the four diagonal offsets o of a[o] Z(t+o)),
-    Z iid standard Frechet(1), with the weights ``a`` in ``MMA_OFFSETS``
+    Z iid Frechet(alpha), with the weights ``a`` in ``MMA_OFFSETS``
     order."""
     a = tuple(float(x) for x in a)
     if len(a) != 4:
         raise ValueError("need exactly four weights")
-    return MaxLinear(tuple(zip(MMA_OFFSETS, a)))
+    return MaxLinear(tuple(zip(MMA_OFFSETS, a)), alpha)
 
 
-def GeneralMaxMovingAverage(stencil) -> MaxLinear:
+def GeneralMaxMovingAverage(stencil, alpha: float = 1.0) -> MaxLinear:
     """Max-moving average over an arbitrary finite, nonempty stencil of
-    (offset, weight) pairs, driven by standard Frechet(1) noise."""
+    (offset, weight) pairs, driven by iid Frechet(alpha) noise."""
     stencil = dict(stencil)
     if not stencil:
         raise ValueError("stencil must be nonempty")
-    return MaxLinear(tuple(stencil.items()))
+    return MaxLinear(tuple(stencil.items()), alpha)
 
 
 @dataclass(frozen=True)
@@ -470,7 +492,7 @@ class CounterexampleField(Model):
 
     @classmethod
     def from_config(cls, cfg: dict) -> "CounterexampleField":
-        return cls(alpha=float(cfg.get("alpha", 1.0)))
+        return cls(alpha=_alpha(cfg))
 
 
 @dataclass(frozen=True)
@@ -608,15 +630,16 @@ def _mma_from_config(cfg: dict) -> MaxLinear:
     a = {_parse_offset(k): float(v) for k, v in cfg["a"].items()}
     if set(a) != set(MMA_OFFSETS):
         raise ValueError(f"weights must be keyed by the offsets {MMA_OFFSETS}")
-    return MaxMovingAverage(a=tuple(a[o] for o in MMA_OFFSETS))
+    return MaxMovingAverage(a=tuple(a[o] for o in MMA_OFFSETS), alpha=_alpha(cfg))
 
 
 # config variant -> loader of that format
 MODEL_VARIANTS = {
-    "IIDFrechet": lambda cfg: IIDFrechet(alpha=float(cfg.get("alpha", 1.0))),
+    "IIDFrechet": lambda cfg: IIDFrechet(alpha=_alpha(cfg)),
     "MaxMovingAverage": _mma_from_config,
     "GeneralMaxMovingAverage": lambda cfg: GeneralMaxMovingAverage(
-        stencil=tuple((_parse_offset(k), float(v)) for k, v in cfg["stencil"].items())
+        stencil=tuple((_parse_offset(k), float(v)) for k, v in cfg["stencil"].items()),
+        alpha=_alpha(cfg),
     ),
     "BrownResnick": BrownResnick.from_config,
     "CounterexampleField": CounterexampleField.from_config,

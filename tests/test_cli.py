@@ -13,7 +13,7 @@ import pytest
 import tailfields
 from tailfields.cli import main
 from tailfields.extremal import theta_run_empirical
-from tailfields.models import MaxMovingAverage, Mixture
+from tailfields.models import MaxMovingAverage, Mixture, model_digest
 from tailfields.rng import RngStream
 
 
@@ -193,6 +193,17 @@ class TestAnyModelIndices:
             assert code in (0, 1)
             outs.append(out)
         assert outs[0] == outs[1]
+
+    def test_stencil_model_at_alpha_1_5_runs(self, capsys):
+        # a stencil config with an "alpha" key runs under its own digest
+        path = str(DIGESTS_PATH.parent / "mma-alpha15.json")
+        code, out, _ = run_cli(["mma-empirical", "--model", path, "--n", "60,60",
+                                "--r", "6,6", "--replicates", "300", "--seed", "2"], capsys)
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [r["method"] for r in rows] == ["classical"] + ["run"] * 4
+        spec = MaxMovingAverage(a=(0.1, 0.7, 0.6, 0.1), alpha=1.5)
+        assert {r["model"] for r in rows} == {model_digest(spec)}
 
     def test_missing_path_is_an_unknown_model(self, capsys, tmp_path):
         code, _, err = run_cli(["mma-theta", "--model", str(tmp_path / "no.json")], capsys)

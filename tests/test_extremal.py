@@ -46,6 +46,8 @@ LEX = InvariantOrder(dim=2)
 GENERAL = GeneralMaxMovingAverage(stencil=(((1, 0), 0.5), ((0, 2), 0.25), ((-1, 1), 0.75)))
 # components of unequal classical index, 2/5 and 5/7
 UNEQUAL = Mixture(components=((0.3, MMA), (0.7, MaxMovingAverage(a=(0.1, 0.1, 0.1, 0.1)))))
+# the same components at equal weights (scripts/mixture-unequal.json)
+UNEQUAL_HALVES = Mixture(components=((0.5, MMA), (0.5, MaxMovingAverage(a=(0.1, 0.1, 0.1, 0.1)))))
 
 
 def _stencil_inverse(spec, p):
@@ -366,6 +368,34 @@ class TestRunFromTheLaw:
     def test_r_must_be_below_n(self):
         with pytest.raises(ValueError, match="need r < n componentwise"):
             theta_run_empirical(MMA, (0, 0), (30, 30), (20, 20), 1.0, 100, RngStream(0))
+
+
+class TestMixtureFiniteWindow:
+    """For a mixture of max-linear components P(M <= u) = sum_i w_i
+    exp(-V_i u^-alpha), V_i the component exponents of the window: the
+    exact finite-window targets of the classical and block estimators."""
+
+    @staticmethod
+    def _no_exceedance(spec, r, u):
+        w = pos_block(r)
+        return sum(wi * math.exp(-m.exponent(w) * u**-spec.alpha) for wi, m in spec.components)
+
+    @pytest.mark.parametrize("spec, expect, seed", [
+        (Mixture(tuple((0.5, m) for m in (MMA, MMA2))), (0.404505, 0.444017), 346),
+        (UNEQUAL_HALVES, (0.516035, 0.543841), 347),
+    ], ids=["mixture", "mixture-unequal"])
+    def test_within_4_se_of_the_exact_values(self, spec, expect, seed):
+        n, r = (200, 200), (20, 20)
+        u = level_u(spec, n, 1.0)
+        classical = -math.log(self._no_exceedance(spec, n, u))
+        block = (1.0 - self._no_exceedance(spec, r, u)) / (math.prod(r) * spec.exceed_prob(u))
+        assert (classical, block) == pytest.approx(expect, abs=5e-7)
+        rng = RngStream(seed)
+        for est, exact in [
+            (theta_classical_empirical(spec, n, 1.0, 200_000, rng.lane(0)), classical),
+            (theta_block_empirical(spec, n, r, 1.0, 200_000, rng.lane(1)), block),
+        ]:
+            assert abs(est.value - exact) <= 4 * est.se
 
 
 class TestClassicalEstimator:

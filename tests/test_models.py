@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tailfields.cli import NAMED_MODELS
-from tailfields.extremal import level_u
-from tailfields.lattice import centered_box, pos_block
+from tailfields.extremal import level_u, theta_classical_empirical
+from tailfields.lattice import centered_box, corner_point, pos_block
 
 from tailfields.models import (
     AdditiveFBM,
@@ -40,6 +40,11 @@ from tailfields.tailfield import estimate_tail_field
 
 MMA = MaxMovingAverage(a=(0.1, 0.7, 0.6, 0.1))
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def fresh_mma(alpha: float = 1.0) -> MaxLinear:
+    """``MMA`` (at ``alpha``) as a new instance, with an empty memo."""
+    return MaxMovingAverage(a=(0.1, 0.7, 0.6, 0.1), alpha=alpha)
 
 
 def test_validation_errors():
@@ -176,14 +181,31 @@ def test_stencil_formats_round_trip(spec, variant):
 
 
 def test_stencil_alpha_is_not_dropped():
-    # the stencil formats have no alpha key: at alpha != 1 the config is
-    # refused, not written as (and digested like) the alpha = 1 model's
+    # at alpha != 1 the stencil formats write an "alpha" key, so the config
+    # is not written as (and digested like) the alpha = 1 model's
     spec = MaxLinear(MMA.stencil, alpha=1.5)
     assert spec != MMA
     assert spec.exact_indices()["classical"] == pytest.approx(0.4731117413, rel=1e-9)
-    for write in (MaxLinear.to_config, model_digest):
-        with pytest.raises(ValueError, match="alpha"):
-            write(spec)
+    assert spec.to_config() == {**MMA.to_config(), "alpha": 1.5}
+    assert model_digest(spec) != model_digest(MMA)
+    assert "alpha" not in MMA.to_config()
+
+
+@pytest.mark.parametrize(
+    "spec, variant",
+    [
+        (MaxMovingAverage(a=(0.1, 0.7, 0.6, 0.1), alpha=1.5), "MaxMovingAverage"),
+        (GeneralMaxMovingAverage(stencil=(((1,), 0.5), ((-2,), 0.8)), alpha=2.0),
+         "GeneralMaxMovingAverage"),
+    ],
+    ids=["mma", "general"],
+)
+def test_stencil_alpha_round_trips(spec, variant):
+    cfg = spec.to_config()
+    assert cfg["variant"] == variant and cfg["alpha"] == spec.alpha != 1
+    back = model_from_config(json.loads(json.dumps(cfg)))
+    assert back == spec and back.alpha == spec.alpha
+    assert model_tag(back) == model_tag(spec)
 
 
 def test_iid_alpha_kept_as_given():
@@ -267,3 +289,76 @@ def test_mixture_asks_every_component_for_conditional_fields(count):
     with pytest.raises(TypeError, match="CounterexampleField"):
         conditional_field_batch(spec, pos_block((3, 3)), (0, 0), 10.0, count,
                                 RngStream(1).generator())
+
+
+# -- the per-instance memo of MaxLinear ----------------------------------------
+
+@pytest.mark.parametrize(
+    "spec, r",
+    [
+        (fresh_mma(), (20, 20)),
+        (IIDFrechet(2.0), (4, 3)),
+        (model_from_config(json.loads((SCRIPTS / "stencil-1d.json").read_text())), (50,)),
+        (fresh_mma(alpha=1.5), (20, 20)),
+    ],
+    ids=["mma", "iid-alpha-2", "stencil-1d", "mma-alpha-1.5"],
+)
+def test_memoised_exponent_is_the_direct_expression(spec, r):
+    w = pos_block(r)
+    direct = float((spec._reach(w) ** spec.alpha).sum())
+    assert spec.exponent(w) == direct
+    assert w in spec._exponents
+    assert spec.exponent(pos_block(r)) == direct  # an equal window hits the memo
+
+
+def _count_reach(monkeypatch) -> list:
+    """Patch ``MaxLinear._reach`` to record the window shape of each call."""
+    calls, reach = [], MaxLinear._reach
+
+    def counted(self, window, mask=None):
+        calls.append(window.shape)
+        return reach(self, window, mask)
+
+    monkeypatch.setattr(MaxLinear, "_reach", counted)
+    return calls
+
+
+def test_masked_exponent_is_never_memoised(monkeypatch):
+    spec, w = fresh_mma(), pos_block((20, 20))
+    mask = np.ones(w.shape, dtype=bool)
+    mask[w.index(corner_point((1, 0), (20, 20)))] = False
+    full = spec.exponent(w)
+    calls = _count_reach(monkeypatch)
+    masked = spec.exponent(w, mask)
+    assert spec.exponent(w, mask) == masked != full
+    assert len(calls) == 2
+    assert masked == fresh_mma().exponent(w, mask)
+    assert spec._exponents == {w: full}
+
+
+def test_memo_leaves_equality_hash_and_digest():
+    one, two = fresh_mma(), fresh_mma()
+    digest = model_digest(two)
+    one.exponent(pos_block((30, 30)))
+    assert one.exceed_prob(10.0) == two.exceed_prob(10.0)
+    assert one._exponents and not two._exponents
+    assert one == two and hash(one) == hash(two)
+    assert model_digest(one) == model_digest(two) == digest
+    assert Mixture(((0.5, one), (0.5, MMA))) == Mixture(((0.5, two), (0.5, MMA)))
+
+
+def test_classical_chunks_share_one_exponent(monkeypatch):
+    calls = _count_reach(monkeypatch)
+    args = ((200, 200), 1.0, 400, RngStream(5))
+    est = theta_classical_empirical(fresh_mma(), *args)
+    assert calls == [(200, 200)]  # 13 chunks of 32, one exponent
+    # the memo lives on the instance: a fresh model computes again
+    assert theta_classical_empirical(fresh_mma(), *args) == est
+    assert calls == [(200, 200)] * 2
+
+
+def test_classical_threads_keep_the_value():
+    args = ((200, 200), 1.0, 400, RngStream(6))
+    one = theta_classical_empirical(fresh_mma(), *args)
+    two = theta_classical_empirical(fresh_mma(), *args, threads=2)
+    assert two == one
