@@ -8,10 +8,11 @@ the CLI output byte-identical:
 
     PYTHONPATH=src python scripts/cli_digests.py > digests.txt
 
-The 32 commands cover every subcommand, all four ``verify`` campaigns plus
+The 33 commands cover every subcommand, all four ``verify`` campaigns plus
 the corrupted negative control (``pareto-root`` also on IID noise and on
 ``stencil-1d.json``, so that the tags of all three stencil config formats
-are in the output), ``tailfield`` on every route (IID,
+are in the output; ``change-of-time`` also on ``stencil-1d.json``, whose
+unit shift is its all-ones shift), ``tailfield`` on every route (IID,
 max-moving-average and Brown-Resnick roots drawn from their law and rows
 drawn given their roots, one Brown-Resnick run on an 81-site window;
 mixture roots and rows from the component picked per replicate;
@@ -27,18 +28,35 @@ off its corner, and the classical rows from the law of the block's
 maximum; neither builds a field.  The
 config paths print relative to the repository root.  The whole list
 takes a few seconds on one core.
+
+With ``--contract`` the script prints the byte contract that
+``tests/test_byte_contract.py`` checks, ``tests/byte_contract.txt``:
+
+    PYTHONPATH=src python scripts/cli_digests.py --contract > tests/byte_contract.txt
+
+It starts with NumPy's version and the BLAS build, then has the lines
+above, then one line per command of each benchmark workload
+(``perfbench/workloads.py``, read by path) at op seeds 0-2, whose digest
+covers the exit code, stdout and stderr of an in-process run.
 """
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import os
 import sys
 import tempfile
 
+import numpy as np
+
+from tailfields.cli import build_parser
 from tailfields.cli import main as cli_main
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+WORKLOADS_PATH = os.path.join(os.path.dirname(HERE), "perfbench", "workloads.py")
+CONTRACT_SEEDS = (0, 1, 2)
+PARSER = build_parser()
 
 COMMANDS = (
     ["mma-theta"],
@@ -95,6 +113,8 @@ COMMANDS = (
      "--replicates", "50000", "--seed", "27"],
     ["mma-empirical", "--model", os.path.join(HERE, "mma-alpha15.json"), "--n", "100,100",
      "--r", "10,10", "--replicates", "400", "--seed", "28"],
+    ["verify", "change-of-time", "--model", os.path.join(HERE, "stencil-1d.json"),
+     "--replicates", "50000", "--seed", "29"],
 )
 
 
@@ -110,9 +130,60 @@ def digest(argv: list[str]) -> str:
             return hashlib.sha256(fh.read()).hexdigest()
 
 
-def main() -> int:
+def output_digest(argv: list[str]) -> str:
+    """SHA-256 of the exit code, stdout and stderr of ``argv`` run in-process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    blob = "\0".join([str(code), out.getvalue(), err.getvalue()])
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def takes_threads(argv: list[str]) -> bool:
+    """Whether the command of ``argv`` has a ``--threads`` flag."""
+    return not PARSER.parse_known_args(argv + ["--threads", "1"])[1]
+
+
+def with_threads(argv: list[str], threads: int) -> list[str]:
+    """``argv`` with its ``--threads`` value, if any, replaced by ``threads``."""
+    if "--threads" in argv:
+        i = argv.index("--threads")
+        argv = argv[:i] + argv[i + 2:]
+    return argv + ["--threads", str(threads)]
+
+
+def build() -> list[str]:
+    """The contract's header: the NumPy and BLAS builds, whose LAPACK and
+    BLAS calls some output bytes pass through."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return [f"# numpy {np.__version__}", f"# blas {blas.get('name')} {blas.get('version')}"]
+
+
+def workload_commands() -> list[tuple[str, list[str]]]:
+    """(label, argv) of every benchmark workload command at ``CONTRACT_SEEDS``."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve names through it
+    spec.loader.exec_module(module)
+    return [(name, argv) for name, w in module.WORKLOADS.items()
+            for seed in CONTRACT_SEEDS for argv in w.argvs(seed)]
+
+
+def entries(workloads: bool = True):
+    """(text, argv, digest function) of each contract line after the header;
+    without ``workloads``, of the ``COMMANDS`` lines only."""
     for argv in COMMANDS:
-        print(f"{digest(argv)}  {' '.join(argv).replace(HERE, 'scripts')}", flush=True)
+        yield " ".join(argv).replace(HERE, "scripts"), argv, digest
+    for name, argv in workload_commands() if workloads else ():
+        yield f"[{name}] {' '.join(argv)}", argv, output_digest
+
+
+def main() -> int:
+    contract = sys.argv[1:] == ["--contract"]
+    if contract:
+        print("\n".join(build()))
+    for text, argv, fn in entries(workloads=contract):
+        print(f"{fn(argv)}  {text}", flush=True)
     return 0
 
 
