@@ -7,7 +7,9 @@ closed-form mma-theta take --seed.  One flag, --model, picks the model:
 a ``NAMED_MODELS`` name first, else the path of a JSON model config.  The
 index commands serve any model (the benchmark's workloads fix their mma-
 names): mma-theta prints its exact indices, mma-empirical estimates them
-at each corner of the --n window's dimension.
+at each corner of the --n window's dimension.  mma-empirical finds the
+level u of --n and --tau once, prints it, and passes it to its run rows;
+it rejects an --r not below --n componentwise.
 --threads (default 1) is taken by mma-empirical, br-theta, br-fig1,
 tailfield and cluster-laplace, whose outputs are byte-identical at any
 value; BLAS runs on one thread per worker.  tailfield writes CSV only;
@@ -167,16 +169,16 @@ def cmd_mma_empirical(args) -> int:
     rng = RngStream(args.seed)
     n = _parse_ints(args.n)
     r = _parse_ints(args.r)
-    base = {"tau": args.tau, "u": level_u(spec, n, args.tau),
-            "r": "x".join(map(str, r)), "n": "x".join(map(str, n)),
-            **_base(args, spec)}
+    u = level_u(spec, n, args.tau)
+    if any(a >= b for a, b in zip(r, n)):
+        raise ValueError("need r < n componentwise")
+    base = {"tau": args.tau, "u": u, "r": "x".join(map(str, r)),
+            "n": "x".join(map(str, n)), **_base(args, spec)}
     # corner i on lane 2 + i and the classical index on lane 1; the run rows
     # are estimated first, so a model with no conditional sampler fails at once
     runs = {
-        corner: theta_run_empirical(
-            spec, corner, r, n, args.tau, args.replicates, rng.lane(2 + i),
-            threads=args.threads,
-        )
+        corner: theta_run_empirical(spec, corner, r, u, args.replicates,
+                                    rng.lane(2 + i), threads=args.threads)
         for i, corner in enumerate(corners(len(n)))
     }
     classical = theta_classical_empirical(

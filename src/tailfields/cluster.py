@@ -9,7 +9,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .extremal import level_u
 from .lattice import InvariantOrder, as_point, sym_block
 from .models import Model
 from .rng import RngStream, map_chunks
@@ -187,21 +186,21 @@ def limit_cluster_laplace_mc(
 def check_anticluster(
     spec: Model,
     r: Sequence[int],
-    tau: float,
+    u: float,
     M_list: Sequence[int],
     n_replicates: int,
     rng: RngStream,
-    n: Sequence[int] | None = None,
     chunk: int = 4096,
 ) -> dict[int, MCEstimate]:
-    """Profile of P(an exceedance occurs in R_r beyond the box |t| <= M,
+    """Profile of P(an exceedance of u occurs in R_r beyond the box |t| <= M,
     given an exceedance at the origin), as a proportion keyed by M.
 
-    A decreasing-to-zero profile is the anti-clustering diagnostic.  The
-    excluded region is the centered box of sup-norm radius M.  Fields are
-    drawn given the exceedance by ``conditional_field_batch`` (a
-    ``TypeError`` for a model without an exact conditional sampler), at a
-    level derived from n (default n_l = r_l^2).
+    A decreasing-to-zero profile is the anti-clustering diagnostic; the
+    paper's level is u_n for a window n with n_l >> r_l, such as
+    ``level_u(spec, n, tau)`` at n_l = r_l^2.  The excluded region is the
+    centered box of sup-norm radius M.  Fields are drawn given the
+    exceedance by ``conditional_field_batch`` (a ``TypeError`` for a model
+    without an exact conditional sampler).
     """
     r = as_point(r)
     M_list = [int(m) for m in M_list]
@@ -212,8 +211,6 @@ def check_anticluster(
     window = sym_block(r)
     radius = np.abs(window.point_array()).max(axis=1)
     masks = {m: radius > m for m in M_list}
-    n = as_point(n) if n is not None else tuple(x * x for x in r)
-    u = level_u(spec, n, tau)
     origin = (0,) * window.dim
 
     def work(start, count, stream):

@@ -6,6 +6,12 @@ own estimator.  They are tested against the models' ``exact_indices``:
 the stencil models (IID noise, the max-moving averages) and their mixtures
 read them off their spectral atoms, on the ``lattice`` regions that
 ``theta_from_tail_samples`` reads too.
+
+The finite-window estimators are functions of the level u_n, with
+n P(|X(0)| > u_n) = tau (``level_u``).  The block and run estimators take
+u from the caller, as ``MaxLinear.run_index`` does; only the classical
+index keeps (n, tau), since its formula -log P(M_n <= u) / tau divides
+by tau.
 """
 
 from __future__ import annotations
@@ -101,24 +107,21 @@ def theta_classical_empirical(
 
 def theta_block_empirical(
     spec: Model,
-    n: Sequence[int],
     r: Sequence[int],
-    tau: float,
+    u: float,
     n_replicates: int,
     rng: RngStream,
     chunk: int = 2048,
     threads: int = 1,
 ) -> MCEstimate:
-    """Block extremal index: exceedance rate of block maxima over blocks.
+    """Block extremal index at level u: exceedance rate of block maxima
+    over blocks.
 
     Estimates P(M_X([0:r-1]) > u) by simulation; the denominator
     (prod r) P(|X(0)| > u) uses the exact marginal.  The block maxima come
     from ``block_max_batch`` as in ``theta_classical_empirical``.
     """
-    n, r = as_point(n), as_point(r)
-    if any(a >= b for a, b in zip(r, n)):
-        raise ValueError("need r < n componentwise")
-    u = level_u(spec, n, tau)
+    r = as_point(r)
     window = pos_block(r)
 
     def work(start, count, stream):
@@ -138,30 +141,27 @@ def theta_run_empirical(
     spec: Model,
     corner: Sequence[int],
     r: Sequence[int],
-    n: Sequence[int],
-    tau: float,
+    u: float,
     n_replicates: int,
     rng: RngStream,
     chunk: int = 2048,
     threads: int = 1,
 ) -> MCEstimate:
-    """Run extremal index at a hypercube corner.
+    """Run extremal index at a hypercube corner, at level u.
 
-    Conditions on an exceedance at the corner vertex of the block
+    Conditions on an exceedance of u at the corner vertex of the block
     [0:r-1] and estimates the probability of no other exceedance inside
     the block, over ``n_replicates`` maxima of the block minus the corner
     drawn given that exceedance by ``run_max_batch``: max-linear models
     and their mixtures draw them from their law, other models build the
     conditional fields (a ``TypeError`` for a model without an exact
-    conditional sampler).  For max-linear models ``MaxLinear.run_index``
-    gives the exact value.
+    conditional sampler).  For max-linear models
+    ``MaxLinear.run_index(pos_block(r), corner_point(corner, r), u)`` gives
+    the exact value.
     """
-    corner, r, n = as_point(corner), as_point(r), as_point(n)
+    corner, r = as_point(corner), as_point(r)
     if any(x < 2 for x in r):
         raise ValueError("need r >= 2 componentwise")
-    if any(a >= b for a, b in zip(r, n)):
-        raise ValueError("need r < n componentwise")
-    u = level_u(spec, n, tau)
     window = pos_block(r)
     cpt = corner_point(corner, r)
 

@@ -101,10 +101,9 @@ class TestCriterion03RunEmpirical:
     def test_run_estimator_reproduces_corners(self):
         rng = RngStream(9301)
         worst = 0.0
+        u = level_u(MMA, (400, 400), 1.0)
         for i, corner in enumerate(ALL_CORNERS):
-            est = theta_run_empirical(
-                MMA, corner, (20, 20), (400, 400), 1.0, 2500, rng.lane(i)
-            )
+            est = theta_run_empirical(MMA, corner, (20, 20), u, 2500, rng.lane(i))
             exact = float(MMA.exact_indices()[corner])
             worst = max(worst, abs(est.value - exact))
         record(
@@ -296,8 +295,8 @@ class TestCriterion10ClusterLaplace:
 
 class TestCriterion11Anticluster:
     def test_local_interaction_dies_fast(self):
-        rows = check_anticluster(MMA, (6, 6), 1.0, [1, 2], 60_000,
-                                 RngStream(9111), n=(300, 300))
+        rows = check_anticluster(MMA, (6, 6), level_u(MMA, (300, 300), 1.0), [1, 2],
+                                 60_000, RngStream(9111))
         record(
             "criterion-11a anti-clustering (local interaction)",
             rows[2].value <= 0.005,
@@ -312,7 +311,8 @@ class TestCriterion11Anticluster:
             gamma=lambda t: 2 * s2 * (1 - math.exp(-(t[0] ** 2 + t[1] ** 2) / 8.0)),
             sigma2=lambda t: s2,
         )
-        rows = check_anticluster(BrownResnick(variogram=vg), (6, 6), 1.0,
+        spec = BrownResnick(variogram=vg)
+        rows = check_anticluster(spec, (6, 6), level_u(spec, (36, 36), 1.0),
                                  [1, 2, 3, 4], 20_000, RngStream(9112))
         floor = 2 * stats.norm.cdf(-math.sqrt(s2))
         vals = [r.value for r in rows.values()]

@@ -11,9 +11,10 @@ from pathlib import Path
 import pytest
 
 import tailfields
+import tailfields.extremal
 from tailfields.cli import main
-from tailfields.extremal import theta_run_empirical
-from tailfields.models import MaxMovingAverage, Mixture, model_digest
+from tailfields.extremal import level_u, theta_run_empirical
+from tailfields.models import MaxMovingAverage, Mixture, corners, model_digest
 from tailfields.rng import RngStream
 
 
@@ -178,8 +179,9 @@ class TestAnyModelIndices:
         emp = index_table(out)
         assert list(emp) == [
             ("classical", ""), ("run", "00"), ("run", "01"), ("run", "10"), ("run", "11")]
-        est = theta_run_empirical(MaxMovingAverage(a=(0.6, 0.2, 0.6, 0.1)), (0, 1),
-                                  (10, 10), (50, 50), 1.0, 300, RngStream(4).lane(2 + 2))
+        spec = MaxMovingAverage(a=(0.6, 0.2, 0.6, 0.1))
+        est = theta_run_empirical(spec, (0, 1), (10, 10), level_u(spec, (50, 50), 1.0), 300,
+                                  RngStream(4).lane(2 + 2))
         assert emp[("run", "01")] == (est.value, est.se)
 
     def test_path_runs_like_the_name(self, capsys, tmp_path):
@@ -221,6 +223,43 @@ class TestAnyModelIndices:
             code, _, err = run_cli(["tailfield", "--model", str(cfg)], capsys)
             assert code == 2
             assert err.startswith(f"error: cannot load a model from {cfg}: {kind}")
+
+
+class TestMmaEmpiricalLevel:
+    """mma-empirical finds the level u once and passes it to its run rows."""
+
+    ARGV = ["mma-empirical", "--model", "mma2", "--n", "50,50", "--r", "10,10",
+            "--tau", "2", "--replicates", "300", "--seed", "6"]
+
+    def test_two_bisections_per_command(self, capsys, monkeypatch):
+        # one for the u column, one inside the classical estimator
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return level_u(*args)
+
+        monkeypatch.setattr(tailfields.cli, "level_u", counted)
+        monkeypatch.setattr(tailfields.extremal, "level_u", counted)
+        code, _, _ = run_cli(self.ARGV, capsys)
+        assert code == 0
+        assert len(calls) == 2
+
+    def test_run_rows_are_the_estimator_at_the_printed_level(self, capsys):
+        code, out, _ = run_cli(self.ARGV, capsys)
+        assert code == 0
+        spec = MaxMovingAverage(a=(0.6, 0.2, 0.6, 0.1))
+        u = level_u(spec, (50, 50), 2.0)
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert {row["u"] for row in rows} == {repr(u)}
+        emp = index_table(out)
+        for i, corner in enumerate(corners(2)):
+            est = theta_run_empirical(spec, corner, (10, 10), u, 300, RngStream(6).lane(2 + i))
+            assert emp[("run", "".join(map(str, corner)))] == (est.value, est.se)
+
+    def test_r_not_below_n_keeps_its_message(self, capsys):
+        code, out, err = run_cli(["mma-empirical", "--n", "20,20", "--r", "30,30"], capsys)
+        assert (code, out, err) == (2, "", "error: need r < n componentwise\n")
 
 
 class TestDeterminism:

@@ -310,9 +310,10 @@ class TestCrossMethod:
 
 class TestAnticluster:
     def test_iid_matches_independence_oracle(self):
-        rows = check_anticluster(IIDFrechet(1.0), (6, 6), 1.0, [1, 2, 3, 4],
+        u = level_u(IIDFrechet(1.0), (36, 36), 1.0)
+        rows = check_anticluster(IIDFrechet(1.0), (6, 6), u, [1, 2, 3, 4],
                                  60_000, RngStream(505))
-        p = 1 - math.exp(-1 / level_u(IIDFrechet(1.0), (36, 36), 1.0))
+        p = 1 - math.exp(-1 / u)
         for m, row in rows.items():
             region = 121 - (2 * m + 1) ** 2
             oracle = 1 - (1 - p) ** region
@@ -321,8 +322,8 @@ class TestAnticluster:
     def test_mma_dies_at_radius_two(self):
         # the stencil reaches at most two steps from the origin; with a high
         # level the profile at M=2 is pure background
-        rows = check_anticluster(MMA, (6, 6), 1.0, [1, 2], 60_000,
-                                 RngStream(506), n=(300, 300))
+        rows = check_anticluster(MMA, (6, 6), level_u(MMA, (300, 300), 1.0), [1, 2],
+                                 60_000, RngStream(506))
         assert rows[1].value > 0.3  # genuine cluster mass at M=1
         assert rows[2].value <= 0.005
 
@@ -333,7 +334,8 @@ class TestAnticluster:
             gamma=lambda t: 2 * s2 * (1 - math.exp(-(t[0] ** 2 + t[1] ** 2) / 8.0)),
             sigma2=lambda t: s2,
         )
-        rows = check_anticluster(BrownResnick(variogram=vg), (6, 6), 1.0,
+        spec = BrownResnick(variogram=vg)
+        rows = check_anticluster(spec, (6, 6), level_u(spec, (36, 36), 1.0),
                                  [1, 2, 3, 4], 20_000, RngStream(507))
         floor = 2 * ndtr(-math.sqrt(s2))
         assert list(rows) == [1, 2, 3, 4]
@@ -341,15 +343,18 @@ class TestAnticluster:
             assert row.value >= floor * (1 - 0.05)
 
     def test_br_fbm_profile_decays(self):
-        rows = check_anticluster(BrownResnick(variogram=AdditiveFBM((0.7, 0.7))),
-                                 (6, 6), 1.0, [1, 2, 3, 4], 20_000, RngStream(508))
+        spec = BrownResnick(variogram=AdditiveFBM((0.7, 0.7)))
+        rows = check_anticluster(spec, (6, 6), level_u(spec, (36, 36), 1.0),
+                                 [1, 2, 3, 4], 20_000, RngStream(508))
         assert rows[1].value > rows[4].value
 
     def test_unsupported_model(self):
         with pytest.raises(TypeError):
-            check_anticluster(CounterexampleField(1.0), (4, 4), 1.0, [1], 100,
+            spec = CounterexampleField(1.0)
+            check_anticluster(spec, (4, 4), level_u(spec, (16, 16), 1.0), [1], 100,
                               RngStream(0))
 
     def test_m_list_validation(self):
         with pytest.raises(ValueError):
-            check_anticluster(MMA, (4, 4), 1.0, [1, 4], 100, RngStream(0))
+            check_anticluster(MMA, (4, 4), level_u(MMA, (16, 16), 1.0), [1, 4], 100,
+                              RngStream(0))

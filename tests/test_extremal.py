@@ -252,9 +252,9 @@ class TestAtomLaw:
         n, r = (400, 400), (20, 20)
         ests = {"classical": theta_classical_empirical(spec, n, 1.0, 20_000, rng.lane(0),
                                                       chunk=2048)}
+        u = level_u(spec, n, 1.0)
         for i, corner in enumerate(ALL_CORNERS):
-            ests[corner] = theta_run_empirical(spec, corner, r, n, 1.0, 20_000,
-                                               rng.lane(1 + i))
+            ests[corner] = theta_run_empirical(spec, corner, r, u, 20_000, rng.lane(1 + i))
         for key, est in ests.items():
             assert abs(est.value - float(exact[key])) <= 4 * est.se, key
 
@@ -262,40 +262,41 @@ class TestAtomLaw:
 class TestRunEstimator:
     def test_mma_all_corners(self):
         rng = RngStream(301)
+        u = level_u(MMA, (400, 400), 1.0)
         for i, corner in enumerate(ALL_CORNERS):
-            est = theta_run_empirical(MMA, corner, (20, 20), (400, 400), 1.0,
-                                      4000, rng.lane(i))
+            est = theta_run_empirical(MMA, corner, (20, 20), u, 4000, rng.lane(i))
             exact = float(MMA.exact_indices()[corner])
             assert abs(est.value - exact) <= max(3.5 * est.se, 0.03)
 
     def test_iid_no_clustering(self):
-        est = theta_run_empirical(IIDFrechet(1.0), (0, 0), (10, 10), (100, 100),
-                                  1.0, 4000, RngStream(302))
+        u = level_u(IIDFrechet(1.0), (100, 100), 1.0)
+        est = theta_run_empirical(IIDFrechet(1.0), (0, 0), (10, 10), u, 4000, RngStream(302))
         assert est.value == pytest.approx(1.0, abs=0.02)
 
     def test_r_validation(self):
         with pytest.raises(ValueError):
-            theta_run_empirical(MMA, (0, 0), (1, 5), (50, 50), 1.0, 100, RngStream(0))
+            theta_run_empirical(MMA, (0, 0), (1, 5), level_u(MMA, (50, 50), 1.0), 100,
+                                RngStream(0))
 
     def test_brown_resnick_matches_rejection(self):
         # the exact conditional route against rejection from built fields
         spec = BrownResnick(variogram=AdditiveFBM((0.5, 0.5)))
         r, n = (3, 3), (6, 6)
-        est = theta_run_empirical(spec, (0, 0), r, n, 1.0, 20_000, RngStream(321))
         u = level_u(spec, n, 1.0)
+        est = theta_run_empirical(spec, (0, 0), r, u, 20_000, RngStream(321))
         x = field_batch(spec, pos_block(r), 300_000, RngStream(322).generator())
         x = x[x[:, 0, 0] > u].reshape(-1, 9)[:, 1:]
         rej = MCEstimate.proportion(int((x.max(axis=1) <= u).sum()), len(x))
         assert abs(est.value - rej.value) <= 4 * math.hypot(est.se, rej.se)
-        two = theta_run_empirical(spec, (0, 0), r, n, 1.0, 20_000, RngStream(321),
-                                  threads=2)
+        two = theta_run_empirical(spec, (0, 0), r, u, 20_000, RngStream(321), threads=2)
         assert two == est
 
     def test_model_without_sampler_raises(self):
         # the parity field has no exact conditional sampler
+        spec = CounterexampleField(1.0)
         with pytest.raises(TypeError, match="CounterexampleField"):
-            theta_run_empirical(CounterexampleField(1.0), (0, 0), (4, 4),
-                                (200, 200), 1.0, 2000, RngStream(303))
+            theta_run_empirical(spec, (0, 0), (4, 4), level_u(spec, (200, 200), 1.0), 2000,
+                                RngStream(303))
 
 
 # 1-D stencil of scripts/stencil-1d.json
@@ -320,8 +321,7 @@ class TestRunFromTheLaw:
         for i, (corner, value) in enumerate(expect.items()):
             exact = MMA.run_index(pos_block((20, 20)), corner_point(corner, (20, 20)), u)
             assert exact == pytest.approx(value, abs=5e-7)
-            est = theta_run_empirical(MMA, corner, (20, 20), (200, 200), 1.0, 200_000,
-                                      rng.lane(i))
+            est = theta_run_empirical(MMA, corner, (20, 20), u, 200_000, rng.lane(i))
             assert abs(est.value - exact) <= 4 * est.se, corner
 
     @pytest.mark.parametrize("spec, corner, r, n", [
@@ -330,8 +330,9 @@ class TestRunFromTheLaw:
         (MaxLinear(MMA.stencil, alpha=1.5), (1, 0), (20, 20), (200, 200)),
     ], ids=["stencil-1d", "iid-alpha-2", "mma-alpha-1.5"])
     def test_finite_window_values(self, spec, corner, r, n):
-        exact = spec.run_index(pos_block(r), corner_point(corner, r), level_u(spec, n, 1.0))
-        est = theta_run_empirical(spec, corner, r, n, 1.0, 200_000, RngStream(342))
+        u = level_u(spec, n, 1.0)
+        exact = spec.run_index(pos_block(r), corner_point(corner, r), u)
+        est = theta_run_empirical(spec, corner, r, u, 200_000, RngStream(342))
         assert 0.0 < exact < 1.0
         assert abs(est.value - exact) <= 4 * est.se
 
@@ -346,28 +347,25 @@ class TestRunFromTheLaw:
         by_hand = x.max(axis=1)
         m = run_max_batch(spec, window, point, u, count, RngStream(343).substream(0).generator())
         assert np.array_equal(m, by_hand)
-        est = theta_run_empirical(spec, (1, 0), r, n, 1.0, count, RngStream(343), chunk=count)
+        est = theta_run_empirical(spec, (1, 0), r, u, count, RngStream(343), chunk=count)
         assert est == MCEstimate.proportion(int((by_hand <= u).sum()), count)
 
     @pytest.mark.parametrize("spec", [MMA, UNEQUAL], ids=["mma", "unequal-mixture"])
     def test_threads_keep_the_bytes(self, spec):
-        args = (spec, (0, 1), (20, 20), (200, 200), 1.0, 5000, RngStream(344))
+        args = (spec, (0, 1), (20, 20), level_u(spec, (200, 200), 1.0), 5000, RngStream(344))
         one = theta_run_empirical(*args, chunk=1024)
         assert theta_run_empirical(*args, chunk=1024, threads=2) == one
 
     def test_memory_is_not_the_block(self):
         # building the conditioned blocks took a traced peak of about 180 MB
+        u = level_u(MMA, (600, 600), 1.0)
         tracemalloc.start()
         try:
-            theta_run_empirical(MMA, (0, 0), (60, 60), (600, 600), 1.0, 2048, RngStream(345))
+            theta_run_empirical(MMA, (0, 0), (60, 60), u, 2048, RngStream(345))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 5e6
-
-    def test_r_must_be_below_n(self):
-        with pytest.raises(ValueError, match="need r < n componentwise"):
-            theta_run_empirical(MMA, (0, 0), (30, 30), (20, 20), 1.0, 100, RngStream(0))
 
 
 class TestMixtureFiniteWindow:
@@ -393,7 +391,7 @@ class TestMixtureFiniteWindow:
         rng = RngStream(seed)
         for est, exact in [
             (theta_classical_empirical(spec, n, 1.0, 200_000, rng.lane(0)), classical),
-            (theta_block_empirical(spec, n, r, 1.0, 200_000, rng.lane(1)), block),
+            (theta_block_empirical(spec, r, u, 200_000, rng.lane(1)), block),
         ]:
             assert abs(est.value - exact) <= 4 * est.se
 
@@ -442,17 +440,13 @@ class TestBlockEstimator:
         # the paper-level claim: the finite-geometry value is within .03 of the
         # limit, which equals the classical index 0.4
         assert abs(theta_exact - 0.4) <= 0.03
-        est = theta_block_empirical(MMA, n, r, tau, 120_000, RngStream(307))
+        est = theta_block_empirical(MMA, r, u, 120_000, RngStream(307))
         assert abs(est.value - theta_exact) <= 3 * est.se
 
     def test_iid_is_one(self):
-        est = theta_block_empirical(IIDFrechet(1.0), (100, 100), (10, 10), 1.0,
-                                    120_000, RngStream(308))
+        u = level_u(IIDFrechet(1.0), (100, 100), 1.0)
+        est = theta_block_empirical(IIDFrechet(1.0), (10, 10), u, 120_000, RngStream(308))
         assert abs(est.value - 1.0) <= max(3 * est.se, 0.05)
-
-    def test_geometry_validation(self):
-        with pytest.raises(ValueError):
-            theta_block_empirical(MMA, (10, 10), (10, 10), 1.0, 100, RngStream(0))
 
 
 class TestTailSampleIndices:
@@ -470,10 +464,10 @@ class TestTailSampleIndices:
         tails = estimate_tail_field(MMA, centered_box(2, 2), 1_000_000,
                                     RngStream(320), q=0.999)
         rng = RngStream(309)
+        u = level_u(MMA, (400, 400), 1.0)
         for i, corner in enumerate(ALL_CORNERS):
             tf, _ = theta_from_tail_samples(tails, OrthantRegion(corner, 2))
-            run = theta_run_empirical(MMA, corner, (20, 20), (400, 400), 1.0,
-                                      4000, rng.lane(i))
+            run = theta_run_empirical(MMA, corner, (20, 20), u, 4000, rng.lane(i))
             z = abs(tf.value - run.value) / math.hypot(tf.se, run.se)
             assert z <= 3.5
 
@@ -602,7 +596,7 @@ class TestBrBlockEstimatorCrossMethod:
         spec = BrownResnick(variogram=vg)
         n, r, tau = (32, 32), (4, 4), 1.0
         u = level_u(spec, n, tau)
-        est = theta_block_empirical(spec, n, r, tau, 12_000, RngStream(330))
+        est = theta_block_empirical(spec, r, u, 12_000, RngStream(330))
         sampler = GaussianFieldSampler(vg, list(pos_block(r).points()))
         w = sampler.draw(400_000, RngStream(331).generator())
         m = np.exp(w - 0.5 * sampler.sigma2).max(axis=1)
