@@ -195,8 +195,8 @@ class MaxLinear(_MaxStable):
     _exponents: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         st = tuple(
             (tuple(int(x) for x in o), float(w)) for o, w in dict(self.stencil).items()
         )
@@ -451,8 +451,8 @@ class CounterexampleField(Model):
     dim = 2
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
 
     def exceed_prob(self, u: float) -> float:
         return min(1.0, u ** -self.alpha)
@@ -503,8 +503,8 @@ class Mixture(Model):
 
     def __post_init__(self):
         comps = tuple((float(w), m) for w, m in self.components)
-        if not comps or any(w < 0 for w, _ in comps):
-            raise ValueError("component weights must be nonnegative")
+        if not comps or not all(0 <= w < math.inf for w, _ in comps):
+            raise ValueError("component weights must be nonnegative and finite")
         if abs(sum(w for w, _ in comps) - 1.0) > 1e-12:
             raise ValueError("mixture weights must sum to 1")
         if len({m.dim for _, m in comps} - {None}) > 1:

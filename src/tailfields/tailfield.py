@@ -256,7 +256,7 @@ def br_tail_fdd_mc(
     yv = np.asarray(y, dtype=float)
     if yv.ndim == 0:
         yv = np.full(len(pts), float(yv))
-    if len(yv) != len(pts) or np.any(yv <= 0):
+    if len(yv) != len(pts) or not np.all(yv > 0):
         raise ValueError("need one positive level per point")
     return _exponent_gap(variogram, pts, yv, [True], n_mc, rng, chunk)[0]
 

@@ -520,6 +520,12 @@ class TestRejectedInputs:
             ["counterexample", "--alpha", "0"],
             ["counterexample", "--alpha", "-1", "--ranks", "9"],
             ["verify", "counterexample", "--alpha", "0"],
+            ["counterexample", "--alpha", "nan"],
+            ["counterexample", "--alpha", "inf"],
+            ["verify", "counterexample", "--alpha", "nan"],
+            ["br-tailcdf", "--y", "nan"],
+            ["mma-theta", "--model", "{tmp}/alpha-nan.json"],
+            ["tailfield", "--model", "{tmp}/mixture-weight-nan.json"],
             ["br-tailcdf", "--point", "2"],
             ["br-theta", "--hurst", "0.5,0.5,0.2"],
             ["verify", "pareto-root", "--model", "corrupted"],
@@ -564,6 +570,11 @@ class TestRejectedInputs:
         write_config(tmp_path, "list-variogram.json",
                      {"variant": "BrownResnick", "variogram": [0.5]})
         (tmp_path / "not-json.json").write_text("{variant")
+        write_config(tmp_path, "alpha-nan.json", {"variant": "IIDFrechet", "alpha": math.nan})
+        write_config(tmp_path, "mixture-weight-nan.json", {"variant": "Mixture", "components": [
+            {"weight": w, "model": {"variant": "IIDFrechet", "alpha": 1.0}}
+            for w in (math.nan, 0.5)
+        ]})
         argv = [a.format(tmp=tmp_path) for a in argv]
         code, out, err = run_cli(argv, capsys)
         assert code == 2 and out == ""

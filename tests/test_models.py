@@ -218,6 +218,12 @@ def test_iid_alpha_kept_as_given():
     [
         (lambda: IIDFrechet(alpha=0.0), "alpha must be positive"),
         (lambda: MaxLinear(MMA.stencil, alpha=-1.0), "alpha must be positive"),
+        (lambda: IIDFrechet(alpha=math.nan), "alpha must be positive and finite, got nan"),
+        (lambda: MaxLinear(MMA.stencil, alpha=math.inf),
+         "alpha must be positive and finite, got inf"),
+        (lambda: CounterexampleField(alpha=math.nan), "alpha must be positive and finite"),
+        (lambda: Mixture(((math.nan, MMA), (0.5, MMA))),
+         "component weights must be nonnegative and finite"),
         (lambda: MaxMovingAverage(a=(0.1, 0.7, 0.6)), "need exactly four weights"),
         (lambda: MaxMovingAverage(a=(1.3, 0.0, 0.0, 0.0)),
          r"stencil weight 1.3 at offset \(-1, -1\) outside \[0,1\]"),
@@ -229,7 +235,8 @@ def test_iid_alpha_kept_as_given():
         (lambda: GeneralMaxMovingAverage(stencil=(((1,), -0.5),)),
          r"stencil weight -0.5 at offset \(1,\) outside \[0,1\]"),
     ],
-    ids=["iid-alpha", "max-linear-alpha", "three-weights", "mma-weight", "empty",
+    ids=["iid-alpha", "max-linear-alpha", "iid-alpha-nan", "max-linear-alpha-inf",
+         "counterexample-alpha-nan", "mixture-weight-nan", "three-weights", "mma-weight", "empty",
          "zero-offset", "mixed-dims", "general-weight"],
 )
 def test_constructors_keep_their_messages(build, message):

@@ -101,6 +101,15 @@ class TestChangeOfTime:
         assert shifts == {"shift(1, 0, 0)", "shift(0, 1, 0)", "shift(0, 0, 1)",
                           "shift(1, 1, 1)"}
 
+    def test_1d_checks_each_shift_once(self):
+        # in 1-D the unit shift is the all-ones shift
+        spec = GeneralMaxMovingAverage(stencil=(((1,), 0.5), ((-2,), 0.8)))
+        run = run_change_of_time_check(spec, RngStream(614), q=0.99,
+                                       n_replicates=20_000, lag_radius=2)
+        ids = [c.check_id for c in run.checks]
+        assert len(ids) == len(set(ids)) == 3
+        assert {i.partition("-")[0] for i in ids} == {"shift(1,)"}
+
 
 class TestRsInvariance:
     def test_mma_passes(self):
@@ -198,7 +207,7 @@ class TestCounterexample:
         with pytest.raises(ValueError):
             CounterexampleField(1.0).scaled_box_prob(0, 100, RngStream(0))
 
-    @pytest.mark.parametrize("alpha", [0.0, -1.0])
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])
     def test_alpha_validation(self, alpha):
         with pytest.raises(ValueError, match="alpha must be positive"):
             CounterexampleField(alpha)
