@@ -7,9 +7,8 @@ closed-form mma-theta take --seed.  One flag, --model, picks the model:
 a ``NAMED_MODELS`` name first, else the path of a JSON model config.  The
 index commands serve any model (the benchmark's workloads fix their mma-
 names): mma-theta prints its exact indices, mma-empirical estimates them
-at each corner of the --n window's dimension.  mma-empirical finds the
-level u of --n and --tau once, prints it, and passes it to its run rows;
-it rejects an --r not below --n componentwise.
+at each corner of the --n window's dimension, all at the one level u of
+--n and --tau that it prints.
 --threads (default 1) is taken by mma-empirical, br-theta, br-fig1,
 tailfield and cluster-laplace, whose outputs are byte-identical at any
 value; BLAS runs on one thread per worker.  tailfield writes CSV only;

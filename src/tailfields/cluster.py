@@ -195,12 +195,11 @@ def check_anticluster(
     """Profile of P(an exceedance of u occurs in R_r beyond the box |t| <= M,
     given an exceedance at the origin), as a proportion keyed by M.
 
-    A decreasing-to-zero profile is the anti-clustering diagnostic; the
-    paper's level is u_n for a window n with n_l >> r_l, such as
-    ``level_u(spec, n, tau)`` at n_l = r_l^2.  The excluded region is the
-    centered box of sup-norm radius M.  Fields are drawn given the
-    exceedance by ``conditional_field_batch`` (a ``TypeError`` for a model
-    without an exact conditional sampler).
+    A decreasing-to-zero profile, at the level u_n of a window n >> r, is
+    the anti-clustering diagnostic.  The excluded region is the centered
+    box of sup-norm radius M.  Fields are drawn given the exceedance by
+    ``conditional_field_batch`` (a ``TypeError`` for a model without an
+    exact conditional sampler).
     """
     r = as_point(r)
     M_list = [int(m) for m in M_list]
@@ -208,6 +207,8 @@ def check_anticluster(
         raise ValueError("M_list must be increasing")
     if M_list and M_list[-1] >= min(r):
         raise ValueError("max(M_list) must stay below min(r)")
+    if not 0 < u < math.inf:
+        raise ValueError(f"level u={u} must be positive and finite")
     window = sym_block(r)
     radius = np.abs(window.point_array()).max(axis=1)
     masks = {m: radius > m for m in M_list}

@@ -7,11 +7,9 @@ the stencil models (IID noise, the max-moving averages) and their mixtures
 read them off their spectral atoms, on the ``lattice`` regions that
 ``theta_from_tail_samples`` reads too.
 
-The finite-window estimators are functions of the level u_n, with
-n P(|X(0)| > u_n) = tau (``level_u``).  The block and run estimators take
-u from the caller, as ``MaxLinear.run_index`` does; only the classical
-index keeps (n, tau), since its formula -log P(M_n <= u) / tau divides
-by tau.
+The block and run estimators take the level u from the caller, as
+``MaxLinear.run_index`` does; ``level_u`` solves n P(|X(0)| > u) = tau
+for it.  Only the classical index keeps (n, tau): -log P(M_n <= u) / tau.
 """
 
 from __future__ import annotations
@@ -114,13 +112,14 @@ def theta_block_empirical(
     chunk: int = 2048,
     threads: int = 1,
 ) -> MCEstimate:
-    """Block extremal index at level u: exceedance rate of block maxima
-    over blocks.
+    """Block extremal index: exceedance rate of block maxima over blocks.
 
     Estimates P(M_X([0:r-1]) > u) by simulation; the denominator
     (prod r) P(|X(0)| > u) uses the exact marginal.  The block maxima come
     from ``block_max_batch`` as in ``theta_classical_empirical``.
     """
+    if not 0 < u < math.inf:
+        raise ValueError(f"level u={u} must be positive and finite")
     r = as_point(r)
     window = pos_block(r)
 
@@ -155,13 +154,14 @@ def theta_run_empirical(
     drawn given that exceedance by ``run_max_batch``: max-linear models
     and their mixtures draw them from their law, other models build the
     conditional fields (a ``TypeError`` for a model without an exact
-    conditional sampler).  For max-linear models
-    ``MaxLinear.run_index(pos_block(r), corner_point(corner, r), u)`` gives
-    the exact value.
+    conditional sampler).  For max-linear models ``MaxLinear.run_index``
+    gives the exact value.
     """
     corner, r = as_point(corner), as_point(r)
     if any(x < 2 for x in r):
         raise ValueError("need r >= 2 componentwise")
+    if not 0 < u < math.inf:
+        raise ValueError(f"level u={u} must be positive and finite")
     window = pos_block(r)
     cpt = corner_point(corner, r)
 

@@ -112,9 +112,8 @@ def run_change_of_time_check(
     zero_tol: float = 0.05,
 ) -> VerificationRun:
     """Both sides of the shift identity must agree for every g and every
-    shift: the unit vectors and the diagonal, (1, 0), (0, 1) and (1, 1) in
-    two dimensions; in one, the unit vector is the diagonal and is checked
-    once.
+    distinct shift among the unit vectors and the diagonal: (1, 0), (0, 1)
+    and (1, 1) in two dimensions, (1,) alone in one.
 
     The pass band is max(identity_sigmas * paired se, identity_floor):
     the floor reflects that both sides are estimated at a finite

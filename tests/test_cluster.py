@@ -354,6 +354,11 @@ class TestAnticluster:
             check_anticluster(spec, (4, 4), level_u(spec, (16, 16), 1.0), [1], 100,
                               RngStream(0))
 
+    @pytest.mark.parametrize("u", [math.nan, 0.0, -1.0, math.inf])
+    def test_level_validation(self, u):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            check_anticluster(MMA, (4, 4), u, [1], 100, RngStream(0))
+
     def test_m_list_validation(self):
         with pytest.raises(ValueError):
             check_anticluster(MMA, (4, 4), level_u(MMA, (16, 16), 1.0), [1, 4], 100,

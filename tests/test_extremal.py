@@ -299,6 +299,17 @@ class TestRunEstimator:
                                 RngStream(303))
 
 
+@pytest.mark.parametrize("u", [math.nan, 0.0, -1.0, math.inf])
+def test_estimators_reject_a_level_that_is_not_positive_and_finite(u):
+    # the run and block estimators take u from the caller
+    for estimate in (
+        lambda: theta_run_empirical(MMA, (0, 0), (5, 5), u, 100, RngStream(0)),
+        lambda: theta_block_empirical(MMA, (5, 5), u, 100, RngStream(0)),
+    ):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            estimate()
+
+
 # 1-D stencil of scripts/stencil-1d.json
 STENCIL_1D = GeneralMaxMovingAverage(stencil=(((1,), 0.5), ((-2,), 0.8)))
 
