@@ -190,7 +190,6 @@ def check_anticluster(
     M_list: Sequence[int],
     n_replicates: int,
     rng: RngStream,
-    chunk: int = 4096,
 ) -> dict[int, MCEstimate]:
     """Profile of P(an exceedance of u occurs in R_r beyond the box |t| <= M,
     given an exceedance at the origin), as a proportion keyed by M.
@@ -219,7 +218,7 @@ def check_anticluster(
         hit = np.abs(x.reshape(count, -1)) > u
         return [int(hit[:, masks[m]].any(axis=1).sum()) for m in M_list]
 
-    parts = map_chunks(work, n_replicates, chunk, rng)
+    parts = map_chunks(work, n_replicates, 4096, rng)
     return {
         m: MCEstimate.proportion(sum(part[j] for part in parts), n_replicates)
         for j, m in enumerate(M_list)

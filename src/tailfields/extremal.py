@@ -109,7 +109,6 @@ def theta_block_empirical(
     u: float,
     n_replicates: int,
     rng: RngStream,
-    chunk: int = 2048,
     threads: int = 1,
 ) -> MCEstimate:
     """Block extremal index: exceedance rate of block maxima over blocks.
@@ -128,7 +127,7 @@ def theta_block_empirical(
         return int((m > u).sum())
 
     est = MCEstimate.proportion(
-        sum(map_chunks(work, n_replicates, chunk, rng, threads)), n_replicates
+        sum(map_chunks(work, n_replicates, 2048, rng, threads)), n_replicates
     )
     if est.value <= 0.0:
         raise DegenerateEstimateError("no block exceedances observed")
