@@ -8,7 +8,7 @@ the CLI output byte-identical:
 
     PYTHONPATH=src python scripts/cli_digests.py > digests.txt
 
-The 33 commands cover every subcommand, all four ``verify`` campaigns plus
+The 38 commands cover every subcommand, all four ``verify`` campaigns plus
 the corrupted negative control (``pareto-root`` also on IID noise and on
 ``stencil-1d.json``, so that the tags of all three stencil config formats
 are in the output; ``change-of-time`` also on ``stencil-1d.json``, whose
@@ -22,7 +22,14 @@ the exact-index command on three more models (``mma2``, ``mixture`` and a
 mixture of unequal classical indices read from ``mixture-unequal.json``),
 one empirical-index run on the 1-D stencil of ``stencil-1d.json`` and
 one on the max-moving average at alpha = 1.5 of ``mma-alpha15.json``, and
-one ``br-theta`` at a paper-scale truncation (``--trunc-m 200``).  The
+one ``br-theta`` at a paper-scale truncation (``--trunc-m 200``).  Five
+more reach the mixture and Brown-Resnick samplers that no command above
+runs: the empirical indices of the ``mixture`` model (block and run
+maxima of the component picked), of ``br-fbm`` (block and run maxima from
+built and conditioned fields) and of the Brown-Resnick and
+max-moving-average mixture of ``mixture-br.json`` (a component picked
+given the exceedance); ``tailfield`` on that mixture; and
+``cluster-laplace`` on ``br-fbm``, whose fields are built unconditioned.  The
 ``mma-empirical`` run rows are drawn from the law of the block's maximum
 off its corner, and the classical rows from the law of the block's
 maximum; neither builds a field.  The
@@ -115,6 +122,16 @@ COMMANDS = (
      "--r", "10,10", "--replicates", "400", "--seed", "28"],
     ["verify", "change-of-time", "--model", os.path.join(HERE, "stencil-1d.json"),
      "--replicates", "50000", "--seed", "29"],
+    ["mma-empirical", "--model", "mixture", "--n", "60,60", "--r", "6,6",
+     "--replicates", "300", "--seed", "30"],
+    ["mma-empirical", "--model", "br-fbm", "--n", "8,8", "--r", "3,3", "--replicates", "60",
+     "--seed", "31"],
+    ["mma-empirical", "--model", os.path.join(HERE, "mixture-br.json"), "--n", "8,8",
+     "--r", "3,3", "--replicates", "60", "--seed", "32"],
+    ["tailfield", "--model", os.path.join(HERE, "mixture-br.json"), "--lag-radius", "1",
+     "--q", "0.99", "--replicates", "6000", "--seed", "33"],
+    ["cluster-laplace", "--model", "br-fbm", "--n", "20,20", "--r", "10,10", "--fields", "4",
+     "--lag-radius", "1", "--q", "0.99", "--replicates", "6000", "--seed", "34"],
 )
 
 

@@ -364,6 +364,8 @@ def _tail_campaign(args, rng: RngStream) -> VerificationRun:
         if args.replicates is not None:
             # keep the retention requirement feasible for reduced runs
             q = opts.get("q", PARETO_ROOT_Q)
+            if not 0 < q < 1:  # before it sizes the retention requirement
+                raise ValueError("q must lie in (0,1)")
             opts["min_retained"] = min(5000, int(args.replicates * (1 - q) / 2))
         return run_pareto_root_check(spec, rng, **opts)
     if args.campaign == "change-of-time":

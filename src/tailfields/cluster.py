@@ -10,7 +10,7 @@ from typing import Sequence
 import numpy as np
 
 from .lattice import InvariantOrder, as_point, sym_block
-from .models import Model
+from .models import Model, check_level
 from .rng import RngStream, map_chunks
 from .simulate import conditional_field_batch
 from .tailfield import MCEstimate, TailBatch
@@ -206,8 +206,7 @@ def check_anticluster(
         raise ValueError("M_list must be increasing")
     if M_list and M_list[-1] >= min(r):
         raise ValueError("max(M_list) must stay below min(r)")
-    if not 0 < u < math.inf:
-        raise ValueError(f"level u={u} must be positive and finite")
+    check_level(u)
     window = sym_block(r)
     radius = np.abs(window.point_array()).max(axis=1)
     masks = {m: radius > m for m in M_list}

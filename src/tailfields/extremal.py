@@ -28,7 +28,7 @@ from .lattice import (
     pos_block,
 )
 from .gaussian import fbm_grid_batch, fbm_variance_table
-from .models import AdditiveFBM, MaxMovingAverage, Model
+from .models import AdditiveFBM, MaxMovingAverage, Model, check_level
 from .rng import RngStream, map_chunks
 from .simulate import block_max_batch, run_max_batch
 from .tailfield import MCEstimate, TailBatch, _exponent_gap, _gap_estimates
@@ -117,8 +117,7 @@ def theta_block_empirical(
     (prod r) P(|X(0)| > u) uses the exact marginal.  The block maxima come
     from ``block_max_batch`` as in ``theta_classical_empirical``.
     """
-    if not 0 < u < math.inf:
-        raise ValueError(f"level u={u} must be positive and finite")
+    check_level(u)
     r = as_point(r)
     window = pos_block(r)
 
@@ -159,8 +158,7 @@ def theta_run_empirical(
     corner, r = as_point(corner), as_point(r)
     if any(x < 2 for x in r):
         raise ValueError("need r >= 2 componentwise")
-    if not 0 < u < math.inf:
-        raise ValueError(f"level u={u} must be positive and finite")
+    check_level(u)
     window = pos_block(r)
     cpt = corner_point(corner, r)
 

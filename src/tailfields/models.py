@@ -4,8 +4,9 @@ Each model subclasses :class:`Model` and owns its facts, its config round
 trip and its samplers.  A new model must define
 
 * ``alpha``: the regular-variation index of the marginal norm;
-* ``exceed_prob(u)``: the exact P(|X(0)| > u) for u > 0, which the
-  level-setting and estimation code exploits;
+* ``exceed_prob(u)``: the exact P(|X(0)| > u) for a level u that
+  ``check_level`` passes (positive and finite), which the level-setting
+  and estimation code exploits;
 * ``fields(window, count, gen)``: a ``(count, *window.shape)`` batch of
   fields drawn from the NumPy generator ``gen``.
 
@@ -22,13 +23,12 @@ These members have defaults in :class:`Model`:
   defines it;
 * ``run_maxima(window, point, u, count, gen)``, the max of |X| over
   ``window`` minus ``point`` given |X(point)| > u, which builds the
-  conditional fields; ``MaxLinear`` draws it from the law and mixtures
-  ask the component picked given the exceedance;
+  conditional fields; ``MaxLinear`` draws it from the law;
 * ``exact_indices()``, the exact classical and per-corner run indices
   keyed by "classical" and the corner (in ``corners(lattice_dim)``
-  order), which raises ``CapabilityError``; ``MaxLinear`` reads them off
-  its spectral atoms in the private ``_exact_indices(dim)``, and mixtures
-  weight their components' tables in the mixture's dimension;
+  order): one formula over the spectral atoms of the private
+  ``_spectral_atoms(dim)``, which raises ``CapabilityError``; ``MaxLinear``
+  supplies its atoms, and a mixture its components' times their weights;
 * ``to_config()``, a dict whose "variant" names its format, which raises
   ``TypeError``.  ``MODEL_VARIANTS`` maps each variant to its loader, and
   ``model_tag`` prefixes the digest with it.
@@ -43,12 +43,14 @@ their names are the variants of its config formats.  A ``MaxLinear``
 computes its one-site scale and each window's exponent once and keeps
 them on the instance: a model is built for one command, whose level
 bisection and estimator chunks ask for the same values many times.
-A ``Mixture`` takes its roots and rows from its components' ``roots``, so
-only the counterexample, alone or as a component, builds its fields there.
+A ``Mixture`` draws every sample in one picker, ``_pick``: each
+replicate's component, then the components' draws through their
+``simulate`` entry points, in component order.  So only the
+counterexample, alone or as a component, builds its fields for roots.
 
-``CounterexampleField`` also states its rank-parity box law:
-``exact_box_prob(rank)`` and the importance sampler ``scaled_box_prob(rank,
-n_draws, rng)``.
+``CounterexampleField`` holds its whole law: the exchangeable ``pairs``
+behind its fields and its rank-parity box law, ``exact_box_prob(rank)``
+and the importance sampler ``scaled_box_prob(rank, n_draws, rng)``.
 
 The samplers are called through the ``simulate`` entry points, which check
 their arguments first.  Each draws only from ``gen``, so the same generator
@@ -114,14 +116,38 @@ class Model:
         return flat.max(axis=1)
 
     def exact_indices(self) -> dict:
-        return self._exact_indices(self.lattice_dim)
+        """P(sup over R of |Y| <= 1) = sum_k (m_k(0) - max over R of m_k)^+ /
+        sum_k m_k(0) over the atoms of ``_spectral_atoms``, for R the
+        half-space before the origin ("classical") and ``OrthantRegion(c, b)``
+        for corner c, b = max(1, 2 radius), beyond which no atom reaches."""
+        dim = self.lattice_dim
+        atoms, zero, b = self._spectral_atoms(dim), (0,) * dim, max(1, 2 * self.radius)
 
-    def _exact_indices(self, dim: int) -> dict:
-        """``exact_indices`` on Z^dim (dim fixed by the model where it has one)."""
+        def value(region):
+            pts = set(region.points())
+            mass = (max(m[zero] - max((v for t, v in m.items() if t in pts), default=0), 0)
+                    for m in atoms)
+            return sum(mass) / sum(m[zero] for m in atoms)
+
+        out = {"classical": value(HalfSpaceRegion(InvariantOrder(dim), b))}
+        return out | {c: value(OrthantRegion(c, b)) for c in corners(dim)}
+
+    def _spectral_atoms(self, dim: int) -> list[dict]:
+        """The tail field is R Theta, R Pareto(alpha) and Theta atom k with
+        probability P(K = k): one map per atom on Z^dim, from each lag t where
+        it is positive to m_k(t) = c P(K = k) |Theta_k(t)|^alpha, c = lim
+        u^alpha P(|X(0)| > u)."""
         raise CapabilityError(f"no exact extremal indices for {type(self).__name__}")
 
     def to_config(self) -> dict:
         raise TypeError(f"unknown model {self!r}")
+
+
+def check_level(u: float) -> float:
+    """``u``, if it is a positive and finite level; else a ``ValueError``."""
+    if not 0 < u < math.inf:
+        raise ValueError(f"level u={u} must be positive and finite")
+    return u
 
 
 def _without(window, point) -> np.ndarray:
@@ -154,7 +180,7 @@ class _MaxStable(Model):
     _site_scale = 1.0
 
     def exceed_prob(self, u: float) -> float:
-        return -math.expm1(-((self._site_scale / u) ** self.alpha))
+        return -math.expm1(-((self._site_scale / check_level(u)) ** self.alpha))
 
     def roots(self, window, index, count: int, gen):
         roots = self._site_scale * simulate.frechet_of(gen.random(count), self.alpha)
@@ -258,9 +284,9 @@ class MaxLinear(_MaxStable):
         X(point) > u), from the exponents V of the window B, of B minus the
         point c and of c: [exp(-V_(B-c) u^-alpha) - exp(-V_B u^-alpha)] /
         (1 - exp(-V_c u^-alpha))."""
+        ua = check_level(u) ** -self.alpha
         rest = _without(window, point)
         v_rest, v_all = self.exponent(window, rest), self.exponent(window)
-        ua = u**-self.alpha
         return (math.exp(-v_rest * ua) * -math.expm1((v_rest - v_all) * ua)
                 / -math.expm1(-self.exponent(window, ~rest) * ua))
 
@@ -272,28 +298,16 @@ class MaxLinear(_MaxStable):
         rest = self._atoms(0)[1:]  # offsets unread; 1.0 is added last, as always
         return (1.0 + sum(w**self.alpha for _, w in rest)) ** (1 / self.alpha)
 
-    def _exact_indices(self, dim: int) -> dict:
-        """The spectral field at the point is atom k of ``_atoms`` (weight w_k),
-        Theta(t) = w(k - t) / w_k, with P(K = k) = w_k^alpha / S, S the sum of
-        the w_k^alpha.  So P(sup of |Y| over R <= 1) = sum_k (w_k^alpha -
-        m_k^alpha)^+ / S, m_k the largest w(k - t) on R: the half-space before
-        the origin for "classical" (1/S), ``OrthantRegion(c, max(1, 2 radius))``
-        for corner c in ``corners(dim)``; ``Fraction``s at integer alpha."""
+    def _spectral_atoms(self, dim: int) -> list[dict]:
+        """Atom k of ``_atoms`` (weight w_k) is Theta_k(t) = w(k - t) / w_k, with
+        P(K = k) = w_k^alpha / S, S the sum of the w_k^alpha and c = S, so
+        m_k(t) = w(k - t)^alpha: w_o^alpha at t = k - o for each atom o.
+        ``Fraction``s of the decimal weights at integer alpha."""
         a = self.alpha
-        integer = float(a).is_integer()  # then Fractions of the decimal weights
+        integer = float(a).is_integer()
         atoms = [(o, Fraction(str(w)) ** int(a) if integer else w**a)
                  for o, w in self._atoms(dim)]
-        total, b = sum(p for _, p in atoms), max(1, 2 * self.radius)
-
-        def value(region):
-            pts, mass = set(region.points()), 0
-            for k, pk in atoms:  # w(k - t) > 0 only at t = k - o, o an atom
-                m = [p for o, p in atoms if tuple(x - y for x, y in zip(k, o)) in pts]
-                mass += max(pk - max(m, default=0), 0)
-            return mass / total
-
-        out = {"classical": value(HalfSpaceRegion(InvariantOrder(dim), b))}
-        return out | {c: value(OrthantRegion(c, b)) for c in corners(dim)}
+        return [{tuple(x - y for x, y in zip(k, o)): p for o, p in atoms} for k, _ in atoms]
 
     def fields(self, window, count: int, gen) -> np.ndarray:
         return simulate.mma_batch(self, window, count, gen)
@@ -438,13 +452,27 @@ class BrownResnick(_MaxStable):
         return cls(variogram=AdditiveFBM(hurst=tuple(float(h) for h in vg["hurst"])))
 
 
+_MAX_RANK = 170  # largest m with m! representable as a float
+
+_FACTORIALS = np.array([float(math.factorial(m)) for m in range(1, _MAX_RANK + 1)])
+
+
+def factorial_rank(z: np.ndarray) -> np.ndarray:
+    """Index m >= 1 with a_m <= z < a_(m+1) for the boundaries a_m = m!.
+
+    Any float is below 171!, so the boundary table never overflows; block
+    arithmetic elsewhere works on the z/a_m ratio scale.
+    """
+    return np.searchsorted(_FACTORIALS, z, side="right")
+
+
 @dataclass(frozen=True)
 class CounterexampleField(Model):
     """Anti-diagonal parity field on Z^2 built from exchangeable Pareto pairs.
 
-    Each level set {t1 + t2 = c} carries an independent pair (Z1, Z2);
-    the coordinate used at t is chosen by the parity of t1.  Marginals
-    are standard Pareto(alpha) but joint regular variation fails.
+    Each level set {t1 + t2 = c} carries an independent pair (Z1, Z2) of
+    ``pairs``; the coordinate used at t is chosen by the parity of t1.
+    Marginals are standard Pareto(alpha) but joint regular variation fails.
     """
 
     alpha: float = 1.0
@@ -455,10 +483,41 @@ class CounterexampleField(Model):
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
 
     def exceed_prob(self, u: float) -> float:
-        return min(1.0, u ** -self.alpha)
+        return min(1.0, check_level(u) ** -self.alpha)
+
+    def _in_block(self, gen, m, shape) -> np.ndarray:
+        """Pareto(alpha) conditioned to [a_m, a_(m+1)), returned as Z / a_m; the
+        rank ``m`` is one number or an array of ``shape``."""
+        v = gen.random(shape)
+        ratio_tail = (m + 1.0) ** (-self.alpha)  # (a_(m+1)/a_m)^-alpha
+        return (1.0 - v * (1.0 - ratio_tail)) ** (-1.0 / self.alpha)
+
+    def pairs(self, count: int, gen) -> np.ndarray:
+        """``count`` exchangeable pairs (Z1, Z2), a (count, 2) array.
+
+        The latent variable Z is standard Pareto(alpha).  On odd factorial
+        blocks [a_(2n-1), a_(2n)) the pair is the diagonal (Z, Z); on even
+        blocks the coordinates are redrawn independently from the block's
+        conditional Pareto law, Z1 first.
+        """
+        z = (1.0 - gen.random(count)) ** (-1.0 / self.alpha)
+        m = factorial_rank(z)
+        out = np.empty((count, 2))
+        odd = (m % 2) == 1
+        out[odd, 0] = out[odd, 1] = z[odd]
+        even = m[~odd]
+        a_m = _FACTORIALS[even - 1]
+        out[~odd, 0] = self._in_block(gen, even, even.shape) * a_m
+        out[~odd, 1] = self._in_block(gen, even, even.shape) * a_m
+        return out
 
     def fields(self, window, count: int, gen) -> np.ndarray:
-        return simulate.counterexample_batch(self.alpha, window, count, gen)
+        """Z1 of each site's anti-diagonal pair at odd t1, Z2 at even t1."""
+        t1 = np.arange(window.lo[0], window.hi[0] + 1)[:, None]
+        diag = t1 + np.arange(window.lo[1], window.hi[1] + 1) - sum(window.lo)
+        n_diag = int(diag[-1, -1]) + 1  # the last site is on the last one
+        pairs = self.pairs(count * n_diag, gen).reshape(count, n_diag, 2)
+        return np.where(t1 % 2 == 1, pairs[:, diag, 0], pairs[:, diag, 1])
 
     def scaled_box_prob(self, rank: int, n_draws: int, rng):
         """Importance-sampled a_m^alpha P(a_m^-1 (Z1,Z2) in (1,2]^2) at rank m,
@@ -470,7 +529,7 @@ class CounterexampleField(Model):
         if rank < 1:
             raise ValueError("rank must be >= 1")
         weight = 1.0 - (rank + 1.0) ** (-self.alpha)  # a_m^alpha * P(Z in block m)
-        draws = simulate.pareto_in_block(rng.generator(), self.alpha, rank, (n_draws, 2))
+        draws = self._in_block(rng.generator(), rank, (n_draws, 2))
         if rank % 2 == 1:
             hit = draws[:, 0] <= 2.0  # diagonal block: both coordinates equal Z
         else:
@@ -528,66 +587,44 @@ class Mixture(Model):
     def exceed_prob(self, u: float) -> float:
         return sum(w * m.exceed_prob(u) for w, m in self.components)
 
-    def _exact_indices(self, dim: int) -> dict:
-        """The components' tables on Z^dim (the mixture's dimension, which a
-        dimensionless IID component takes on) weighted by pi_i ∝ w_i / theta_i,
-        theta_i the classical index of component i: theta_i s_i^alpha = 1 for
-        max-linear components, s_i the one-site scale, so pi is the law of the
-        component given an exceedance at a site (the mixture weights if
-        scales agree)."""
-        tables = [m._exact_indices(dim) for _, m in self.components]
-        pi = [Fraction(str(w)) / t["classical"] for (w, _), t in zip(self.components, tables)]
-        return {k: sum(p * t[k] for p, t in zip(pi, tables)) / sum(pi) for k in tables[0]}
+    def _spectral_atoms(self, dim: int) -> list[dict]:
+        """The components' atoms on Z^dim (which a dimensionless IID component
+        takes on) times their weights w_i: given an exceedance, the component
+        is i with probability ∝ w_i c_i, and c_i is in its atoms."""
+        return [{t: Fraction(str(w)) * v for t, v in m.items()}
+                for w, comp in self.components for m in comp._spectral_atoms(dim)]
 
-    def _batch(self, count: int, gen, draw, shape, p=None) -> np.ndarray:
-        """Pick a component per replicate with probabilities ``p`` (default:
-        the mixture weights), then fill each component's rows with
-        ``draw(component, n_rows)``."""
-        if p is None:
-            p = np.array([w for w, _ in self.components])
-        picks = gen.choice(len(p), size=count, p=p)
-        out = np.empty((count, *shape))
-        # component draws consume the generator in component order
-        for ci, (_, comp) in enumerate(self.components):
-            idx = np.nonzero(picks == ci)[0]
-            out[idx] = draw(comp, len(idx))
-        return out
+    def _pick(self, count: int, gen, entry, *args, p=None):
+        """Each replicate's component, drawn with probabilities ``p`` (default:
+        the mixture weights), then ``entry(component, *args, k, gen)`` for the
+        k replicates of each component, in component order: the picks and
+        the components' draws."""
+        p = [w for w, _ in self.components] if p is None else p
+        picks = gen.choice(len(self.components), size=count, p=p)
+        return picks, [entry(m, *args, np.count_nonzero(picks == ci), gen)
+                       for ci, (_, m) in enumerate(self.components)]
 
     def fields(self, window, count: int, gen) -> np.ndarray:
-        return self._batch(
-            count, gen, lambda comp, k: simulate.field_batch(comp, window, k, gen),
-            window.shape,
-        )
+        return _scatter(*self._pick(count, gen, simulate.field_batch, window))
 
     def block_maxima(self, window, count: int, gen) -> np.ndarray:
-        return self._batch(
-            count, gen, lambda comp, k: simulate.block_max_batch(comp, window, k, gen), ()
-        )
+        return _scatter(*self._pick(count, gen, simulate.block_max_batch, window))
 
     def roots(self, window, index, count: int, gen):
-        """Each replicate's component picked with the mixture weights, as in
-        ``_batch``, then that component's roots; kept rows come from each
-        component's own row builder, in component order."""
-        picks = gen.choice(len(self.components), size=count,
-                           p=[w for w, _ in self.components])
-        roots = np.empty(count)
-        rank = np.empty(count, dtype=np.intp)  # position among its component's replicates
-        builders = []
-        for ci, (_, comp) in enumerate(self.components):
-            idx = np.flatnonzero(picks == ci)
-            roots[idx], build = comp.roots(window, index, len(idx), gen)
-            rank[idx] = np.arange(len(idx))
-            builders.append(build)
+        """Each replicate's root from the component ``_pick`` gives it; kept rows
+        come from each component's own row builder, in component order."""
+        point = tuple(a + i for a, i in zip(window.lo, index))
+        picks, parts = self._pick(count, gen, simulate.field_roots, window, point)
 
         def rows(kept):
             out = np.empty((len(kept), *window.shape))
-            for ci, build in enumerate(builders):
+            for ci, (_, build) in enumerate(parts):
                 sel = picks[kept] == ci
-                if sel.any():
-                    out[sel] = build(rank[kept[sel]])
+                if sel.any():  # by position among the component's replicates
+                    out[sel] = build(np.searchsorted(np.flatnonzero(picks == ci), kept[sel]))
             return out
 
-        return roots, rows
+        return _scatter(picks, [roots for roots, _ in parts]), rows
 
     def _given_exceedance(self, u: float) -> np.ndarray:
         """The law of the component given |X| > u at a site."""
@@ -595,18 +632,12 @@ class Mixture(Model):
         return p / p.sum()
 
     def conditional_fields(self, window, point, u: float, count: int, gen):
-        return self._batch(
-            count, gen,
-            lambda comp, k: simulate.conditional_field_batch(comp, window, point, u, k, gen),
-            window.shape, self._given_exceedance(u),
-        )
+        return _scatter(*self._pick(count, gen, simulate.conditional_field_batch,
+                                    window, point, u, p=self._given_exceedance(u)))
 
     def run_maxima(self, window, point, u: float, count: int, gen) -> np.ndarray:
-        return self._batch(
-            count, gen,
-            lambda comp, k: simulate.run_max_batch(comp, window, point, u, k, gen),
-            (), self._given_exceedance(u),
-        )
+        return _scatter(*self._pick(count, gen, simulate.run_max_batch,
+                                    window, point, u, p=self._given_exceedance(u)))
 
     def to_config(self) -> dict:
         return {
@@ -624,6 +655,14 @@ class Mixture(Model):
                 for c in cfg["components"]
             )
         )
+
+
+def _scatter(picks, parts) -> np.ndarray:
+    """One array whose rows where ``picks`` is j hold ``parts[j]``, in order."""
+    out = np.empty((len(picks), *parts[0].shape[1:]))
+    for j, part in enumerate(parts):
+        out[picks == j] = part
+    return out
 
 
 def _mma_from_config(cfg: dict) -> MaxLinear:

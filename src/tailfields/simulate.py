@@ -16,12 +16,11 @@ the law of the built fields, and max-stable models draw them from it.
 from that law directly, with no rejection; a model without such a sampler
 raises ``TypeError``.  ``run_max_batch`` returns only their maximum off
 that site, which max-linear models draw from its law.  The rest of the
-module holds the noise kernels that the models share.
+module holds the noise kernels that the models share; the counterexample's
+law lives in its class.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -66,70 +65,6 @@ def mma_batch(spec, window: Window, count: int, gen) -> np.ndarray:
     radius = spec.radius
     z = frechet_of(gen.random((count, *window.dilate(radius).shape)), spec.alpha)
     return stencil_max(spec, z, radius, window.shape)
-
-
-# -- the exchangeable Pareto pair and its parity field -----------------------
-
-_MAX_RANK = 170  # largest m with m! representable as a float
-
-_FACTORIALS = np.array([float(math.factorial(m)) for m in range(1, _MAX_RANK + 1)])
-
-
-def factorial_rank(z: np.ndarray) -> np.ndarray:
-    """Index m >= 1 with a_m <= z < a_(m+1) for the boundaries a_m = m!.
-
-    Any float is below 171!, so the boundary table never overflows; block
-    arithmetic elsewhere works on the z/a_m ratio scale.
-    """
-    return np.searchsorted(_FACTORIALS, z, side="right")
-
-
-def pareto_in_block(gen, alpha: float, m, shape) -> np.ndarray:
-    """Pareto(alpha) conditioned to [a_m, a_(m+1)), returned as Z / a_m; the
-    rank ``m`` is one number or an array of ``shape``."""
-    v = gen.random(shape)
-    ratio_tail = (m + 1.0) ** (-alpha)  # (a_(m+1)/a_m)^-alpha
-    return (1.0 - v * (1.0 - ratio_tail)) ** (-1.0 / alpha)
-
-
-def counterexample_pairs(alpha: float, count: int, gen) -> np.ndarray:
-    """Draw ``count`` exchangeable pairs (Z1, Z2); returns a (count, 2) array.
-
-    The latent variable Z is standard Pareto(alpha).  On odd factorial
-    blocks [a_(2n-1), a_(2n)) the pair is the diagonal (Z, Z); on even
-    blocks the coordinates are redrawn independently from the block's
-    conditional Pareto law.  ``CounterexampleField`` checks ``alpha``.
-    """
-    z = (1.0 - gen.random(count)) ** (-1.0 / alpha)
-    m = factorial_rank(z)
-    out = np.empty((count, 2))
-    odd = (m % 2) == 1
-    out[odd, 0] = out[odd, 1] = z[odd]
-    n_even = int((~odd).sum())
-    if n_even:
-        me = m[~odd].astype(float)
-        a_m = _FACTORIALS[m[~odd] - 1]
-        z1 = pareto_in_block(gen, alpha, me, me.shape) * a_m
-        z2 = pareto_in_block(gen, alpha, me, me.shape) * a_m
-        out[~odd, 0] = z1
-        out[~odd, 1] = z2
-    return out
-
-
-def counterexample_batch(alpha: float, window: Window, count: int, gen) -> np.ndarray:
-    if window.dim != 2:
-        raise ValueError("the parity field lives on Z^2")
-    lo, hi = window.lo, window.hi
-    n_diag = (hi[0] + hi[1]) - (lo[0] + lo[1]) + 1
-    pairs = counterexample_pairs(alpha, count * n_diag, gen).reshape(count, n_diag, 2)
-    t1 = np.arange(lo[0], hi[0] + 1)[:, None]
-    t2 = np.arange(lo[1], hi[1] + 1)[None, :]
-    diag = (t1 + t2) - (lo[0] + lo[1])  # per-site anti-diagonal index
-    coord = np.abs(t1 % 2) * np.ones_like(t2)  # 1 where t1 odd
-    # Z1 on odd t1, Z2 on even t1
-    z1 = pairs[:, diag, 0]
-    z2 = pairs[:, diag, 1]
-    return np.where(coord[None, :, :] == 1, z1, z2)
 
 
 # -- entry points: check the arguments, then dispatch to the model -----------

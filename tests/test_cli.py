@@ -546,6 +546,10 @@ class TestRejectedInputs:
             ["mma-empirical", "--tau", "nan", "--n", "40,40", "--r", "20,20"],
             ["mma-empirical", "--n", "20,20", "--r", "30,30"],
             ["cluster-laplace", "--tau", "nan"],
+            # a bad q is named before it sizes the pareto-root retention requirement
+            ["verify", "pareto-root", "--q", "inf", "--replicates", "2000"],
+            ["verify", "pareto-root", "--q=-inf", "--replicates", "2000"],
+            ["verify", "pareto-root", "--q", "nan", "--replicates", "2000"],
             # 40,000-site Brown-Resnick fields at the default --n 200,200
             ["cluster-laplace", "--model", "br-fbm"],
         ],

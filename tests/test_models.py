@@ -1,11 +1,13 @@
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from tailfields.cli import NAMED_MODELS
 from tailfields.extremal import level_u, theta_classical_empirical
@@ -24,6 +26,8 @@ from tailfields.models import (
     MODEL_VARIANTS,
     Mixture,
     Model,
+    check_level,
+    factorial_rank,
     model_digest,
     model_from_config,
     model_tag,
@@ -369,3 +373,156 @@ def test_classical_threads_keep_the_value():
     one = theta_classical_empirical(fresh_mma(), *args)
     two = theta_classical_empirical(fresh_mma(), *args, threads=2)
     assert two == one
+
+
+# -- the counterexample's pairs ------------------------------------------------
+
+class TestCounterexamplePair:
+    def test_factorial_rank(self):
+        assert list(factorial_rank(np.array([1.0, 1.5, 2.0, 5.9, 6.0, 25.0]))) == [
+            1, 1, 2, 2, 3, 4,
+        ]
+
+    def test_standard_pareto_marginal(self):
+        pairs = CounterexampleField(1.0).pairs(400_000, RngStream(10).generator())
+        assert (pairs[:, 0] > 2).mean() == pytest.approx(0.5, abs=5e-3)
+        ks = stats.kstest(pairs[:, 1], lambda y: 1 - np.maximum(y, 1.0) ** -1.0)
+        assert ks.statistic < 0.01
+
+    def test_exchangeable(self):
+        pairs = CounterexampleField(1.0).pairs(200_000, RngStream(11).generator())
+        p = stats.ks_2samp(pairs[:, 0], pairs[:, 1]).pvalue
+        assert p > 0.01
+
+    def test_first_block_is_diagonal(self):
+        # Z in [1, 2) = [a_1, a_2) forces Z1 = Z2
+        pairs = CounterexampleField(1.0).pairs(100_000, RngStream(12).generator())
+        low = pairs[pairs[:, 0] < 2.0]
+        assert len(low) > 0
+        assert np.array_equal(low[:, 0], low[:, 1])
+
+    def test_single_pair_api(self):
+        ((z1, z2),) = CounterexampleField(1.0).pairs(1, RngStream(13).generator())
+        assert z1 >= 1.0 and z2 >= 1.0
+
+
+# -- the spectral atoms behind exact_indices -----------------------------------
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def stencil_1d():
+    return model_from_config(json.loads((SCRIPTS / "stencil-1d.json").read_text()))
+
+
+def change_of_time_limits(spec, s):
+    """Both sides of the shift identity with g = 1, from the atoms m_k:
+    P(Theta(-s) != 0) = sum of m_k(0) over the atoms with m_k(-s) > 0, and
+    E|Theta(s)|^alpha = sum of the m_k(s), each over the sum of the m_k(0)."""
+    dim = len(s)
+    atoms, zero = spec._spectral_atoms(dim), (0,) * dim
+    minus = tuple(-x for x in s)
+    total = sum(m[zero] for m in atoms)
+    left = sum(m[zero] for m in atoms if m.get(minus, 0) > 0) / total
+    return left, sum(m.get(s, 0) for m in atoms) / total
+
+
+# the campaign's shifts: the unit vectors and the diagonal (ROADMAP known
+# defect 5: only the diagonal has a nonzero limit)
+@pytest.mark.parametrize(
+    "spec, limits",
+    [(MMA, {(1, 0): 0, (0, 1): 0, (1, 1): Fraction(11, 25)}),
+     (NAMED_MODELS["mma2"](), {(1, 0): 0, (0, 1): 0, (1, 1): Fraction(16, 25)}),
+     (IIDFrechet(2.0), {(1, 0): 0, (0, 1): 0, (1, 1): 0}),
+     (stencil_1d(), {(1,): Fraction(10, 23)})],  # 1 / (1 + 0.5 + 0.8)
+    ids=["mma-default", "mma2", "iid-alpha2", "stencil-1d"],
+)
+def test_change_of_time_limits_agree_in_fractions(spec, limits):
+    for s in dict.fromkeys([*limits, *(o for o, _ in spec.stencil)]):
+        left, right = change_of_time_limits(spec, s)
+        assert isinstance(left, Fraction) and isinstance(right, Fraction), s
+        assert left == right == limits.get(s, left), s
+
+
+def test_max_linear_atoms_are_its_stencil_rows():
+    atoms = MMA._spectral_atoms(2)
+    assert len(atoms) == 5 and all(isinstance(v, Fraction) for m in atoms for v in m.values())
+    assert sum(m[(0, 0)] for m in atoms) == Fraction(5, 2)  # 1 + 0.1 + 0.7 + 0.6 + 0.1
+    assert atoms[0] == {(1, 1): Fraction(1, 10), (1, -1): Fraction(7, 10),
+                        (-1, -1): Fraction(3, 5), (-1, 1): Fraction(1, 10), (0, 0): 1}
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.5])
+def test_mixture_atoms_are_component_atoms_times_weights(alpha):
+    one, two = MaxLinear(MMA.stencil, alpha), MaxLinear(NAMED_MODELS["mma2"]().stencil, alpha)
+    mix = Mixture(((0.3, one), (0.7, two)))
+    want = [{t: w * v for t, v in m.items()}
+            for w, spec in ((Fraction(3, 10), one), (Fraction(7, 10), two))
+            for m in spec._spectral_atoms(2)]
+    assert mix._spectral_atoms(2) == want
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
+@pytest.mark.parametrize("zero_first", [True, False])
+def test_zero_weight_component_leaves_the_table(alpha, zero_first):
+    spec, other = MaxLinear(MMA.stencil, alpha), MaxLinear(NAMED_MODELS["mma2"]().stencil, alpha)
+    comps = ((0.0, other), (1.0, spec))
+    table = Mixture(comps if zero_first else comps[::-1]).exact_indices()
+    assert table == spec.exact_indices()
+    assert [float(v).hex() for v in table.values()] == [
+        float(v).hex() for v in spec.exact_indices().values()]
+
+
+# the named mixtures at alpha = 1.5 as their tables read before the mixture
+# weights came from the atoms (w_i / theta_i then, w_i S_i now): the new
+# weights are exact, so a value may move by rounding, by at most one ulp
+MIXTURES_ALPHA15 = {
+    "mixture": {
+        "classical": "0x1.ebce3b54f39b9p-2", (0, 0): "0x1.3a05cf65a86cdp-1",
+        (1, 1): "0x1.04c4a324823e1p-1", (0, 1): "0x1.5231a1b869b50p-1",
+        (1, 0): "0x1.95aaa26dec5a2p-1"},
+    "mixture-unequal": {
+        "classical": "0x1.3c08bac65b11cp-1", (0, 0): "0x1.9394ed5778683p-1",
+        (1, 1): "0x1.4f23953ee886ep-1", (0, 1): "0x1.3c08bac65b11cp-1",
+        (1, 0): "0x1.807a12deeaf31p-1"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MIXTURES_ALPHA15))
+def test_alpha15_mixture_tables_stay_within_one_ulp(name):
+    spec = (NAMED_MODELS["mixture"]() if name == "mixture" else
+            model_from_config(json.loads((SCRIPTS / "mixture-unequal.json").read_text())))
+    spec = Mixture(tuple((w, MaxLinear(m.stencil, 1.5)) for w, m in spec.components))
+    table = spec.exact_indices()
+    assert list(table) == list(MIXTURES_ALPHA15[name])
+    for key, old in MIXTURES_ALPHA15[name].items():
+        old = float.fromhex(old)
+        assert abs(table[key] - old) <= math.ulp(old), key
+
+
+# -- the level check -------------------------------------------------------------
+
+BAD_LEVELS = [0.0, -1.0, math.nan, math.inf]
+
+
+@pytest.mark.parametrize("u", BAD_LEVELS)
+@pytest.mark.parametrize(
+    "spec",
+    [MMA, IIDFrechet(2.0), BrownResnick(variogram=AdditiveFBM(hurst=(0.5, 0.5))),
+     CounterexampleField(1.0), Mixture(((0.5, MMA), (0.5, CounterexampleField(1.0))))],
+    ids=["mma", "iid", "brown-resnick", "counterexample", "mixture"],
+)
+def test_exceed_prob_rejects_a_bad_level(spec, u):
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        spec.exceed_prob(u)
+
+
+@pytest.mark.parametrize("u", BAD_LEVELS)
+def test_run_index_rejects_a_bad_level(u):
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        MMA.run_index(pos_block((5, 5)), (0, 0), u)
+
+
+def test_check_level_passes_a_good_level_through():
+    assert check_level(2.5) == 2.5 and check_level(5e-324) == 5e-324
+    assert MMA.exceed_prob(1e300) > 0 and CounterexampleField(1.0).exceed_prob(0.5) == 1.0

@@ -21,8 +21,6 @@ from tailfields.rng import RngStream
 from tailfields.simulate import (
     block_max_batch,
     conditional_field_batch,
-    counterexample_pairs,
-    factorial_rank,
     field_batch,
     field_roots,
     frechet_above,
@@ -253,35 +251,6 @@ class TestFieldRoots:
     def test_point_outside_window(self):
         with pytest.raises(ValueError):
             field_roots(MMA, centered_box(1, 2), (2, 0), 1, RngStream(0).generator())
-
-
-class TestCounterexamplePair:
-    def test_factorial_rank(self):
-        assert list(factorial_rank(np.array([1.0, 1.5, 2.0, 5.9, 6.0, 25.0]))) == [
-            1, 1, 2, 2, 3, 4,
-        ]
-
-    def test_standard_pareto_marginal(self):
-        pairs = counterexample_pairs(1.0, 400_000, RngStream(10).generator())
-        assert (pairs[:, 0] > 2).mean() == pytest.approx(0.5, abs=5e-3)
-        ks = stats.kstest(pairs[:, 1], lambda y: 1 - np.maximum(y, 1.0) ** -1.0)
-        assert ks.statistic < 0.01
-
-    def test_exchangeable(self):
-        pairs = counterexample_pairs(1.0, 200_000, RngStream(11).generator())
-        p = stats.ks_2samp(pairs[:, 0], pairs[:, 1]).pvalue
-        assert p > 0.01
-
-    def test_first_block_is_diagonal(self):
-        # Z in [1, 2) = [a_1, a_2) forces Z1 = Z2
-        pairs = counterexample_pairs(1.0, 100_000, RngStream(12).generator())
-        low = pairs[pairs[:, 0] < 2.0]
-        assert len(low) > 0
-        assert np.array_equal(low[:, 0], low[:, 1])
-
-    def test_single_pair_api(self):
-        ((z1, z2),) = counterexample_pairs(1.0, 1, RngStream(13).generator())
-        assert z1 >= 1.0 and z2 >= 1.0
 
 
 class TestCounterexampleField:
