@@ -8,7 +8,7 @@ the CLI output byte-identical:
 
     PYTHONPATH=src python scripts/cli_digests.py > digests.txt
 
-The 38 commands cover every subcommand, all four ``verify`` campaigns plus
+The 42 commands cover every subcommand, all four ``verify`` campaigns plus
 the corrupted negative control (``pareto-root`` also on IID noise and on
 ``stencil-1d.json``, so that the tags of all three stencil config formats
 are in the output; ``change-of-time`` also on ``stencil-1d.json``, whose
@@ -29,7 +29,12 @@ maxima of the component picked), of ``br-fbm`` (block and run maxima from
 built and conditioned fields) and of the Brown-Resnick and
 max-moving-average mixture of ``mixture-br.json`` (a component picked
 given the exceedance); ``tailfield`` on that mixture; and
-``cluster-laplace`` on ``br-fbm``, whose fields are built unconditioned.  The
+``cluster-laplace`` on ``br-fbm``, whose fields are built unconditioned.
+Four more run ``cluster-laplace`` on max-linear models, whose clusters
+come from a screen of the uniform noise: IID noise at alpha = 2
+(``iid-alpha2.json``), the max-moving average at alpha = 1.5, the 1-D
+stencil, and ``mma-default`` at ``--tau 20`` on a small window, where
+most blocks pass the screen.  The
 ``mma-empirical`` run rows are drawn from the law of the block's maximum
 off its corner, and the classical rows from the law of the block's
 maximum; neither builds a field.  The
@@ -132,6 +137,17 @@ COMMANDS = (
      "--q", "0.99", "--replicates", "6000", "--seed", "33"],
     ["cluster-laplace", "--model", "br-fbm", "--n", "20,20", "--r", "10,10", "--fields", "4",
      "--lag-radius", "1", "--q", "0.99", "--replicates", "6000", "--seed", "34"],
+    ["cluster-laplace", "--model", os.path.join(HERE, "iid-alpha2.json"), "--n", "40,40",
+     "--r", "20,20", "--fields", "10", "--lag-radius", "2", "--q", "0.99",
+     "--replicates", "12000", "--seed", "35"],
+    ["cluster-laplace", "--model", os.path.join(HERE, "mma-alpha15.json"), "--n", "40,40",
+     "--r", "20,20", "--fields", "10", "--lag-radius", "2", "--q", "0.99",
+     "--replicates", "12000", "--seed", "36"],
+    ["cluster-laplace", "--model", os.path.join(HERE, "stencil-1d.json"), "--n", "400",
+     "--r", "20", "--fields", "10", "--lag-radius", "2", "--q", "0.99",
+     "--replicates", "12000", "--seed", "37"],
+    ["cluster-laplace", "--n", "40,40", "--r", "5,5", "--tau", "20", "--fields", "4",
+     "--lag-radius", "2", "--q", "0.99", "--replicates", "12000", "--seed", "38"],
 )
 
 

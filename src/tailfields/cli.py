@@ -35,12 +35,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .cluster import (
-    cluster_process_extract,
-    empirical_cluster_laplace,
-    limit_cluster_laplace_mc,
-    nonempty_blocks,
-)
+from .cluster import empirical_cluster_laplace, limit_cluster_laplace_mc
 from .extremal import (
     br_theta_block_profile,
     level_u,
@@ -63,7 +58,7 @@ from .models import (
     model_from_config,
 )
 from .rng import RngStream, map_chunks, single_threaded_blas
-from .simulate import field_batch
+from .simulate import field_clusters
 from .tailfield import (
     br_tail_fdd_mc,
     br_tail_marginal_cdf,
@@ -287,8 +282,7 @@ def cmd_cluster_laplace(args) -> int:
     u = level_u(spec, n, args.tau)
 
     def fill(start, count, stream):  # one field per chunk, its clusters only
-        field = field_batch(spec, pos_block(n), 1, stream.generator())
-        return nonempty_blocks(cluster_process_extract(field[0], r, u))
+        return field_clusters(spec, pos_block(n), r, u, stream.generator())
 
     # in chunk order, so the clusters do not depend on --threads
     clusters = np.concatenate(map_chunks(fill, args.fields, 1, rng.lane(1), args.threads))

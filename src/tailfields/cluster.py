@@ -12,7 +12,7 @@ import numpy as np
 from .lattice import InvariantOrder, as_point, sym_block
 from .models import Model, check_level
 from .rng import RngStream, map_chunks
-from .simulate import conditional_field_batch
+from .simulate import _check_blocks, conditional_field_batch
 from .tailfield import MCEstimate, TailBatch
 from .testfuncs import PointFunction
 
@@ -26,14 +26,9 @@ def cluster_process_extract(values: np.ndarray, r: Sequence[int], u: float) -> n
     downstream test functions vanish near the origin anyway.
     """
     r = as_point(r)
-    shape = values.shape
-    if len(r) != values.ndim:
-        raise ValueError("block size dimension mismatch")
-    if any(s % ri for s, ri in zip(shape, r)):
-        raise ValueError(f"window shape {shape} is not a multiple of r={r}")
-    if u <= 0:
-        raise ValueError("threshold must be positive")
-    nb = [s // ri for s, ri in zip(shape, r)]
+    _check_blocks(values.shape, r)
+    check_level(u)
+    nb = [s // ri for s, ri in zip(values.shape, r)]
     interleaved = (values / u).reshape([x for pair in zip(nb, r) for x in pair])
     k = len(r)
     perm = list(range(0, 2 * k, 2)) + list(range(1, 2 * k, 2))

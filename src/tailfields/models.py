@@ -24,6 +24,15 @@ These members have defaults in :class:`Model`:
 * ``run_maxima(window, point, u, count, gen)``, the max of |X| over
   ``window`` minus ``point`` given |X(point)| > u, which builds the
   conditional fields; ``MaxLinear`` draws it from the law;
+* ``clusters(window, r, u, gen)``, the atoms u^-1 X(t) of the r-blocks of
+  one field that hold an atom above 1 (the clusters), which builds the
+  field and tiles it (``cluster.cluster_process_extract`` and
+  ``cluster.nonempty_blocks``).  ``MaxLinear`` draws the same uniform
+  noise and builds only the blocks whose noise can reach above u: its
+  weights are at most 1, so a cluster's block has a Frechet noise
+  variable above u within the stencil radius.  A built block is the
+  same element operations on the same noise, so the result, and the
+  generator after it, are the default's to the bit;
 * ``exact_indices()``, the exact classical and per-corner run indices
   keyed by "classical" and the corner (in ``corners(lattice_dim)``
   order): one formula over the spectral atoms of the private
@@ -69,6 +78,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import gaussian, simulate
 from .gaussian import AdditiveFBM, CustomVariogram, VariogramSpec  # re-exported
@@ -105,6 +115,12 @@ class Model:
     def roots(self, window, index, count: int, gen):
         x = simulate.field_batch(self, window, count, gen)
         return np.abs(x[(slice(None), *index)]), lambda idx: x[idx]
+
+    def clusters(self, window, r, u: float, gen) -> np.ndarray:
+        from . import cluster  # cluster imports this module
+
+        x = simulate.field_batch(self, window, 1, gen)
+        return cluster.nonempty_blocks(cluster.cluster_process_extract(x[0], r, u))
 
     def conditional_fields(self, window, point, u: float, count: int, gen):
         raise CapabilityError(f"no exact conditional sampler for {type(self).__name__}")
@@ -315,6 +331,35 @@ class MaxLinear(_MaxStable):
     def block_maxima(self, window, count: int, gen) -> np.ndarray:
         scale = self.exponent(window) ** (1 / self.alpha)
         return scale * simulate.frechet_of(gen.random(count), self.alpha)
+
+    def clusters(self, window, r, u: float, gen) -> np.ndarray:
+        """The default's blocks, to the bit, from the noise that ``fields``
+        draws, building only the blocks whose noise region (the block
+        dilated by the radius) holds a uniform U above exp(-(u/2)^-alpha).
+        Every weight is at most 1, so X(t) > u needs Z(s) > u at a noise
+        site s of the region, and Z = (-ln U)^(-1/alpha) increases in U: the
+        factor 2 covers the rounding of Z, and the level moves one float
+        down for the rounding of exp.  The built blocks take the field's
+        own element operations on a copy of their noise regions."""
+        from . import cluster  # cluster imports this module
+
+        radius, r, shape = self.radius, np.array(r), np.array(window.shape)
+        noise = gen.random((1, *window.dilate(radius).shape))[0]
+        level = np.nextafter(math.exp(-((u / 2) ** -self.alpha)), 0.0)
+        hot = np.transpose(np.unravel_index(np.flatnonzero(noise > level), noise.shape))
+        # the noise at array index s reaches the window's array indices
+        # s - 2 radius ... s, so its blocks lo ... hi along each axis
+        lo = np.maximum(hot - 2 * radius, 0) // r
+        hi = np.minimum(hot, shape - 1) // r
+        built = np.zeros(shape // r, dtype=bool)
+        for step in np.ndindex(*((hi - lo).max(axis=0, initial=0) + 1).tolist()):
+            b = lo + step
+            built[tuple(b[(b <= hi).all(axis=1)].T)] = True
+        regions = sliding_window_view(noise, tuple(r + 2 * radius))[
+            tuple(slice(None, None, k) for k in r)]
+        z = simulate.frechet_of(regions[built], self.alpha)
+        x = simulate.stencil_max(self, z, radius, tuple(r))
+        return cluster.nonempty_blocks(x.reshape(len(x), r.prod()) / u)
 
     def _attaining(self, items, count: int, gen) -> np.ndarray:
         """The atom J attaining each root, P(J = j) ∝ w_j^alpha."""

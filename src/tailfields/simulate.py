@@ -1,23 +1,31 @@
 """Seedable samplers for the heavy-tailed field models.
 
 The entry points ``field_batch``, ``block_max_batch``, ``field_roots``,
-``conditional_field_batch`` and ``run_max_batch`` check their arguments
-and then dispatch to the model's own sampler (``fields``,
-``block_maxima``, ``roots``, ``conditional_fields`` and ``run_maxima``;
-see ``models``).  Each returns arrays drawn from
-the NumPy generator it is given, so the same spec, window, count and
-generator state always reproduce the same fields.  Callers derive the
-generator from an ``RngStream``; the chunked estimators assign one stream
-per fixed-size chunk, which keeps results independent of worker count.
+``conditional_field_batch``, ``run_max_batch`` and ``field_clusters``
+check their arguments and then dispatch to the model's own sampler
+(``fields``, ``block_maxima``, ``roots``, ``conditional_fields``,
+``run_maxima`` and ``clusters``; see ``models``).  Each returns arrays
+drawn from the NumPy generator it is given, so the same spec, window,
+count and generator state always reproduce the same fields.  Callers
+derive the generator from an ``RngStream``; the chunked estimators assign
+one stream per fixed-size chunk, which keeps results independent of
+worker count.
 ``block_max_batch`` returns only each field's maximum, and ``field_roots``
 only each field's value at one site plus a builder of full rows; both have
 the law of the built fields, and max-stable models draw them from it.
 ``conditional_field_batch`` draws fields given an exceedance at one site
 from that law directly, with no rejection; a model without such a sampler
 raises ``TypeError``.  ``run_max_batch`` returns only their maximum off
-that site, which max-linear models draw from its law.  The rest of the
-module holds the noise kernels that the models share; the counterexample's
-law lives in its class.
+that site, which max-linear models draw from its law.
+``field_clusters`` returns one field's nonempty blocks, the clusters of
+``cluster-laplace``.  It checks the field's dimension, that r tiles the
+window, and the level, before any draw.  Max-linear models screen the
+field's uniform noise and build only the blocks that can hold a cluster:
+every stencil weight is at most 1, so a cluster needs a Frechet noise
+variable above u near its block, and the Frechet transform increases in
+the uniform.  The built blocks have the bytes of the built field.  The
+rest of the module holds the noise kernels that the models share; the
+counterexample's law lives in its class.
 """
 
 from __future__ import annotations
@@ -75,10 +83,32 @@ def _check_dim(spec, window: Window) -> None:
         raise ValueError(f"model needs dimension {dim}, window has {window.dim}")
 
 
+def _check_blocks(shape, r) -> None:
+    """A window of ``shape`` tiles into blocks of shape ``r``, or a ``ValueError``."""
+    if len(r) != len(shape):
+        raise ValueError("block size dimension mismatch")
+    if any(s % ri for s, ri in zip(shape, r)):
+        raise ValueError(f"window shape {shape} is not a multiple of r={r}")
+
+
 def field_batch(spec, window: Window, count: int, gen) -> np.ndarray:
     """Batch of ``count`` fields for any model, drawn from one generator."""
     _check_dim(spec, window)
     return spec.fields(window, count, gen)
+
+
+def field_clusters(spec, window: Window, r, u: float, gen) -> np.ndarray:
+    """The atoms u^-1 X(t) of one field's nonempty r-blocks, as
+    ``cluster.nonempty_blocks`` of ``cluster.cluster_process_extract``
+    selects them from ``field_batch(spec, window, 1, gen)``: a ``(k,
+    prod(r))`` array, blocks in row-major order.  Max-linear models build
+    only the blocks whose noise can reach above u (see ``models``)."""
+    from .models import check_level  # models imports this module
+
+    _check_dim(spec, window)
+    r = as_point(r)
+    _check_blocks(window.shape, r)
+    return spec.clusters(window, r, check_level(u), gen)
 
 
 def block_max_batch(spec, window: Window, count: int, gen) -> np.ndarray:

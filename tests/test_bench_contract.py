@@ -107,7 +107,9 @@ def test_tail_field_chunk_default_is_the_counters(tracer_module):
 COMMANDS = (
     ["tailfield", "--spectral", "--lag-radius", "1", "--q", "0.99",
      "--replicates", "5000"],
-    ["cluster-laplace", "--n", "40,40", "--r", "20,20", "--fields", "2",
+    # Brown-Resnick fields are built and tiled; max-linear ones build only
+    # the blocks that can hold a cluster
+    ["cluster-laplace", "--model", "br-fbm", "--n", "20,20", "--r", "10,10", "--fields", "2",
      "--lag-radius", "2", "--q", "0.99", "--replicates", "5000"],
     ["verify", "rs-invariance", "--q", "0.99", "--replicates", "5000"],
 )

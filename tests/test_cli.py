@@ -512,7 +512,25 @@ class TestCountFlags:
         assert f"argument {flag}: must be a positive integer" in err
 
 
+# --n and --r that cluster-laplace rejects, with its message
+BAD_BLOCKS = [
+    (["--n", "400", "--r", "20"], "error: model needs dimension 2, window has 1\n"),
+    (["--n", "40,40", "--r", "15,20"],
+     "error: window shape (40, 40) is not a multiple of r=(15, 20)\n"),
+    (["--n", "40,40", "--r", "20"], "error: block size dimension mismatch\n"),
+    (["--n", "40,40", "--r", "80,80"],
+     "error: window shape (40, 40) is not a multiple of r=(80, 80)\n"),
+]
+
+
 class TestRejectedInputs:
+    @pytest.mark.parametrize("model", ["mma-default", "br-fbm"])
+    @pytest.mark.parametrize("blocks, message", BAD_BLOCKS,
+                             ids=["-".join(blocks) for blocks, _ in BAD_BLOCKS])
+    def test_cluster_blocks_keep_their_messages(self, model, blocks, message, capsys):
+        code, out, err = run_cli(["cluster-laplace", "--model", model, *blocks], capsys)
+        assert (code, out, err) == (2, "", message)
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -552,6 +570,9 @@ class TestRejectedInputs:
             ["verify", "pareto-root", "--q", "nan", "--replicates", "2000"],
             # 40,000-site Brown-Resnick fields at the default --n 200,200
             ["cluster-laplace", "--model", "br-fbm"],
+            # blocks that do not tile the window, for a screened and a built model
+            *(["cluster-laplace", "--model", model, *blocks]
+              for model in ("mma-default", "br-fbm") for blocks, _ in BAD_BLOCKS),
         ],
         ids="-".join,
     )

@@ -1,5 +1,7 @@
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,11 +23,15 @@ from tailfields.models import (
     BrownResnick,
     CounterexampleField,
     CustomVariogram,
+    GeneralMaxMovingAverage,
     IIDFrechet,
     MaxMovingAverage,
+    Mixture,
+    Model,
+    model_from_config,
 )
 from tailfields.rng import RngStream
-from tailfields.simulate import field_batch
+from tailfields.simulate import field_batch, field_clusters
 from tailfields.tailfield import MCEstimate, TailBatch, estimate_tail_field, spectral_from_tail
 from tailfields.testfuncs import POINT_CATALOG, ZERO, PointFunction
 
@@ -66,6 +72,82 @@ class TestClusterExtract:
     def test_partial_blocks_rejected(self, iid_field):
         with pytest.raises(ValueError):
             cluster_process_extract(iid_field, (7, 8), 10.0)
+
+    @pytest.mark.parametrize("u", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_level_rejected(self, iid_field, u):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            cluster_process_extract(iid_field, (8, 8), u)
+
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def script_model(name):
+    return model_from_config(json.loads((SCRIPTS / name).read_text()))
+
+
+# max-linear models, each with a window and a block shape that tiles it
+SCREENED = {
+    "mma-default": (MMA, (200, 200), (20, 20)),
+    "iid-0.5": (IIDFrechet(0.5), (60, 60), (10, 15)),
+    "iid-2": (IIDFrechet(2.0), (60, 60), (20, 20)),
+    "mma-alpha15": (script_model("mma-alpha15.json"), (60, 60), (20, 10)),
+    "stencil-1d": (script_model("stencil-1d.json"), (400,), (20,)),
+    "stencil-3d": (GeneralMaxMovingAverage({(1, 0, 0): 0.5, (0, -1, 1): 0.9, (0, 0, 2): 0.3},
+                                           alpha=0.7), (10, 8, 20), (5, 4, 10)),
+    "weights-1": (MaxMovingAverage(a=(1.0, 1.0, 1.0, 1.0)), (60, 60), (20, 20)),
+    "alpha-8": (MaxMovingAverage(a=(0.1, 0.7, 0.6, 0.1), alpha=8.0), (60, 60), (20, 20)),
+}
+
+
+class TestFieldClusters:
+    """The max-linear screen against the built field, ``Model.clusters``."""
+
+    # tau 1 is the workload's level; at a tenth of the sites most blocks
+    # pass the screen; no noise reaches 1e300
+    @pytest.mark.parametrize("level", ["workload", "low", "unreached"])
+    @pytest.mark.parametrize("name", SCREENED)
+    def test_screen_keeps_every_byte_and_the_stream(self, name, level):
+        spec, n, r = SCREENED[name]
+        window = pos_block(n)
+        tau = {"workload": 1.0, "low": window.cardinality / 10}.get(level)
+        u = 1e300 if tau is None else level_u(spec, n, tau)
+        kept = 0
+        for i in range(40 if n == (200, 200) else 100):
+            stream = RngStream(700).substream(i)
+            gen_default, gen_screen = stream.generator(), stream.generator()
+            default = Model.clusters(spec, window, r, u, gen_default)
+            screened = spec.clusters(window, r, u, gen_screen)
+            assert np.array_equal(screened, default), (name, level, i)
+            assert np.array_equal(gen_screen.random(4), gen_default.random(4))
+            kept += len(screened)
+        assert (kept == 0) == (level == "unreached"), kept
+
+    def test_entry_point_dispatches_to_the_model(self):
+        n, r = (40, 40), (20, 20)
+        for spec in (MMA, Mixture(((0.5, MMA), (0.5, IIDFrechet(1.0)))),
+                     BrownResnick(AdditiveFBM(hurst=(0.5, 0.5)))):
+            u = level_u(spec, n, 20.0)
+            built = cluster_process_extract(one_field(spec, n, RngStream(701)), r, u)
+            got = field_clusters(spec, pos_block(n), r, u, RngStream(701).generator())
+            assert np.array_equal(got, nonempty_blocks(built)) and len(got)
+
+    @pytest.mark.parametrize(
+        "spec", [MMA, BrownResnick(AdditiveFBM(hurst=(0.5, 0.5)))], ids=["mma", "br"])
+    @pytest.mark.parametrize(
+        "n, r, u, message",
+        [((400,), (20,), 10.0, "model needs dimension 2, window has 1"),
+         ((40, 40), (15, 20), 10.0, r"is not a multiple of r=\(15, 20\)"),
+         ((40, 40), (20,), 10.0, "block size dimension mismatch"),
+         ((40, 40), (80, 80), 10.0, r"is not a multiple of r=\(80, 80\)"),
+         *(((40, 40), (20, 20), u, "must be positive and finite")
+           for u in (0.0, -1.0, math.nan, math.inf))],
+    )
+    def test_rejected_before_any_draw(self, spec, n, r, u, message):
+        gen = RngStream(702).generator()
+        with pytest.raises(ValueError, match=message):
+            field_clusters(spec, pos_block(n), r, u, gen)
+        assert np.array_equal(gen.random(4), RngStream(702).generator().random(4))
 
 
 class TestEmpiricalLaplace:
